@@ -2,7 +2,8 @@
 
 Solvers for the 2-machine, general m-machines under the distinct-seat-set
 rule, the optimal 3-machine, a brute-force optimality oracle, and symbolic
-algebra for the countably infinite machine.
+algebra for the countably infinite machine.  Every solver returns a
+``plandoc.PlanDocument``.
 """
 
 from .perm import (
@@ -14,27 +15,10 @@ from .perm import (
     outsider,
     parse_cycles,
 )
-from .moves import MachineMove, plan_product, supports_distinct, written_product
-from .keeler import TwoMachinePlan, cycle_gadget, solve_two_machine, sweep_moves
-from .machine import (
-    MPlan,
-    generator_identity_check,
-    in_machine_group,
-    invert_even_pair_odd_m,
-    invert_odd_cycle,
-    invert_three_cycle,
-    invert_transposition_even_m,
-    outsider_budget,
-    solve_m_machine,
-)
-from .optimal3 import (
-    ThreePlan,
-    even_pair_moves,
-    insider_occurrences,
-    lower_bound,
-    odd_cycle_moves,
-    solve_three_machine_optimal,
-)
+from .moves import MachineMove, plan_product
+from .keeler import solve_two_machine
+from .machine import in_machine_group, outsider_budget, solve_m_machine
+from .optimal3 import lower_bound, solve_three_machine_optimal
 from .oracle import (
     OracleBudgetError,
     RuleSet,
@@ -45,28 +29,16 @@ from .oracle import (
 
 __all__ = [
     "Element",
-    "MPlan",
     "MachineMove",
     "OracleBudgetError",
     "ParseError",
     "Permutation",
     "RuleSet",
-    "ThreePlan",
-    "TwoMachinePlan",
     "VerificationReport",
-    "cycle_gadget",
-    "even_pair_moves",
     "format_cycles",
-    "generator_identity_check",
     "in_machine_group",
     "insider",
-    "insider_occurrences",
-    "invert_even_pair_odd_m",
-    "invert_odd_cycle",
-    "invert_three_cycle",
-    "invert_transposition_even_m",
     "lower_bound",
-    "odd_cycle_moves",
     "outsider",
     "outsider_budget",
     "parse_cycles",
@@ -75,8 +47,5 @@ __all__ = [
     "solve_m_machine",
     "solve_three_machine_optimal",
     "solve_two_machine",
-    "supports_distinct",
-    "sweep_moves",
     "verify_plan",
-    "written_product",
 ]

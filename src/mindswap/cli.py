@@ -14,12 +14,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TextIO
 
 from . import infinite, plandoc
 from .keeler import solve_two_machine
-from .machine import in_machine_group, solve_m_machine
-from .optimal3 import lower_bound, solve_three_machine_optimal
-from .oracle import OracleBudgetError, RuleSet, search_min_plan, verify_plan
+from .machine import solve_m_machine
+from .optimal3 import solve_three_machine_optimal
+from .oracle import (
+    OracleBudgetError,
+    RuleSet,
+    VerificationReport,
+    search_min_plan,
+    verify_plan,
+)
 from .perm import ParseError, Permutation, format_cycles, insider, outsider, parse_cycles
 
 EXIT_OK = 0
@@ -36,17 +43,37 @@ def _parse_target(text: str) -> Permutation:
     return target
 
 
-def _report(target: Permutation, doc: plandoc.PlanDocument) -> bool:
-    rules = RuleSet(m=doc.m, outsiders=doc.outsiders, require_outsider_per_move=bool(doc.outsiders))
+def _verify(
+    target: Permutation,
+    doc: plandoc.PlanDocument,
+    out: TextIO,
+    outsider_rule: bool = True,
+    distinct_rule: bool = True,
+) -> VerificationReport:
+    """Verify the document's moves against target and print the report to out."""
+    rules = RuleSet(
+        m=doc.m,
+        outsiders=doc.outsiders,
+        require_outsider_per_move=outsider_rule and bool(doc.outsiders),
+        require_distinct_supports=distinct_rule,
+    )
     report = verify_plan(target, list(doc.moves), rules)
-    print(f"steps: {report.step_count}", file=sys.stderr)
-    print(f"product-ok: {str(report.product_ok).lower()}", file=sys.stderr)
+    print(f"steps: {report.step_count}", file=out)
+    print(f"product-ok: {str(report.product_ok).lower()}", file=out)
     if report.rule_violations:
         for index, kind in report.rule_violations:
-            print(f"violation: index={index} kind={kind}", file=sys.stderr)
+            print(f"violation: index={index} kind={kind}", file=out)
     else:
-        print("rule-violations: none", file=sys.stderr)
-    return report.clean
+        print("rule-violations: none", file=out)
+    return report
+
+
+# name -> (accepts machine size m, solve(target, m)), in --solver choice order
+SOLVERS = {
+    "keeler2": (lambda m: m == 2, lambda target, m: solve_two_machine(target)),
+    "general_m": (lambda m: m >= 3, solve_m_machine),
+    "optimal3": (lambda m: m == 3, lambda target, m: solve_three_machine_optimal(target)),
+}
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -58,51 +85,18 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     except ValueError as err:
         print(f"unsolvable: {err}", file=sys.stderr)
         return EXIT_UNSOLVABLE
-    solver = args.solver or ("keeler2" if args.m == 2 else "general_m")
-    valid = {"keeler2": args.m == 2, "optimal3": args.m == 3, "general_m": args.m >= 3}
-    if not valid[solver]:
-        print(f"solver {solver} is incompatible with machine size {args.m}", file=sys.stderr)
+    name = args.solver or ("keeler2" if args.m == 2 else "general_m")
+    accepts_m, solve = SOLVERS[name]
+    if not accepts_m(args.m):
+        print(f"solver {name} is incompatible with machine size {args.m}", file=sys.stderr)
         return EXIT_PARSE
-
-    if solver == "keeler2":
-        plan = solve_two_machine(target)
-        doc = plandoc.PlanDocument(
-            m=2,
-            target=format_cycles(target),
-            outsiders=plan.outsiders,
-            moves=plan.moves,
-            solver=solver,
-        )
-    elif solver == "optimal3":
-        if target.parity() != 0:
-            print("unsolvable: odd permutation is not reachable on a 3-machine", file=sys.stderr)
-            return EXIT_UNSOLVABLE
-        plan3 = solve_three_machine_optimal(target)
-        doc = plandoc.PlanDocument(
-            m=3,
-            target=format_cycles(target),
-            outsiders=(outsider(1),),
-            moves=plan3.moves,
-            solver=solver,
-            lower_bound=lower_bound(target),
-        )
-    else:
-        if not in_machine_group(target, args.m):
-            print(
-                f"unsolvable: odd permutation is not a product of {args.m}-cycles",
-                file=sys.stderr,
-            )
-            return EXIT_UNSOLVABLE
-        mplan = solve_m_machine(target, args.m)
-        doc = plandoc.PlanDocument(
-            m=args.m,
-            target=format_cycles(target),
-            outsiders=mplan.outsider_pool,
-            moves=mplan.moves,
-            solver=solver,
-        )
+    try:
+        doc = solve(target, args.m)
+    except ValueError as err:
+        print(f"unsolvable: {err}", file=sys.stderr)
+        return EXIT_UNSOLVABLE
     sys.stdout.write(plandoc.dumps(doc))
-    return EXIT_OK if _report(target, doc) else EXIT_VERIFY_FAILED
+    return EXIT_OK if _verify(target, doc, sys.stderr).clean else EXIT_VERIFY_FAILED
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -113,20 +107,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except (OSError, ParseError, plandoc.PlanFormatError, ValueError) as err:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    rules = RuleSet(
-        m=doc.m,
-        outsiders=doc.outsiders,
-        require_outsider_per_move=not args.no_outsider_rule and bool(doc.outsiders),
-        require_distinct_supports=not args.no_distinct_rule,
+    report = _verify(
+        target, doc, sys.stdout, not args.no_outsider_rule, not args.no_distinct_rule
     )
-    report = verify_plan(target, list(doc.moves), rules)
-    print(f"steps: {report.step_count}")
-    print(f"product-ok: {str(report.product_ok).lower()}")
-    if report.rule_violations:
-        for index, kind in report.rule_violations:
-            print(f"violation: index={index} kind={kind}")
-    else:
-        print("rule-violations: none")
     print(f"verdict: {'clean' if report.clean else 'failed'}")
     return EXIT_OK if report.clean else EXIT_VERIFY_FAILED
 
@@ -213,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
     p_solve = sub.add_parser("solve", help="solve a target and print a plan document")
     p_solve.add_argument("--target", required=True, help="cycle notation, e.g. '(a1 a2)(a3 a4)'")
     p_solve.add_argument("--m", type=int, required=True, help="machine size")
-    p_solve.add_argument("--solver", choices=["keeler2", "general_m", "optimal3"])
+    p_solve.add_argument("--solver", choices=list(SOLVERS))
     p_solve.set_defaults(func=_cmd_solve)
 
     p_verify = sub.add_parser("verify", help="check a plan document against the rules")

@@ -14,22 +14,9 @@ when the cycle count is odd yields the inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .moves import MachineMove
-from .perm import Cycle, Element, Permutation, outsider
-
-
-@dataclass(frozen=True)
-class TwoMachinePlan:
-    """Chronological transposition moves plus the two outsiders used."""
-
-    moves: tuple[MachineMove, ...]
-    outsiders: tuple[Element, Element]
-
-    @property
-    def step_count(self) -> int:
-        return len(self.moves)
+from .perm import Cycle, Element, Permutation, format_cycles, outsider
+from .plandoc import PlanDocument
 
 
 def _check_outside(cycle: Cycle, *externals: Element) -> None:
@@ -66,7 +53,7 @@ def cycle_gadget(cycle: Cycle, x: Element, y: Element) -> list[MachineMove]:
     ]
 
 
-def solve_two_machine(sigma: Permutation) -> TwoMachinePlan:
+def solve_two_machine(sigma: Permutation) -> PlanDocument:
     """Invert sigma on a 2-machine using outsiders x1 and x2.
 
     The plan is chronological, every move contains an outsider, all moves
@@ -82,4 +69,10 @@ def solve_two_machine(sigma: Permutation) -> TwoMachinePlan:
         factors.append(MachineMove((x, y)))
     for cycle in reversed(sigma.cycles):
         factors.extend(cycle_gadget(cycle, x, y))
-    return TwoMachinePlan(tuple(reversed(factors)), (x, y))
+    return PlanDocument(
+        m=2,
+        target=format_cycles(sigma),
+        outsiders=(x, y),
+        moves=tuple(reversed(factors)),
+        solver="keeler2",
+    )

@@ -18,24 +18,11 @@ transposition, which is fixed either by pairing with another even cycle
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .moves import MachineMove
-from .perm import Cycle, Element, Permutation, insider, outsider
-
-
-@dataclass(frozen=True)
-class MPlan:
-    """Chronological m-cycle moves plus the outsider pool they draw from."""
-
-    m: int
-    moves: tuple[MachineMove, ...]
-    outsider_pool: tuple[Element, ...]
-
-    @property
-    def step_count(self) -> int:
-        return len(self.moves)
+from .perm import Cycle, Element, Permutation, format_cycles, insider, outsider
+from .plandoc import PlanDocument
 
 
 def outsider_budget(m: int) -> int:
@@ -191,7 +178,7 @@ def generator_identity_check(m: int, elements: Sequence[Element] | None = None) 
     return first and second
 
 
-def solve_m_machine(sigma: Permutation, m: int) -> MPlan:
+def solve_m_machine(sigma: Permutation, m: int) -> PlanDocument:
     """Invert sigma with m-cycle moves on pairwise distinct seat sets.
 
     The plan is chronological; its product equals sigma's inverse, every
@@ -225,4 +212,10 @@ def solve_m_machine(sigma: Permutation, m: int) -> MPlan:
                 if len(prefix) >= 3:
                     moves += invert_odd_cycle(prefix, chain_pool, m)
                 moves += invert_transposition_even_m((tau[-2], tau[-1]), w, y, z, m)
-    return MPlan(m=m, moves=tuple(moves), outsider_pool=pool)
+    return PlanDocument(
+        m=m,
+        target=format_cycles(sigma),
+        outsiders=pool,
+        moves=tuple(moves),
+        solver="general_m",
+    )

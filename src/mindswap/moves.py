@@ -9,7 +9,7 @@ induced cycles, so the last move is the leftmost factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .perm import Element, Permutation
 
@@ -58,12 +58,3 @@ def plan_product(moves: Iterable[MachineMove]) -> Permutation:
         acc = move.perm() * acc
     return acc
 
-
-def written_product(factors: Sequence[MachineMove]) -> Permutation:
-    """Product of factors in written order: the rightmost factor acts first."""
-    return plan_product(reversed(factors))
-
-
-def supports_distinct(moves: Sequence[MachineMove]) -> bool:
-    supports = [m.support for m in moves]
-    return len(set(supports)) == len(supports)

@@ -16,23 +16,11 @@ truth (products here are right-to-left, and plans are chronological).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .moves import MachineMove
-from .perm import Cycle, Element, Permutation, outsider
-
-
-@dataclass(frozen=True)
-class ThreePlan:
-    """Chronological 3-cycle moves plus the (n, r) profile of the target."""
-
-    moves: tuple[MachineMove, ...]
-    sigma_profile: tuple[int, int]
-
-    @property
-    def step_count(self) -> int:
-        return len(self.moves)
+from .perm import Cycle, Element, Permutation, format_cycles, outsider
+from .plandoc import PlanDocument
 
 
 def insider_occurrences(moves: Sequence[MachineMove]) -> int:
@@ -81,7 +69,7 @@ def even_pair_moves(tau_v: Cycle, tau_w: Cycle, x: Element) -> list[MachineMove]
     return moves
 
 
-def solve_three_machine_optimal(sigma: Permutation) -> ThreePlan:
+def solve_three_machine_optimal(sigma: Permutation) -> PlanDocument:
     """Invert an even sigma in exactly lower_bound(sigma) 3-machine moves.
 
     Every move contains the outsider x1, support sets are pairwise
@@ -89,7 +77,7 @@ def solve_three_machine_optimal(sigma: Permutation) -> ThreePlan:
     bound with equality.
     """
     if sigma.parity() != 0:
-        raise ValueError("odd permutation cannot be inverted on a 3-machine")
+        raise ValueError("odd permutation is not reachable on a 3-machine")
     if any(e.is_outsider for e in sigma.support()):
         raise ValueError("target must move insiders only")
     x = outsider(1)
@@ -101,9 +89,14 @@ def solve_three_machine_optimal(sigma: Permutation) -> ThreePlan:
         moves += odd_cycle_moves(tau, x)
     for i in range(0, len(even_cycles), 2):
         moves += even_pair_moves(even_cycles[i], even_cycles[i + 1], x)
-    n = len(sigma.support())
-    r = len(sigma.cycles)
-    return ThreePlan(tuple(moves), (n, r))
+    return PlanDocument(
+        m=3,
+        target=format_cycles(sigma),
+        outsiders=(x,),
+        moves=tuple(moves),
+        solver="optimal3",
+        lower_bound=lower_bound(sigma),
+    )
 
 
 def lower_bound(sigma: Permutation) -> int:

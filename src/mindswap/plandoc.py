@@ -10,8 +10,8 @@ A document is line-oriented with a fixed field order so diffs stay stable:
     steps: 2
     lower-bound: 2            # optional
     moves:
-      a2 a1 x1
-      a3 a2 x1
+      a1 x1 a2
+      a2 x1 a3
 
 Move lines list seats chronologically, one machine use per line, each with
 exactly machine-size seats.  Serialization normalizes in one pass: loading
@@ -34,6 +34,13 @@ class PlanFormatError(ValueError):
 
 @dataclass(frozen=True)
 class PlanDocument:
+    """A plan: the package's one record for solver output and plan files.
+
+    ``target`` is canonical cycle text (``format_cycles`` output); it is
+    only re-parsed by ``loads``, where text enters from outside.  Solvers
+    fill every field except ``lower_bound``, which only optimal3 sets.
+    """
+
     m: int
     target: str
     outsiders: tuple[Element, ...]
@@ -42,7 +49,10 @@ class PlanDocument:
     lower_bound: int | None = None
 
     def __post_init__(self) -> None:
-        parse_cycles(self.target)
+        if self.m < 2:
+            raise PlanFormatError(f"machine size must be at least 2, got {self.m}")
+        if len(set(self.outsiders)) != len(self.outsiders):
+            raise PlanFormatError("repeated outsider in pool")
         for move in self.moves:
             if move.size != self.m:
                 raise PlanFormatError(
@@ -102,6 +112,7 @@ def loads(text: str) -> PlanDocument:
             MachineMove(tuple(parse_element(tok) for tok in line.split()))
             for line in move_lines
         )
+        parse_cycles(fields["target"])
         doc = PlanDocument(
             m=m,
             target=fields["target"],
@@ -110,9 +121,10 @@ def loads(text: str) -> PlanDocument:
             solver=fields.get("solver"),
             lower_bound=int(fields["lower-bound"]) if "lower-bound" in fields else None,
         )
+        steps = int(fields["steps"]) if "steps" in fields else doc.steps
     except (ParseError, ValueError) as err:
         raise PlanFormatError(str(err)) from err
-    if "steps" in fields and int(fields["steps"]) != doc.steps:
+    if steps != doc.steps:
         raise PlanFormatError(
             f"steps field says {fields['steps']} but document lists {doc.steps} moves"
         )

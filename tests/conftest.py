@@ -1,5 +1,6 @@
 import random
 
+from mindswap.oracle import RuleSet, verify_plan
 from mindswap.perm import Permutation, insider
 
 
@@ -24,3 +25,14 @@ def random_even_permutation(rng: random.Random, n: int) -> Permutation:
 def random_cycle(rng: random.Random, k: int, universe: int) -> tuple:
     picks = rng.sample(range(1, universe + 1), k)
     return tuple(insider(i) for i in picks)
+
+
+def duplicate_supports(moves) -> list[int]:
+    """Indices of moves that verify_plan flags as duplicate-support.
+
+    Only that rule's verdict is read; the other rules and the product do
+    not matter here.
+    """
+    rules = RuleSet(m=2, outsiders=(), require_outsider_per_move=False)
+    report = verify_plan(Permutation.identity(), list(moves), rules)
+    return [i for i, kind in report.rule_violations if kind == "duplicate-support"]

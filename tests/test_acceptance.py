@@ -26,7 +26,7 @@ from mindswap.infinite import (
 )
 from mindswap.keeler import cycle_gadget, solve_two_machine
 from mindswap.machine import in_machine_group, outsider_budget, solve_m_machine
-from mindswap.moves import MachineMove, plan_product, supports_distinct, written_product
+from mindswap.moves import MachineMove, plan_product
 from mindswap.machine import generator_identity_check, invert_transposition_even_m
 from mindswap.optimal3 import (
     insider_occurrences,
@@ -36,7 +36,7 @@ from mindswap.optimal3 import (
 from mindswap.oracle import RuleSet, search_min_plan, verify_plan
 from mindswap.perm import Permutation, insider, outsider, parse_cycles
 
-from conftest import permutation_from_images, random_cycle, random_permutation
+from conftest import duplicate_supports, permutation_from_images, random_cycle, random_permutation
 
 
 def report(number, text):
@@ -83,7 +83,7 @@ def test_criterion_3_cycle_gadget_identity():
         k = rng.randint(2, 10)
         tau = random_cycle(rng, k, 12)
         gadget = cycle_gadget(tau, x, y)
-        assert written_product(gadget) * Permutation.from_cycle(tau) == swap
+        assert plan_product(reversed(gadget)) * Permutation.from_cycle(tau) == swap
     report(3, "gadget times its cycle equals (x1 x2) on 200 random cycles")
 
 
@@ -97,14 +97,14 @@ def test_criterion_4_m_machine_soundness():
             while not in_machine_group(sigma, m):
                 sigma = random_permutation(rng, rng.randint(0, 8))
             plan = solve_m_machine(sigma, m)
-            assert len(plan.outsider_pool) == d
+            assert len(plan.outsiders) == d
             assert d == (m - 2 if m % 2 else 3 * (m // 2 - 1))
             assert plan_product(plan.moves) == sigma.inverse()
             assert all(mv.size == m for mv in plan.moves)
-            assert supports_distinct(plan.moves)
+            assert not duplicate_supports(plan.moves)
             assert all(mv.has_outsider() for mv in plan.moves)
             used = {s for mv in plan.moves for s in mv.seats if s.is_outsider}
-            assert used <= set(plan.outsider_pool)
+            assert used <= set(plan.outsiders)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     report(4, f"m in 3..6, 300 random targets each: plans sound ({elapsed:.2f} s)")
@@ -118,7 +118,7 @@ def test_criterion_5_even_m_transposition_fix():
         moves = invert_transposition_even_m((insider(1), insider(2)), w, y, z, m)
         assert len(moves) == 3
         assert plan_product(moves) == parse_cycles("(1 2)")
-        assert supports_distinct(moves)
+        assert not duplicate_supports(moves)
     report(5, "three-move transposition fix composes exactly for m in {4, 6, 8}")
 
 
@@ -166,10 +166,10 @@ def test_criterion_7_optimal3_exact_counts():
             sigma = _permutation_of_type(shape)
             r = len(shape)
             plan = solve_three_machine_optimal(sigma)
-            assert plan.step_count == (n + r) // 2 == lower_bound(sigma)
+            assert plan.steps == (n + r) // 2 == lower_bound(sigma)
             assert insider_occurrences(plan.moves) == n + r
             assert plan_product(plan.moves) == sigma.inverse()
-            assert supports_distinct(plan.moves)
+            assert not duplicate_supports(plan.moves)
             checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0

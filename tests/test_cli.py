@@ -1,9 +1,15 @@
+import itertools
+
 import pytest
 
-from mindswap.cli import main
+from mindswap.cli import SOLVERS, main
 from mindswap.moves import plan_product
-from mindswap.perm import parse_cycles
+from mindswap.optimal3 import lower_bound
+from mindswap.oracle import RuleSet, verify_plan
+from mindswap.perm import format_cycles, parse_cycles
 from mindswap import plandoc
+
+from conftest import permutation_from_images
 
 
 def run(capsys, *argv):
@@ -59,6 +65,32 @@ class TestSolve:
         assert plan_product(doc.moves) == parse_cycles("(1 2 3 4)").inverse()
 
 
+class TestSolverTable:
+    PERMUTATIONS = [
+        permutation_from_images(list(images)) for images in itertools.permutations(range(1, 6))
+    ]
+
+    @pytest.mark.parametrize("name", list(SOLVERS))
+    def test_every_small_target(self, capsys, name):
+        accepts_m, solve = SOLVERS[name]
+        for m in filter(accepts_m, range(2, 7)):
+            for sigma in self.PERMUTATIONS:
+                if m % 2 == 0 or sigma.parity() == 0:
+                    doc = solve(sigma, m)
+                    assert doc.m == m and doc.solver == name
+                    assert doc.target == format_cycles(sigma)
+                    assert verify_plan(sigma, list(doc.moves), RuleSet(m, doc.outsiders)).clean
+                    if name == "optimal3":
+                        assert doc.steps == doc.lower_bound == lower_bound(sigma)
+                    else:
+                        assert doc.lower_bound is None
+                else:
+                    argv = ["solve", "--target", format_cycles(sigma), "--m", str(m)]
+                    code, out, err = run(capsys, *argv, "--solver", name)
+                    assert (code, out) == (3, "")
+                    assert err.startswith("unsolvable: ")
+
+
 class TestVerify:
     def test_round_trip_through_file(self, capsys, tmp_path):
         code, out, _ = run(capsys, "solve", "--target", "(1 2)(3 4)", "--m", "3")
@@ -84,6 +116,16 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--plan", str(plan_file))
         assert code == 1
         assert "kind=duplicate-support" in out
+
+    @pytest.mark.parametrize("m, outsiders", [("0", "x1"), ("2", "x1 x1")])
+    def test_unusable_header_is_a_parse_error(self, capsys, tmp_path, m, outsiders):
+        plan_file = tmp_path / "bad.txt"
+        plan_file.write_text(
+            f"mindswap-plan v1\nmachine-size: {m}\ntarget: \noutsiders: {outsiders}\nmoves:\n"
+        )
+        code, out, err = run(capsys, "verify", "--plan", str(plan_file))
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: ")
 
     def test_malformed_plan_file(self, capsys, tmp_path):
         plan_file = tmp_path / "garbage.txt"
@@ -200,6 +242,29 @@ class TestPlanDocFormat:
             "steps: 3\n"
             "moves:\n"
             "  a1 x1\n"
+        )
+        with pytest.raises(plandoc.PlanFormatError):
+            plandoc.loads(text)
+
+    def test_non_integer_steps_rejected(self):
+        text = (
+            "mindswap-plan v1\n"
+            "machine-size: 2\n"
+            "target: \n"
+            "outsiders: x1 x2\n"
+            "steps: abc\n"
+            "moves:\n"
+        )
+        with pytest.raises(plandoc.PlanFormatError):
+            plandoc.loads(text)
+
+    def test_malformed_target_rejected(self):
+        text = (
+            "mindswap-plan v1\n"
+            "machine-size: 2\n"
+            "target: (a1 a2\n"
+            "outsiders: x1 x2\n"
+            "moves:\n"
         )
         with pytest.raises(plandoc.PlanFormatError):
             plandoc.loads(text)

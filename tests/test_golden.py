@@ -1,0 +1,145 @@
+"""Byte-for-byte CLI output on a fixed set of commands.
+
+``golden_cli.json`` holds the stdout, stderr and exit code of every command
+in CASES.  When a change is meant to alter that output, regenerate the
+fixture and review its diff:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+from mindswap.cli import main
+
+FIXTURE = Path(__file__).with_name("golden_cli.json")
+
+CLEAN_PLAN = """\
+mindswap-plan v1
+machine-size: 3
+target: (a1 a2)(a3 a4)
+outsiders: x1
+solver: general_m
+steps: 4
+moves:
+  a2 x1 a3
+  a1 a3 x1
+  a3 x1 a4
+  a2 a4 x1
+"""
+
+DROPPED_MOVE_PLAN = """\
+mindswap-plan v1
+machine-size: 3
+target: (a1 a2)(a3 a4)
+outsiders: x1
+moves:
+  a2 x1 a3
+  a3 x1 a4
+  a2 a4 x1
+"""
+
+REPEATED_MOVE_PLAN = """\
+mindswap-plan v1
+machine-size: 3
+target: (a1 a2)(a3 a4)
+outsiders: x1
+moves:
+  a2 x1 a3
+  a1 a3 x1
+  a1 a3 x1
+  a3 x1 a4
+  a2 a4 x1
+"""
+
+# name -> (argv, stdin)
+CASES: dict[str, tuple[list[str], str]] = {
+    "solve-keeler2-transposition": (["solve", "--target", "(1 2)", "--m", "2"], ""),
+    "solve-keeler2-two-cycles": (
+        ["solve", "--target", "(1 2 3)(4 5 6 7)", "--m", "2", "--solver", "keeler2"],
+        "",
+    ),
+    "solve-optimal3-three-cycle": (
+        ["solve", "--target", "(1 2 3)", "--m", "3", "--solver", "optimal3"],
+        "",
+    ),
+    "solve-optimal3-even-pair": (
+        ["solve", "--target", "(1 2)(3 4)", "--m", "3", "--solver", "optimal3"],
+        "",
+    ),
+    "solve-general_m-m3": (["solve", "--target", "(1 2)(3 4)", "--m", "3"], ""),
+    "solve-general_m-m4": (["solve", "--target", "(1 2 3)(4 5 6 7)", "--m", "4"], ""),
+    "solve-general_m-m5": (
+        ["solve", "--target", "(1 2 3)", "--m", "5", "--solver", "general_m"],
+        "",
+    ),
+    "solve-general_m-empty-target": (["solve", "--target", "", "--m", "4"], ""),
+    "solve-optimal3-odd-target": (
+        ["solve", "--target", "(1 2)", "--m", "3", "--solver", "optimal3"],
+        "",
+    ),
+    "solve-general_m-odd-target": (["solve", "--target", "(1 2)", "--m", "3"], ""),
+    "solve-outsider-in-target": (["solve", "--target", "(a1 x1)", "--m", "2"], ""),
+    "solve-keeler2-wrong-size": (
+        ["solve", "--target", "(1 2)", "--m", "4", "--solver", "keeler2"],
+        "",
+    ),
+    "solve-machine-size-1": (["solve", "--target", "(1 2)", "--m", "1"], ""),
+    "solve-parse-error": (["solve", "--target", "(1 2", "--m", "2"], ""),
+    "verify-clean": (["verify", "--plan", "-"], CLEAN_PLAN),
+    "verify-dropped-move": (["verify", "--plan", "-"], DROPPED_MOVE_PLAN),
+    "verify-repeated-move": (["verify", "--plan", "-"], REPEATED_MOVE_PLAN),
+    "verify-repeated-move-no-distinct-rule": (
+        ["verify", "--plan", "-", "--no-distinct-rule"],
+        REPEATED_MOVE_PLAN,
+    ),
+    "verify-target-override": (
+        ["verify", "--plan", "-", "--target", "(1 2)(3 5)"],
+        CLEAN_PLAN,
+    ),
+    "oracle-found": (["oracle", "--target", "(1 2)(3 4)", "--m", "3", "--d", "1"], ""),
+    "oracle-none-within-bound": (
+        ["oracle", "--target", "(1 2)", "--m", "3", "--d", "1", "--max-steps", "3"],
+        "",
+    ),
+    "oracle-budget-exceeded": (
+        ["oracle", "--target", "(1 2 3 4 5)", "--m", "3", "--d", "2", "--node-budget", "5"],
+        "",
+    ),
+    "infinite-shift3": (["infinite", "shift3"], ""),
+    "infinite-star-k3": (["infinite", "star", "--k", "3"], ""),
+    "infinite-finitary2": (["infinite", "finitary2", "--sigma", "(a1 a2)(a3 a4 a5)"], ""),
+    "infinite-finitary2-empty": (["infinite", "finitary2", "--sigma", ""], ""),
+}
+
+
+def run_cli(argv: list[str], stdin: str) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin)), contextlib.redirect_stdout(
+        out
+    ), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
+
+
+def test_fixture_covers_every_case():
+    assert sorted(json.loads(FIXTURE.read_text())) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_fixture(name):
+    argv, stdin = CASES[name]
+    assert run_cli(argv, stdin) == json.loads(FIXTURE.read_text())[name]
+
+
+if __name__ == "__main__":
+    golden = {name: run_cli(argv, stdin) for name, (argv, stdin) in sorted(CASES.items())}
+    FIXTURE.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")

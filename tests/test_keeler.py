@@ -3,10 +3,10 @@ import random
 import pytest
 
 from mindswap.keeler import cycle_gadget, solve_two_machine, sweep_moves
-from mindswap.moves import MachineMove, plan_product, supports_distinct, written_product
+from mindswap.moves import MachineMove, plan_product
 from mindswap.perm import Permutation, insider, outsider, parse_cycles
 
-from conftest import random_cycle, random_permutation
+from conftest import duplicate_supports, random_cycle, random_permutation
 
 X, Y = outsider(1), outsider(2)
 
@@ -49,7 +49,7 @@ class TestCycleGadget:
     def test_written_product_with_cycle_is_the_swap(self):
         tau = (insider(1), insider(2), insider(3))
         gadget = cycle_gadget(tau, X, Y)
-        product = written_product(gadget) * Permutation.from_cycle(tau)
+        product = plan_product(reversed(gadget)) * Permutation.from_cycle(tau)
         assert product == Permutation.from_cycle((X, Y))
 
     def test_entry_count(self):
@@ -63,7 +63,7 @@ class TestCycleGadget:
             k = rng.randint(2, 10)
             tau = random_cycle(rng, k, 12)
             gadget = cycle_gadget(tau, X, Y)
-            assert written_product(gadget) * Permutation.from_cycle(tau) == swap
+            assert plan_product(reversed(gadget)) * Permutation.from_cycle(tau) == swap
 
 
 class TestSolveTwoMachine:
@@ -86,7 +86,7 @@ class TestSolveTwoMachine:
         plan = solve_two_machine(sigma)
         assert len(plan.moves) == (2 + 2) + (3 + 2)
         assert plan_product(plan.moves) == sigma.inverse()
-        assert supports_distinct(plan.moves)
+        assert not duplicate_supports(plan.moves)
 
     def test_single_cycle_counts(self):
         for k in range(2, 13):
@@ -105,7 +105,7 @@ class TestSolveTwoMachine:
             sigma = random_permutation(rng, rng.randint(0, 10))
             plan = solve_two_machine(sigma)
             assert plan_product(plan.moves) == sigma.inverse()
-            assert supports_distinct(plan.moves)
+            assert not duplicate_supports(plan.moves)
             assert all(m.has_outsider() for m in plan.moves)
             cycles = sigma.cycles
             expected = sum(len(c) + 2 for c in cycles) + (len(cycles) % 2)

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from mindswap.machine import (
-    MPlan,
     generator_identity_check,
     in_machine_group,
     invert_even_pair_odd_m,
@@ -13,10 +12,10 @@ from mindswap.machine import (
     outsider_budget,
     solve_m_machine,
 )
-from mindswap.moves import MachineMove, plan_product, supports_distinct
+from mindswap.moves import MachineMove, plan_product
 from mindswap.perm import Permutation, insider, outsider, parse_cycles
 
-from conftest import random_cycle, random_permutation
+from conftest import duplicate_supports, random_cycle, random_permutation
 
 
 def pool(*indices):
@@ -82,13 +81,13 @@ class TestInvertOddCycle:
         moves = invert_odd_cycle(tau, pool(1), 3)
         assert len(moves) == 4
         assert plan_product(moves) == parse_cycles("(1 5 4 3 2)")
-        assert supports_distinct(moves)
+        assert not duplicate_supports(moves)
 
     def test_seven_cycle_m5(self):
         tau = ins(1, 2, 3, 4, 5, 6, 7)
         moves = invert_odd_cycle(tau, pool(1, 2, 3), 5)
         assert len(moves) == 6
-        assert supports_distinct(moves)
+        assert not duplicate_supports(moves)
         assert plan_product(moves) == Permutation.from_cycle(tau).inverse()
 
     def test_even_length_rejected(self):
@@ -101,20 +100,20 @@ class TestInvertEvenPairOddM:
         moves = invert_even_pair_odd_m(ins(1, 2), ins(3, 4), pool(1), 3)
         assert len(moves) == 4
         assert plan_product(moves) == parse_cycles("(1 2)(3 4)")
-        assert supports_distinct(moves)
+        assert not duplicate_supports(moves)
 
     def test_four_and_two_m3(self):
         moves = invert_even_pair_odd_m(ins(1, 2, 3, 4), ins(5, 6), pool(1), 3)
         assert len(moves) == 6
         assert plan_product(moves) == parse_cycles("(1 2 3 4)(5 6)").inverse()
-        assert supports_distinct(moves)
+        assert not duplicate_supports(moves)
 
     def test_two_transpositions_m5(self):
         moves = invert_even_pair_odd_m(ins(1, 2), ins(3, 4), pool(1, 2, 3), 5)
         assert len(moves) == 4
         assert all(m.size == 5 for m in moves)
         assert plan_product(moves) == parse_cycles("(1 2)(3 4)")
-        assert supports_distinct(moves)
+        assert not duplicate_supports(moves)
 
     def test_rejects_odd_cycle(self):
         with pytest.raises(ValueError):
@@ -136,7 +135,7 @@ class TestInvertTranspositionEvenM:
             MachineMove((a1, z[0], y[0], a2)),
         ]
         assert plan_product(moves) == parse_cycles("(1 2)")
-        assert supports_distinct(moves)
+        assert not duplicate_supports(moves)
 
     @pytest.mark.parametrize("m", [4, 6, 8])
     def test_composes_to_transposition(self, m):
@@ -147,7 +146,7 @@ class TestInvertTranspositionEvenM:
         moves = invert_transposition_even_m(ins(1, 2), w, y, z, m)
         assert all(mv.size == m for mv in moves)
         assert plan_product(moves) == parse_cycles("(1 2)")
-        assert supports_distinct(moves)
+        assert not duplicate_supports(moves)
 
     def test_wrong_pool_sizes(self):
         with pytest.raises(ValueError):
@@ -168,11 +167,11 @@ class TestSolveMMachine:
     def test_worked_even_m_example(self):
         sigma = parse_cycles("(a1 a2 a3)(a4 a5 a6 a7)")
         plan = solve_m_machine(sigma, 4)
-        assert plan.outsider_pool == pool(1, 2, 3)
+        assert plan.outsiders == pool(1, 2, 3)
         assert len(plan.moves) == 7
         assert all(m.size == 4 for m in plan.moves)
         assert plan_product(plan.moves) == sigma.inverse()
-        assert supports_distinct(plan.moves)
+        assert not duplicate_supports(plan.moves)
 
     def test_identity_is_empty(self):
         for m in (3, 4, 5, 6):
@@ -202,12 +201,12 @@ class TestSolveMMachine:
             while not in_machine_group(sigma, m):
                 sigma = random_permutation(rng, n)
             plan = solve_m_machine(sigma, m)
-            assert len(plan.outsider_pool) == d
+            assert len(plan.outsiders) == d
             assert plan_product(plan.moves) == sigma.inverse()
             assert all(mv.size == m for mv in plan.moves)
-            assert supports_distinct(plan.moves)
+            assert not duplicate_supports(plan.moves)
             used = {s for mv in plan.moves for s in mv.seats if s.is_outsider}
-            assert used <= set(plan.outsider_pool)
+            assert used <= set(plan.outsiders)
             assert all(mv.has_outsider() for mv in plan.moves)
 
 

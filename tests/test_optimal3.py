@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from mindswap.moves import MachineMove, plan_product, supports_distinct
+from mindswap.moves import MachineMove, plan_product
 from mindswap.optimal3 import (
     even_pair_moves,
     insider_occurrences,
@@ -12,7 +12,7 @@ from mindswap.optimal3 import (
 )
 from mindswap.perm import Permutation, insider, outsider, parse_cycles
 
-from conftest import permutation_from_images
+from conftest import duplicate_supports, permutation_from_images
 
 X = outsider(1)
 
@@ -90,20 +90,19 @@ class TestEvenPairMoves:
 class TestSolve:
     def test_three_cycle_two_moves(self):
         plan = solve_three_machine_optimal(parse_cycles("(1 2 3)"))
-        assert plan.step_count == 2
-        assert plan.sigma_profile == (3, 1)
+        assert plan.steps == plan.lower_bound == 2
 
     def test_transposition_pair_three_moves(self):
         plan = solve_three_machine_optimal(parse_cycles("(1 2)(3 4)"))
-        assert plan.step_count == 3
+        assert plan.steps == 3
 
     def test_mixed_target(self):
         sigma = parse_cycles("(1 2 3)(4 5 6 7)(8 9)")
         plan = solve_three_machine_optimal(sigma)
-        assert plan.sigma_profile == (9, 3)
-        assert plan.step_count == 6
+        assert (len(sigma.support()), len(sigma.cycles)) == (9, 3)
+        assert plan.steps == plan.lower_bound == 6
         assert plan_product(plan.moves) == sigma.inverse()
-        assert supports_distinct(plan.moves)
+        assert not duplicate_supports(plan.moves)
         assert all(X in m.seats for m in plan.moves)
 
     def test_odd_parity_rejected(self):
@@ -113,8 +112,8 @@ class TestSolve:
     def test_fixed_points_do_not_inflate(self):
         sigma = parse_cycles("(2 5 9)")
         plan = solve_three_machine_optimal(sigma)
-        assert plan.sigma_profile == (3, 1)
-        assert plan.step_count == 2
+        assert plan.target == "(a2 a5 a9)"
+        assert plan.steps == plan.lower_bound == 2
 
 
 class TestLowerBound:
@@ -141,9 +140,9 @@ class TestBoundIsMetExactly:
         for sigma in even_permutations(n):
             plan = solve_three_machine_optimal(sigma)
             expected = lower_bound(sigma)
-            assert plan.step_count == expected
-            moved, cycles = plan.sigma_profile
+            assert plan.steps == expected
+            moved, cycles = len(sigma.support()), len(sigma.cycles)
             assert insider_occurrences(plan.moves) == moved + cycles
             assert (moved + cycles) % 2 == 0
             assert plan_product(plan.moves) == sigma.inverse()
-            assert supports_distinct(plan.moves)
+            assert not duplicate_supports(plan.moves)

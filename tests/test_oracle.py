@@ -131,4 +131,4 @@ class TestSearchMinPlan:
             target = parse_cycles(text)
             built = solve_three_machine_optimal(target)
             found = search_min_plan(target, RuleSet(m=3, outsiders=pool(1)), 5)
-            assert found is not None and len(found) == built.step_count
+            assert found is not None and len(found) == built.steps
