@@ -44,19 +44,9 @@ def _parse_target(text: str) -> Permutation:
 
 
 def _verify(
-    target: Permutation,
-    doc: plandoc.PlanDocument,
-    out: TextIO,
-    outsider_rule: bool = True,
-    distinct_rule: bool = True,
+    target: Permutation, doc: plandoc.PlanDocument, rules: RuleSet, out: TextIO
 ) -> VerificationReport:
     """Verify the document's moves against target and print the report to out."""
-    rules = RuleSet(
-        m=doc.m,
-        outsiders=doc.outsiders,
-        require_outsider_per_move=outsider_rule and bool(doc.outsiders),
-        require_distinct_supports=distinct_rule,
-    )
     report = verify_plan(target, list(doc.moves), rules)
     print(f"steps: {report.step_count}", file=out)
     print(f"product-ok: {str(report.product_ok).lower()}", file=out)
@@ -96,20 +86,29 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print(f"unsolvable: {err}", file=sys.stderr)
         return EXIT_UNSOLVABLE
     sys.stdout.write(plandoc.dumps(doc))
-    return EXIT_OK if _verify(target, doc, sys.stderr).clean else EXIT_VERIFY_FAILED
+    rules = RuleSet(m=doc.m, outsiders=doc.outsiders)
+    return EXIT_OK if _verify(target, doc, rules, sys.stderr).clean else EXIT_VERIFY_FAILED
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
-        text = sys.stdin.read() if args.plan == "-" else open(args.plan).read()
+        if args.plan == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.plan) as f:
+                text = f.read()
         doc = plandoc.loads(text)
         target = _parse_target(args.target if args.target is not None else doc.target)
+        rules = RuleSet(
+            m=doc.m,
+            outsiders=doc.outsiders,
+            require_outsider_per_move=not args.no_outsider_rule,
+            require_distinct_supports=not args.no_distinct_rule,
+        )
     except (OSError, ParseError, plandoc.PlanFormatError, ValueError) as err:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    report = _verify(
-        target, doc, sys.stdout, not args.no_outsider_rule, not args.no_distinct_rule
-    )
+    report = _verify(target, doc, rules, sys.stdout)
     print(f"verdict: {'clean' if report.clean else 'failed'}")
     return EXIT_OK if report.clean else EXIT_VERIFY_FAILED
 

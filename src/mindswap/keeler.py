@@ -65,9 +65,10 @@ def solve_two_machine(sigma: Permutation) -> PlanDocument:
         raise ValueError("target must move insiders only")
     x, y = outsider(1), outsider(2)
     factors: list[MachineMove] = []
-    if len(sigma.cycles) % 2 == 1:
+    cycles = sigma.cycles
+    if len(cycles) % 2 == 1:
         factors.append(MachineMove((x, y)))
-    for cycle in reversed(sigma.cycles):
+    for cycle in reversed(cycles):
         factors.extend(cycle_gadget(cycle, x, y))
     return PlanDocument(
         m=2,

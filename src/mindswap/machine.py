@@ -193,8 +193,9 @@ def solve_m_machine(sigma: Permutation, m: int) -> PlanDocument:
     pool = tuple(outsider(i) for i in range(1, d + 1))
     moves: list[MachineMove] = []
     if m % 2:
-        odd_cycles = [c for c in sigma.cycles if len(c) % 2 == 1]
-        even_cycles = [c for c in sigma.cycles if len(c) % 2 == 0]
+        cycles = sigma.cycles
+        odd_cycles = [c for c in cycles if len(c) % 2 == 1]
+        even_cycles = [c for c in cycles if len(c) % 2 == 0]
         assert len(even_cycles) % 2 == 0
         for tau in odd_cycles:
             moves += invert_odd_cycle(tau, pool, m)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .perm import Element, Permutation
+from .perm import Element, Permutation, _compose_cycles
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,5 @@ class MachineMove:
 
 def plan_product(moves: Iterable[MachineMove]) -> Permutation:
     """Product of a chronological plan: later moves compose on the left."""
-    acc = Permutation.identity()
-    for move in moves:
-        acc = move.perm() * acc
-    return acc
+    return _compose_cycles(move.seats for move in moves)
 

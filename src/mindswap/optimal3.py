@@ -81,8 +81,9 @@ def solve_three_machine_optimal(sigma: Permutation) -> PlanDocument:
     if any(e.is_outsider for e in sigma.support()):
         raise ValueError("target must move insiders only")
     x = outsider(1)
-    odd_cycles = [c for c in sigma.cycles if len(c) % 2 == 1]
-    even_cycles = [c for c in sigma.cycles if len(c) % 2 == 0]
+    cycles = sigma.cycles
+    odd_cycles = [c for c in cycles if len(c) % 2 == 1]
+    even_cycles = [c for c in cycles if len(c) % 2 == 0]
     assert len(even_cycles) % 2 == 0
     moves: list[MachineMove] = []
     for tau in odd_cycles:

@@ -108,7 +108,9 @@ def search_min_plan(
 
     The ground set is support(target) plus the rule outsiders.  Iterative
     deepening guarantees that a returned plan is minimal and that smaller
-    lengths were fully refuted.  Deterministic for fixed inputs.
+    lengths were fully refuted.  Deterministic for fixed inputs.  An odd
+    target on an odd machine is unreachable at any length and returns None
+    without searching.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
@@ -118,6 +120,8 @@ def search_min_plan(
     ground = support + sorted(rules.outsiders)
     if len(ground) > 16:
         raise ValueError(f"ground set of {len(ground)} elements is too large to search")
+    if rules.m % 2 and target.parity():
+        return None  # odd-length cycles multiply to even permutations only
     catalog = _move_catalog(ground, rules)
     goal = target.inverse()
     nodes = 0

@@ -2,9 +2,9 @@
 
 Elements are either insiders ("a1", "a2", ...), the originally scrambled
 people, or outsiders ("x1", "x2", ...), fresh helpers recruited to undo the
-scramble.  A :class:`Permutation` is kept in canonical disjoint-cycle form:
-each cycle is rotated so its minimal element leads, cycles are sorted by
-their leaders, and fixed points are dropped.
+scramble.  A :class:`Permutation` is stored as its image map, fixed points
+dropped; its canonical disjoint cycles are derived on demand, each led by
+its minimal element and sorted by leader.
 
 Composition is right-to-left everywhere in this package: ``(p * q)(e) ==
 p(q(e))``, so in a written product of cycles the rightmost factor acts
@@ -14,8 +14,7 @@ first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from typing import Sequence
+from typing import Iterable, Sequence
 
 INSIDER = "a"
 OUTSIDER = "x"
@@ -70,41 +69,16 @@ def parse_element(token: str) -> Element:
 Cycle = tuple[Element, ...]
 
 
-def _canonical_cycle(elements: Sequence[Element]) -> Cycle:
-    """Rotate a cycle so its minimal element leads."""
-    lead = min(range(len(elements)), key=lambda i: elements[i])
-    return tuple(elements[lead:]) + tuple(elements[:lead])
-
-
 class Permutation:
-    """A finite-support bijection stored as canonical disjoint cycles."""
+    """A finite-support bijection stored as its image map, fixed points dropped."""
 
-    __slots__ = ("_map", "_cycles")
+    __slots__ = ("_map",)
 
     def __init__(self, mapping: dict[Element, Element] | None = None):
         cleaned = {e: v for e, v in (mapping or {}).items() if e != v}
         if set(cleaned.values()) != set(cleaned.keys()):
             raise ValueError("mapping is not a finite-support bijection")
         self._map = cleaned
-        self._cycles = self._decompose(cleaned)
-
-    @staticmethod
-    def _decompose(mapping: dict[Element, Element]) -> tuple[Cycle, ...]:
-        cycles = []
-        seen: set[Element] = set()
-        for start in sorted(mapping):
-            if start in seen:
-                continue
-            cycle = [start]
-            seen.add(start)
-            cur = mapping[start]
-            while cur != start:
-                cycle.append(cur)
-                seen.add(cur)
-                cur = mapping[cur]
-            cycles.append(_canonical_cycle(cycle))
-        cycles.sort(key=lambda c: c[0])
-        return tuple(cycles)
 
     @classmethod
     def identity(cls) -> "Permutation":
@@ -115,15 +89,29 @@ class Permutation:
         """The single cycle sending elements[0] -> elements[1] -> ... -> elements[0]."""
         if len(set(elements)) != len(elements):
             raise ValueError("repeated element in cycle")
-        if len(elements) < 2:
-            return cls()
-        mapping = {elements[i]: elements[(i + 1) % len(elements)] for i in range(len(elements))}
-        return cls(mapping)
+        return _compose_cycles([elements])
 
     @property
     def cycles(self) -> tuple[Cycle, ...]:
-        """Canonical disjoint-cycle decomposition; right-to-left product equals self."""
-        return self._cycles
+        """Canonical disjoint cycles; their right-to-left product equals self.
+
+        The ascending scan meets each cycle first at its least element, so
+        every cycle leads with its minimum and the leaders come out sorted.
+        """
+        cycles = []
+        seen: set[Element] = set()
+        for start in sorted(self._map):
+            if start in seen:
+                continue
+            cycle = [start]
+            seen.add(start)
+            cur = self._map[start]
+            while cur != start:
+                cycle.append(cur)
+                seen.add(cur)
+                cur = self._map[cur]
+            cycles.append(tuple(cycle))
+        return tuple(cycles)
 
     def apply(self, e: Element) -> Element:
         return self._map.get(e, e)
@@ -147,7 +135,7 @@ class Permutation:
 
     def parity(self) -> int:
         """0 for even, 1 for odd; a k-cycle contributes k - 1 transpositions."""
-        return sum(len(c) - 1 for c in self._cycles) % 2
+        return sum(len(c) - 1 for c in self.cycles) % 2
 
     @property
     def is_even(self) -> bool:
@@ -162,10 +150,10 @@ class Permutation:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Permutation):
             return NotImplemented
-        return self._cycles == other._cycles
+        return self._map == other._map
 
     def __hash__(self) -> int:
-        return hash(self._cycles)
+        return hash(frozenset(self._map.items()))
 
     def __str__(self) -> str:
         return format_cycles(self) or "()"
@@ -215,12 +203,23 @@ def parse_cycles(text: str) -> Permutation:
     if current is not None:
         raise ParseError("unbalanced '(' in cycle notation")
 
-    factors = []
     for group in groups:
         if len(set(group)) != len(group):
             raise ParseError(f"repeated element within cycle ({' '.join(map(str, group))})")
-        factors.append(Permutation.from_cycle(group))
-    return reduce(lambda acc, f: acc * f, factors, Permutation.identity())
+    return _compose_cycles(reversed(groups))
+
+
+def _compose_cycles(cycles: Iterable[Sequence[Element]]) -> Permutation:
+    """Product of repeat-free cycles in acting order (the first acts first).
+
+    A cycle sends y to its successor, so the running product's inverse
+    changes only at the cycle's own elements: the cost is the total length.
+    """
+    preimage: dict[Element, Element] = {}
+    for cycle in cycles:
+        sources = [preimage.get(y, y) for y in cycle]
+        preimage.update(zip(cycle[1:] + cycle[:1], sources))
+    return Permutation({x: y for y, x in preimage.items()})
 
 
 def format_cycles(p: Permutation) -> str:

@@ -14,8 +14,9 @@ A document is line-oriented with a fixed field order so diffs stay stable:
       a2 x1 a3
 
 Move lines list seats chronologically, one machine use per line, each with
-exactly machine-size seats.  Serialization normalizes in one pass: loading
-a canonical document and dumping it again is byte-identical.
+exactly machine-size seats.  A field other than those above, or one given
+twice, is an error.  Serialization normalizes in one pass: loading a
+canonical document and dumping it again is byte-identical.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .moves import MachineMove
 from .perm import Element, ParseError, parse_cycles, parse_element
 
 HEADER = "mindswap-plan v1"
+_FIELDS = ("machine-size", "target", "outsiders", "solver", "steps", "lower-bound")
 
 
 class PlanFormatError(ValueError):
@@ -53,6 +55,13 @@ class PlanDocument:
             raise PlanFormatError(f"machine size must be at least 2, got {self.m}")
         if len(set(self.outsiders)) != len(self.outsiders):
             raise PlanFormatError("repeated outsider in pool")
+        for e in self.outsiders:
+            if not e.is_outsider:
+                raise PlanFormatError(f"pool entry {e} is not an outsider")
+        if self.lower_bound is not None and self.lower_bound > self.steps:
+            raise PlanFormatError(
+                f"lower bound {self.lower_bound} exceeds the plan's {self.steps} steps"
+            )
         for move in self.moves:
             if move.size != self.m:
                 raise PlanFormatError(
@@ -99,7 +108,12 @@ def loads(text: str) -> PlanDocument:
         key, sep, value = line.partition(":")
         if not sep:
             raise PlanFormatError(f"expected 'key: value', got {line!r}")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _FIELDS:
+            raise PlanFormatError(f"unknown field {key!r}")
+        if key in fields:
+            raise PlanFormatError(f"repeated field {key!r}")
+        fields[key] = value.strip()
     if not in_moves:
         raise PlanFormatError("missing 'moves:' section")
     for required in ("machine-size", "target", "outsiders"):

@@ -134,6 +134,18 @@ class TestVerify:
         assert code == 2
         assert "parse error" in err
 
+    def test_outsider_rule_comes_from_the_flags(self, capsys, tmp_path):
+        plan_file = tmp_path / "no_pool.txt"
+        plan_file.write_text(
+            "mindswap-plan v1\nmachine-size: 2\ntarget: (a1 a2)\noutsiders: \nmoves:\n  a1 a2\n"
+        )
+        code, out, err = run(capsys, "verify", "--plan", str(plan_file))
+        assert (code, out) == (2, "")
+        assert err == "parse error: outsider rule requires a nonempty outsider pool\n"
+        code, out, _ = run(capsys, "verify", "--plan", str(plan_file), "--no-outsider-rule")
+        assert code == 0
+        assert "verdict: clean" in out
+
 
 class TestOracle:
     def test_pair_of_transpositions(self, capsys):
@@ -267,6 +279,26 @@ class TestPlanDocFormat:
             "moves:\n"
         )
         with pytest.raises(plandoc.PlanFormatError):
+            plandoc.loads(text)
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("outsiders: x1 a1", "pool entry a1 is not an outsider"),
+            ("lower-bound: 5", "lower bound 5 exceeds the plan's 2 steps"),
+            ("machine-size: 3", "repeated field 'machine-size'"),
+            ("target: (a1 a2 a3)", "repeated field 'target'"),
+            ("bogus: 1", "unknown field 'bogus'"),
+        ],
+        ids=["insider-in-pool", "lower-bound-above-steps", "repeated-size", "repeated-target",
+             "unknown-key"],
+    )
+    def test_strict_fields_rejected(self, field, message):
+        header = "machine-size: 3\ntarget: (a1 a2 a3)\n"
+        if not field.startswith("outsiders:"):
+            header += "outsiders: x1\n"
+        text = f"mindswap-plan v1\n{header}{field}\nmoves:\n  a1 x1 a2\n  a2 x1 a3\n"
+        with pytest.raises(plandoc.PlanFormatError, match=message):
             plandoc.loads(text)
 
     def test_wrong_seat_count_rejected(self):

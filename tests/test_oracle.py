@@ -92,6 +92,11 @@ class TestSearchMinPlan:
     def test_unreachable_returns_none(self):
         assert search_min_plan(parse_cycles("(1 2)"), RuleSet(m=3, outsiders=pool(1)), 3) is None
 
+    def test_odd_target_on_odd_machine_stops_without_searching(self):
+        target = parse_cycles("(1 2)(3 4)(5 6)")
+        rules = RuleSet(m=3, outsiders=pool(1))
+        assert search_min_plan(target, rules, 6, node_budget=1) is None
+
     def test_found_plans_verify_clean(self):
         for text, m, d in [("(1 2 3)", 3, 1), ("(1 2)(3 4)", 3, 2), ("(1 2)", 2, 2)]:
             target = parse_cycles(text)

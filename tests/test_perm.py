@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from mindswap.moves import MachineMove, plan_product
 from mindswap.perm import (
     Element,
     ParseError,
@@ -189,3 +190,50 @@ class TestProperties:
         for cycle in reversed(p.cycles):
             rebuilt = Permutation.from_cycle(cycle) * rebuilt
         assert rebuilt == p
+
+
+def pairwise_product(groups):
+    """Reference: the written product folded one factor at a time with *."""
+    acc = Permutation.identity()
+    for g in groups:
+        acc = acc * Permutation({g[i]: g[(i + 1) % len(g)] for i in range(len(g))})
+    return acc
+
+
+# A small universe, so that cycles overlap often.
+cycle_lists = st.lists(
+    st.lists(
+        st.sampled_from([insider(i) for i in range(1, 7)] + [outsider(1), outsider(2)]),
+        unique=True,
+        max_size=6,
+    ),
+    max_size=8,
+)
+
+
+def written(groups):
+    return "".join("(" + " ".join(map(str, g)) + ")" for g in groups)
+
+
+class TestLinearFold:
+    @given(cycle_lists)
+    def test_parse_matches_pairwise_fold(self, groups):
+        assert parse_cycles(written(groups)) == pairwise_product(groups)
+
+    @given(cycle_lists)
+    def test_plan_product_matches_pairwise_fold(self, groups):
+        seats = [g for g in groups if len(g) >= 2]
+        moves = [MachineMove(tuple(g)) for g in seats]
+        assert plan_product(moves) == pairwise_product(list(reversed(seats)))
+
+    @given(cycle_lists)
+    def test_format_round_trip(self, groups):
+        text = format_cycles(parse_cycles(written(groups)))
+        assert format_cycles(parse_cycles(text)) == text
+
+    @given(cycle_lists)
+    def test_equal_permutations_hash_equally(self, groups):
+        p = parse_cycles(written(groups))
+        q = pairwise_product(groups)
+        assert hash(p) == hash(q)
+        assert len({p, q, p.inverse().inverse()}) == 1
