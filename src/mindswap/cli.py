@@ -163,20 +163,18 @@ def _cmd_infinite(args: argparse.Namespace) -> int:
     if args.mode == "shift3":
         swaps = infinite.invert_shift_three_step()
         expected = infinite.inverse_shift_map()
-    elif args.mode == "star":
-        if args.k < 2:
-            print("error: --k must be at least 2", file=sys.stderr)
-            return EXIT_PARSE
-        cycle = list(range(1, args.k + 1))
-        swaps = infinite.invert_cycle_two_step(cycle)
-        target = Permutation.from_cycle([insider(i) for i in cycle])
-        expected = infinite.finitary_extension(target.inverse())
     else:
-        try:
-            sigma = _parse_target(args.sigma)
-        except (ParseError, ValueError) as err:
-            print(f"parse error: {err}", file=sys.stderr)
-            return EXIT_PARSE
+        if args.mode == "star":
+            if args.k < 2:
+                print("error: --k must be at least 2", file=sys.stderr)
+                return EXIT_PARSE
+            sigma = Permutation.from_cycle([insider(i) for i in range(1, args.k + 1)])
+        else:
+            try:
+                sigma = _parse_target(args.sigma)
+            except (ParseError, ValueError) as err:
+                print(f"parse error: {err}", file=sys.stderr)
+                return EXIT_PARSE
         swaps = infinite.invert_finitary_two_step(sigma)
         if not swaps:
             print("identity target: empty plan")

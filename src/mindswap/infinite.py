@@ -28,7 +28,7 @@ receives a mind (img equals the participants).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .perm import Permutation, insider
 
@@ -127,28 +127,6 @@ class PointSet:
                 return inside
         return False
 
-    def union(self, other: "PointSet") -> "PointSet":
-        parts: dict[str, tuple[str, frozenset[int]]] = {
-            s: (kind, idx) for s, kind, idx in self.streams
-        }
-        for s, kind, idx in other.streams:
-            if s not in parts:
-                parts[s] = (kind, idx)
-                continue
-            k0, i0 = parts[s]
-            if k0 == "cofinite" and kind == "cofinite":
-                parts[s] = ("cofinite", i0 & idx)
-            elif k0 == "cofinite":
-                parts[s] = ("cofinite", i0 - idx)
-            elif kind == "cofinite":
-                parts[s] = ("cofinite", idx - i0)
-            else:
-                parts[s] = ("finite", i0 | idx)
-        return PointSet(
-            tuple(sorted((s, kind, idx) for s, (kind, idx) in parts.items())),
-            self.named | other.named,
-        )
-
     def __str__(self) -> str:
         pieces = []
         for s, kind, idx in self.streams:
@@ -228,19 +206,13 @@ class TailMap:
 
     __call__ = apply
 
-    def _canonical(self) -> tuple:
-        return (
-            tuple(sorted(self._exceptions.items(), key=lambda kv: _point_key(kv[0]))),
-            tuple(sorted(self._tails.items())),
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TailMap):
             return NotImplemented
-        return self._canonical() == other._canonical()
+        return self._exceptions == other._exceptions and self._tails == other._tails
 
     def __hash__(self) -> int:
-        return hash(self._canonical())
+        return hash((frozenset(self._exceptions.items()), frozenset(self._tails.items())))
 
     def __repr__(self) -> str:
         exc = ", ".join(
@@ -251,43 +223,34 @@ class TailMap:
         )
         return f"TailMap({exc}; {tails})"
 
-    def dom(self) -> PointSet:
-        cof: dict[str, set[int]] = {
-            s: set(range(1, r.threshold)) for s, r in self._tails.items()
-        }
+    def _point_set(
+        self, points: Iterable[CarrierPoint], start: Callable[[TailRule], int]
+    ) -> PointSet:
+        """points, plus every index from start(rule) on in each tail stream."""
+        cof: dict[str, set[int]] = {s: set(range(1, start(r))) for s, r in self._tails.items()}
         fin: dict[str, set[int]] = {}
         named: set[str] = set()
-        for k in self._exceptions:
-            self._sort_into(k, cof, fin, named)
+        for p in points:
+            if isinstance(p, NamedPoint):
+                named.add(p.label)
+            elif p.stream in cof:
+                cof[p.stream].discard(p.index)
+            else:
+                fin.setdefault(p.stream, set()).add(p.index)
         return PointSet.from_parts(cof, fin, named)
+
+    def dom(self) -> PointSet:
+        return self._point_set(self._exceptions, lambda r: r.threshold)
 
     def img(self) -> PointSet:
-        cof: dict[str, set[int]] = {
-            s: set(range(1, r.threshold + r.delta)) for s, r in self._tails.items()
-        }
-        fin: dict[str, set[int]] = {}
-        named: set[str] = set()
-        for v in self._exceptions.values():
-            self._sort_into(v, cof, fin, named)
-        return PointSet.from_parts(cof, fin, named)
-
-    @staticmethod
-    def _sort_into(
-        p: CarrierPoint,
-        cof: dict[str, set[int]],
-        fin: dict[str, set[int]],
-        named: set[str],
-    ) -> None:
-        if isinstance(p, NamedPoint):
-            named.add(p.label)
-        elif p.stream in cof:
-            cof[p.stream].discard(p.index)
-        else:
-            fin.setdefault(p.stream, set()).add(p.index)
+        return self._point_set(self._exceptions.values(), lambda r: r.threshold + r.delta)
 
     def participants(self) -> PointSet:
         """dom union img: every seat the machine use occupies."""
-        return self.dom().union(self.img())
+        return self._point_set(
+            [*self._exceptions, *self._exceptions.values()],
+            lambda r: min(r.threshold, r.threshold + r.delta),
+        )
 
 
 def classify(f: TailMap) -> str:
@@ -320,8 +283,6 @@ def compose(f: TailMap, g: TailMap) -> TailMap:
                 f"net shift {delta:+d} on stream {s} is not representable"
             )
         bounds = [1, 1 - delta]
-        if delta == -1:
-            bounds.append(2)
         bounds.append(rg.threshold if rg else _max_key_index(g, s) + 1)
         bounds.append(rf.threshold - dg if rf else _max_key_index(f, s) - dg + 1)
         tails[s] = TailRule(max(bounds), delta)
@@ -416,12 +377,23 @@ def cycle_as_two_swaps(order: Sequence[int], stream: str = "a") -> list[TailMap]
     return [bump, pull_back]
 
 
-def _two_step_swaps(cycles: list[list[int]], stream: str, z: str) -> list[TailMap]:
-    """Shared builder for the two-swap inversions with helper z."""
-    flat = [i for c in cycles for i in c]
-    if len(set(flat)) != len(flat):
-        raise ValueError("cycles must be disjoint")
-    support = set(flat)
+def invert_finitary_two_step(
+    sigma: Permutation, stream: str = "a", z: str = "z"
+) -> list[TailMap]:
+    """Invert any finitary stream permutation in exactly two swaps.
+
+    sigma is given over insider-indexed points; insider i stands for
+    stream point i.  However many disjoint cycles sigma has, the result is
+    a single [forgetful, retentive] pair with distinct participant sets
+    whose composite is finitary_extension(sigma.inverse()).  The identity
+    yields an empty plan.
+    """
+    if any(e.is_outsider for e in sigma.support()):
+        raise ValueError("sigma must move insider-indexed stream points only")
+    if sigma.is_identity():
+        return []
+    cycles = [[e.index for e in c] for c in sigma.cycles]
+    support = {i for c in cycles for i in c}
     top = max(support)
     untouched = [i for i in range(1, top) if i not in support]
     zz = NamedPoint(z)
@@ -447,36 +419,6 @@ def _two_step_swaps(cycles: list[list[int]], stream: str, z: str) -> list[TailMa
     return [scatter, gather]
 
 
-def invert_cycle_two_step(cycle: Sequence[int], stream: str = "a", z: str = "z") -> list[TailMap]:
-    """Invert one stream cycle in two swaps through the helper z.
-
-    Chronologically [forgetful, retentive]; the composite is the inverse
-    cycle extended by the identity, with z fixed.
-    """
-    if len(cycle) < 2:
-        raise ValueError("cycle length must be at least 2")
-    return _two_step_swaps([list(cycle)], stream, z)
-
-
-def invert_finitary_two_step(
-    sigma: Permutation, stream: str = "a", z: str = "z"
-) -> list[TailMap]:
-    """Invert any finitary stream permutation in exactly two swaps.
-
-    sigma is given over insider-indexed points; insider i stands for
-    stream point i.  However many disjoint cycles sigma has, the result is
-    a single [forgetful, retentive] pair with distinct participant sets
-    whose composite is finitary_extension(sigma.inverse()).  The identity
-    yields an empty plan.
-    """
-    if any(e.is_outsider for e in sigma.support()):
-        raise ValueError("sigma must move insider-indexed stream points only")
-    if sigma.is_identity():
-        return []
-    cycles = [[e.index for e in c] for c in sigma.cycles]
-    return _two_step_swaps(cycles, stream, z)
-
-
 def finitary_extension(p: Permutation, stream: str = "a", z: str = "z") -> TailMap:
     """p as a total tail map on the stream, fixing z and all untouched points."""
     if any(e.is_outsider for e in p.support()):
@@ -494,30 +436,21 @@ def finitary_extension(p: Permutation, stream: str = "a", z: str = "z") -> TailM
 
 def _chains(f: TailMap) -> list[list[tuple[CarrierPoint, CarrierPoint]]]:
     """Exception entries grouped into flow-ordered chains and closed cycles."""
-    exc = f.exceptions
+    exc = f._exceptions
     values = set(exc.values())
+    open_starts = sorted((k for k in exc if k not in values), key=_point_key)
     chains: list[list[tuple[CarrierPoint, CarrierPoint]]] = []
     seen: set[CarrierPoint] = set()
-    for start in sorted((k for k in exc if k not in values), key=_point_key):
+    # open chains first; every key left over then lies on a closed cycle
+    for start in open_starts + sorted(exc, key=_point_key):
         chain = []
         cur = start
-        while cur in exc:
+        while cur in exc and cur not in seen:
             chain.append((cur, exc[cur]))
             seen.add(cur)
             cur = exc[cur]
-        chains.append(chain)
-    for k in sorted(exc, key=_point_key):
-        if k in seen:
-            continue
-        chain = []
-        cur = k
-        while True:
-            chain.append((cur, exc[cur]))
-            seen.add(cur)
-            cur = exc[cur]
-            if cur == k:
-                break
-        chains.append(chain)
+        if chain:
+            chains.append(chain)
     return chains
 
 

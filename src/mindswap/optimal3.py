@@ -76,12 +76,12 @@ def solve_three_machine_optimal(sigma: Permutation) -> PlanDocument:
     distinct, and the plan seats exactly n + r insiders, meeting the lower
     bound with equality.
     """
-    if sigma.parity() != 0:
+    cycles = sigma.cycles
+    if sum(len(c) - 1 for c in cycles) % 2 != 0:
         raise ValueError("odd permutation is not reachable on a 3-machine")
     if any(e.is_outsider for e in sigma.support()):
         raise ValueError("target must move insiders only")
     x = outsider(1)
-    cycles = sigma.cycles
     odd_cycles = [c for c in cycles if len(c) % 2 == 1]
     even_cycles = [c for c in cycles if len(c) % 2 == 0]
     assert len(even_cycles) % 2 == 0
@@ -105,8 +105,9 @@ def lower_bound(sigma: Permutation) -> int:
 
     Valid for any outsider count d >= 1; fixed points never inflate it.
     """
-    if sigma.parity() != 0:
+    cycles = sigma.cycles
+    n = sum(len(c) for c in cycles)
+    r = len(cycles)
+    if (n - r) % 2 != 0:
         raise ValueError("lower bound applies to even permutations only")
-    n = len(sigma.support())
-    r = len(sigma.cycles)
     return (n + r) // 2

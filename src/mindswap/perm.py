@@ -57,12 +57,15 @@ def outsider(index: int) -> Element:
 
 
 def parse_element(token: str) -> Element:
-    """Parse "a3", "x2" or a bare integer (bare integers are insiders)."""
-    if token.isdigit():
-        return insider(int(token))
-    kind, rest = token[:1], token[1:]
-    if kind in (INSIDER, OUTSIDER) and rest.isdigit() and not rest.startswith("0"):
-        return Element(kind, int(rest))
+    """Parse "a3", "x2" or a bare integer (bare integers are insiders).
+
+    Every index is ASCII digits with no leading zero.
+    """
+    kind, digits = INSIDER, token
+    if token[:1] in (INSIDER, OUTSIDER):
+        kind, digits = token[:1], token[1:]
+    if digits.isascii() and digits.isdigit() and not digits.startswith("0"):
+        return Element(kind, int(digits))
     raise ParseError(f"malformed element token {token!r}")
 
 

@@ -62,6 +62,8 @@ class PlanDocument:
             raise PlanFormatError(
                 f"lower bound {self.lower_bound} exceeds the plan's {self.steps} steps"
             )
+        if self.lower_bound is not None and self.lower_bound < 0:
+            raise PlanFormatError(f"lower bound {self.lower_bound} is negative")
         for move in self.moves:
             if move.size != self.m:
                 raise PlanFormatError(

@@ -286,12 +286,13 @@ class TestPlanDocFormat:
         [
             ("outsiders: x1 a1", "pool entry a1 is not an outsider"),
             ("lower-bound: 5", "lower bound 5 exceeds the plan's 2 steps"),
+            ("lower-bound: -3", "lower bound -3 is negative"),
             ("machine-size: 3", "repeated field 'machine-size'"),
             ("target: (a1 a2 a3)", "repeated field 'target'"),
             ("bogus: 1", "unknown field 'bogus'"),
         ],
-        ids=["insider-in-pool", "lower-bound-above-steps", "repeated-size", "repeated-target",
-             "unknown-key"],
+        ids=["insider-in-pool", "lower-bound-above-steps", "negative-lower-bound", "repeated-size",
+             "repeated-target", "unknown-key"],
     )
     def test_strict_fields_rejected(self, field, message):
         header = "machine-size: 3\ntarget: (a1 a2 a3)\n"

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from mindswap.infinite import (
     FORGETFUL,
@@ -19,7 +20,6 @@ from mindswap.infinite import (
     cycle_string,
     finitary_extension,
     forward_shift,
-    invert_cycle_two_step,
     invert_finitary_two_step,
     invert_multi_shift,
     invert_shift_three_step,
@@ -35,6 +35,55 @@ Z = NamedPoint("z")
 
 def a(i):
     return StreamPoint("a", i)
+
+
+def star(*indices):
+    return Permutation.from_cycle([insider(i) for i in indices])
+
+
+points = st.one_of(
+    st.builds(StreamPoint, st.sampled_from("ab"), st.integers(1, 30)),
+    st.sampled_from([Z, NamedPoint("w")]),
+)
+
+
+@st.composite
+def plain_maps(draw):
+    """Partial injections, finite on each stream or with a drawn tail rule."""
+    keys = draw(st.lists(points, unique=True, max_size=6))
+    images = draw(st.lists(points, unique=True, min_size=len(keys), max_size=len(keys)))
+    tails = draw(
+        st.dictionaries(
+            st.sampled_from("ab"),
+            st.builds(TailRule, st.integers(2, 12), st.sampled_from([-1, 0, 1])),
+        )
+    )
+    try:
+        return TailMap(dict(zip(keys, images)), tails)
+    except ValueError:
+        assume(False)
+
+
+@st.composite
+def swaps(draw):
+    """One swap of a shift or finitary inversion, on stream a or b."""
+    stream = draw(st.sampled_from("ab"))
+    if draw(st.booleans()):
+        return draw(st.sampled_from(invert_shift_three_step(stream)))
+    images = draw(st.permutations(range(1, draw(st.integers(2, 8)) + 1)))
+    sigma = Permutation({insider(i + 1): insider(v) for i, v in enumerate(images)})
+    assume(not sigma.is_identity())
+    return draw(st.sampled_from(invert_finitary_two_step(sigma, stream)))
+
+
+@st.composite
+def tail_maps(draw):
+    """Ride-with-parking composites of random swaps and plain maps."""
+    parts = draw(st.lists(st.one_of(swaps(), plain_maps()), min_size=1, max_size=3))
+    try:
+        return compose_all(parts)
+    except ValueError:
+        assume(False)
 
 
 class TestTailRule:
@@ -70,6 +119,18 @@ class TestCanonicalForm:
     def test_image_colliding_with_tail_rejected(self):
         with pytest.raises(ValueError):
             TailMap({Z: a(5)}, {"a": TailRule(4, -1)})
+
+    def test_two_spellings_hash_equally(self):
+        spelled_out = TailMap({a(4): a(5), a(7): a(8), Z: a(1)}, {"a": TailRule(5, +1)})
+        minimal = TailMap({Z: a(1)}, {"a": TailRule(4, +1)})
+        assert spelled_out == minimal
+        assert hash(spelled_out) == hash(minimal)
+
+    @given(tail_maps())
+    def test_rebuilt_in_reverse_order_hashes_equally(self, f):
+        rebuilt = TailMap(dict(reversed(f.exceptions.items())), dict(reversed(f.tails.items())))
+        assert rebuilt == f
+        assert hash(rebuilt) == hash(f)
 
 
 class TestApply:
@@ -108,6 +169,23 @@ class TestPointSets:
         ps = PointSet.from_parts(cofinite={"a": {1, 2}}, named={"z"})
         assert a(3) in ps and a(1) not in ps
         assert Z in ps and NamedPoint("w") not in ps
+
+    @given(tail_maps(), st.lists(points, min_size=1, max_size=40))
+    def test_participants_are_dom_union_img(self, f, sample):
+        dom, img, participants = f.dom(), f.img(), f.participants()
+        for p in sample:
+            assert (p in participants) == (p in dom or p in img)
+
+    @given(tail_maps(), st.lists(points, min_size=1, max_size=40))
+    def test_dom_and_img_agree_with_apply(self, f, sample):
+        # a tail moves an index by at most one, so a preimage of an index up
+        # to 30 has an index up to 31
+        sources = [StreamPoint(s, i) for s in "ab" for i in range(1, 32)] + [Z, NamedPoint("w")]
+        images = {f.apply(q) for q in sources}
+        dom, img = f.dom(), f.img()
+        for p in sample:
+            assert (p in dom) == (f.apply(p) is not None)
+            assert (p in img) == (p in images)
 
 
 class TestClassify:
@@ -225,7 +303,7 @@ class TestCycleAsTwoSwaps:
 
 class TestInvertCycleTwoStep:
     def test_transposition_matches_printed_solution(self):
-        swaps = invert_cycle_two_step([1, 2])
+        swaps = invert_finitary_two_step(star(1, 2))
         assert swaps[0] == TailMap(
             {a(1): a(2), a(2): Z, Z: a(3)}, {"a": TailRule(3, +1)}
         )
@@ -233,14 +311,13 @@ class TestInvertCycleTwoStep:
         assert [classify(f) for f in swaps] == [FORGETFUL, RETENTIVE]
 
     def test_three_cycle_composite(self):
-        swaps = invert_cycle_two_step([1, 2, 3])
-        target = Permutation.from_cycle([insider(1), insider(2), insider(3)])
+        target = star(1, 2, 3)
+        swaps = invert_finitary_two_step(target)
         assert compose_all(swaps) == finitary_extension(target.inverse())
 
     def test_composite_cancels_cycle(self):
-        k = 4
-        swaps = invert_cycle_two_step(list(range(1, k + 1)))
-        target = Permutation.from_cycle([insider(i) for i in range(1, k + 1)])
+        target = star(1, 2, 3, 4)
+        swaps = invert_finitary_two_step(target)
         identity_ext = finitary_extension(Permutation.identity())
         assert compose(compose_all(swaps), finitary_extension(target)) == identity_ext
 
@@ -255,9 +332,17 @@ class TestInvertFinitaryTwoStep:
         step2 = TailMap({a(5): Z, Z: a(1)}, {"a": TailRule(6, -1)})
         assert swaps == [step1, step2]
 
-    def test_single_cycle_agrees_with_two_step_cycle_inverter(self):
-        sigma = parse_cycles("(2 4 7)")
-        assert invert_finitary_two_step(sigma) == invert_cycle_two_step([2, 4, 7])
+    def test_single_cycle_matches_recorded_tail_maps(self):
+        step1 = TailMap(
+            {a(1): a(3), a(2): a(7), a(3): a(5), a(4): Z, a(5): a(6), a(6): a(8), a(7): a(4),
+             Z: a(1)},
+            {"a": TailRule(8, +1)},
+        )
+        step2 = TailMap(
+            {a(1): Z, a(3): a(1), a(5): a(3), a(6): a(5), a(8): a(6), Z: a(2)},
+            {"a": TailRule(9, -1)},
+        )
+        assert invert_finitary_two_step(parse_cycles("(2 4 7)")) == [step1, step2]
 
     def test_identity_gives_empty_plan(self):
         assert invert_finitary_two_step(Permutation.identity()) == []

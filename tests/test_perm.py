@@ -42,6 +42,25 @@ class TestParse:
             parse_cycles("(1 b2)")
         with pytest.raises(ParseError):
             parse_cycles("(a01 a2)")
+        for text in ["(0 1)", "(\u00b2 a1)", "(a\u0663 a1)", "(01 2)"]:
+            with pytest.raises(ParseError):
+                parse_cycles(text)
+
+    @given(
+        st.one_of(
+            st.text(alphabet="()ax0123456789 \u00b2\u0663", max_size=30),
+            st.lists(
+                st.lists(st.text(alphabet="ax0123456789\u00b2\u0663", min_size=1, max_size=4),
+                         max_size=4),
+                max_size=3,
+            ).map(lambda groups: "".join("(" + " ".join(g) + ")" for g in groups)),
+        )
+    )
+    def test_only_parse_errors_escape(self, text):
+        try:
+            parse_cycles(text)
+        except ParseError:
+            pass
 
     def test_repeat_within_cycle(self):
         with pytest.raises(ParseError):
