@@ -160,6 +160,9 @@ def _print_swaps(swaps: list[infinite.TailMap], horizon: int) -> None:
 
 def _cmd_infinite(args: argparse.Namespace) -> int:
     horizon = args.horizon
+    if horizon < 0:
+        print("error: --horizon must be at least 0", file=sys.stderr)
+        return EXIT_PARSE
     if args.mode == "shift3":
         swaps = infinite.invert_shift_three_step()
         expected = infinite.inverse_shift_map()

@@ -19,34 +19,18 @@ from .perm import Cycle, Element, Permutation, format_cycles, outsider
 from .plandoc import PlanDocument
 
 
-def _check_outside(cycle: Cycle, *externals: Element) -> None:
-    for e in externals:
-        if e in cycle:
-            raise ValueError(f"{e} must not occur in the cycle")
-
-
-def sweep_moves(cycle: Cycle, x: Element) -> list[MachineMove]:
-    """Transpositions (x a2), (x a3), ..., (x ak) in written order.
-
-    Chronological order is the reverse of the returned list.
-    """
-    if len(cycle) < 2:
-        raise ValueError("cycle length must be at least 2")
-    _check_outside(cycle, x)
-    return [MachineMove((x, a)) for a in cycle[1:]]
-
-
 def cycle_gadget(cycle: Cycle, x: Element, y: Element) -> list[MachineMove]:
     """The full per-cycle gadget, in written order.
 
-    The written product of the result, composed with the cycle itself,
-    equals the transposition (x y).
+    The sweep (x a2)...(x ak) comes first; the written product of the
+    result, composed with the cycle itself, equals the transposition (x y).
     """
-    if x == y:
-        raise ValueError("the two outsiders must differ")
-    _check_outside(cycle, x, y)
+    if len(cycle) < 2:
+        raise ValueError("cycle length must be at least 2")
+    if x == y or x in cycle or y in cycle:
+        raise ValueError("the two outsiders must differ and lie outside the cycle")
     a1, a2 = cycle[0], cycle[1]
-    return sweep_moves(cycle, x) + [
+    return [MachineMove((x, a)) for a in cycle[1:]] + [
         MachineMove((y, a1)),
         MachineMove((y, a2)),
         MachineMove((x, a1)),

@@ -10,8 +10,8 @@ an outsider pool x1..xe (e = m - 2),
 
     (p q r) = (p q x1 ... xe)(q r xe ... x1)      [rightmost acts first]
 
-Three-cycles invert through it directly, longer odd cycles by chaining
-overlapping 3-cycles, and even-length cycles by splitting off their final
+Odd cycles invert by chaining overlapping 3-cycles through it (a 1-cycle
+needs none), and even-length cycles by splitting off their final
 transposition, which is fixed either by pairing with another even cycle
 (odd m) or by a dedicated three-move gadget over pools w, y, z (even m).
 """
@@ -56,34 +56,21 @@ def three_cycle_moves(p: Element, q: Element, r: Element, pool: Sequence[Element
     ]
 
 
-def invert_three_cycle(tau: Cycle, pool: Sequence[Element], m: int) -> list[MachineMove]:
-    """Two m-cycle moves composing to the inverse of the 3-cycle tau.
-
-    The construction is the same for odd and even m; the two support sets
-    share the pool but differ in insiders.
-    """
-    if len(tau) != 3:
-        raise ValueError("tau must be a 3-cycle")
-    _check_pool(pool, m - 2, tau)
-    a1, a2, a3 = tau
-    return three_cycle_moves(a1, a3, a2, pool)
-
-
 def invert_odd_cycle(tau: Cycle, pool: Sequence[Element], m: int) -> list[MachineMove]:
     """k - 1 moves composing to the inverse of an odd-length cycle.
 
     The cycle factors into overlapping 3-cycles (a1 a2 a3)(a3 a4 a5)...,
     rightmost acting first; inverting each in chain order undoes the whole
-    cycle.
+    cycle, and a 1-cycle needs no moves.  The construction is the same for
+    odd and even m; the two support sets of each link share the pool but
+    differ in insiders.
     """
-    k = len(tau)
-    if k % 2 == 0:
+    if len(tau) % 2 == 0:
         raise ValueError("cycle length must be odd")
-    if k < 3:
-        raise ValueError("cycle length must be at least 3")
+    _check_pool(pool, m - 2, tau)
     moves: list[MachineMove] = []
-    for i in range(0, k - 2, 2):
-        moves += invert_three_cycle((tau[i], tau[i + 1], tau[i + 2]), pool, m)
+    for i in range(0, len(tau) - 2, 2):
+        moves += three_cycle_moves(tau[i], tau[i + 2], tau[i + 1], pool)
     return moves
 
 
@@ -107,11 +94,7 @@ def invert_even_pair_odd_m(
     if set(tau_i) & set(tau_j):
         raise ValueError("cycles must have disjoint supports")
     _check_pool(pool, m - 2, tau_i, tau_j)
-    moves: list[MachineMove] = []
-    for tau in (tau_i, tau_j):
-        prefix = tau[:-1]
-        if len(prefix) >= 3:
-            moves += invert_odd_cycle(prefix, pool, m)
+    moves = invert_odd_cycle(tau_i[:-1], pool, m) + invert_odd_cycle(tau_j[:-1], pool, m)
     a_prev, a_last = tau_i[-2], tau_i[-1]
     b_prev, b_last = tau_j[-2], tau_j[-1]
     moves += three_cycle_moves(a_prev, b_prev, a_last, pool)
@@ -138,11 +121,9 @@ def invert_transposition_even_m(
         raise ValueError("tau must be a transposition")
     h = m // 2 - 1
     pools = (tuple(w), tuple(y), tuple(z))
-    flat = [e for p in pools for e in p]
-    if any(len(p) != h for p in pools) or len(set(flat)) != 3 * h:
-        raise ValueError(f"pools w, y, z must be disjoint with {h} outsiders each")
-    if set(flat) & set(tau):
-        raise ValueError("pools overlap the transposition")
+    if any(len(p) != h for p in pools):
+        raise ValueError(f"pools w, y, z must hold {h} outsiders each")
+    _check_pool(sum(pools, ()), 3 * h, tau)
     a1, a2 = tau
     wr, yr, zr = (tuple(reversed(p)) for p in pools)
     return [
@@ -152,21 +133,18 @@ def invert_transposition_even_m(
     ]
 
 
-def generator_identity_check(m: int, elements: Sequence[Element] | None = None) -> bool:
+def generator_identity_check(m: int) -> bool:
     """Self-test that even machines generate every transposition.
 
     Verifies by direct composition that two m-cycles collapse to an
     (m-1)-cycle and that a third m-cycle reduces that to the bare swap
-    (x y).  Returns True when both identities hold.
+    (x y) on x1, x2 and insiders a1..a(m-2).  Returns True when both
+    identities hold.
     """
     if m % 2 or m < 4:
         raise ValueError("machine size must be even and at least 4")
-    if elements is None:
-        elements = [outsider(1), outsider(2)] + [insider(i) for i in range(1, m - 1)]
-    if len(set(elements)) < m:
-        raise ValueError(f"need {m} distinct elements")
-    x, y = elements[0], elements[1]
-    a = tuple(elements[2:m])
+    x, y = outsider(1), outsider(2)
+    a = tuple(insider(i) for i in range(1, m - 1))
     evens = a[1::2]
     odds = a[0::2]
     g1 = Permutation.from_cycle((y, a[0], x) + a[1:])
@@ -209,9 +187,7 @@ def solve_m_machine(sigma: Permutation, m: int) -> PlanDocument:
             if len(tau) % 2 == 1:
                 moves += invert_odd_cycle(tau, chain_pool, m)
             else:
-                prefix = tau[:-1]
-                if len(prefix) >= 3:
-                    moves += invert_odd_cycle(prefix, chain_pool, m)
+                moves += invert_odd_cycle(tau[:-1], chain_pool, m)
                 moves += invert_transposition_even_m((tau[-2], tau[-1]), w, y, z, m)
     return PlanDocument(
         m=m,

@@ -56,16 +56,25 @@ def outsider(index: int) -> Element:
     return Element(OUTSIDER, index)
 
 
+def _natural(text: str) -> int | None:
+    """The value of ASCII digits with no sign and no leading zero ("0" itself
+    allowed), or None for any other text."""
+    if text.isascii() and text.isdigit() and (text == "0" or not text.startswith("0")):
+        return int(text)
+    return None
+
+
 def parse_element(token: str) -> Element:
     """Parse "a3", "x2" or a bare integer (bare integers are insiders).
 
-    Every index is ASCII digits with no leading zero.
+    Every index is ASCII digits with no leading zero, and not 0.
     """
     kind, digits = INSIDER, token
     if token[:1] in (INSIDER, OUTSIDER):
         kind, digits = token[:1], token[1:]
-    if digits.isascii() and digits.isdigit() and not digits.startswith("0"):
-        return Element(kind, int(digits))
+    index = _natural(digits)
+    if index:
+        return Element(kind, index)
     raise ParseError(f"malformed element token {token!r}")
 
 
@@ -139,10 +148,6 @@ class Permutation:
     def parity(self) -> int:
         """0 for even, 1 for odd; a k-cycle contributes k - 1 transpositions."""
         return sum(len(c) - 1 for c in self.cycles) % 2
-
-    @property
-    def is_even(self) -> bool:
-        return self.parity() == 0
 
     def is_identity(self) -> bool:
         return not self._map

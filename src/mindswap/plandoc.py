@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .moves import MachineMove
-from .perm import Element, ParseError, parse_cycles, parse_element
+from .perm import Element, ParseError, _natural, parse_cycles, parse_element
 
 HEADER = "mindswap-plan v1"
 _FIELDS = ("machine-size", "target", "outsiders", "solver", "steps", "lower-bound")
@@ -93,6 +93,13 @@ def dumps(doc: PlanDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _number(fields: dict[str, str], key: str) -> int:
+    value = _natural(fields[key])
+    if value is None:
+        raise PlanFormatError(f"malformed {key} {fields[key]!r}")
+    return value
+
+
 def loads(text: str) -> PlanDocument:
     lines = [line.rstrip() for line in text.splitlines() if line.strip()]
     if not lines or lines[0].strip() != HEADER:
@@ -122,7 +129,7 @@ def loads(text: str) -> PlanDocument:
         if required not in fields:
             raise PlanFormatError(f"missing required field {required!r}")
     try:
-        m = int(fields["machine-size"])
+        m = _number(fields, "machine-size")
         outsiders = tuple(parse_element(tok) for tok in fields["outsiders"].split())
         moves = tuple(
             MachineMove(tuple(parse_element(tok) for tok in line.split()))
@@ -135,9 +142,9 @@ def loads(text: str) -> PlanDocument:
             outsiders=outsiders,
             moves=moves,
             solver=fields.get("solver"),
-            lower_bound=int(fields["lower-bound"]) if "lower-bound" in fields else None,
+            lower_bound=_number(fields, "lower-bound") if "lower-bound" in fields else None,
         )
-        steps = int(fields["steps"]) if "steps" in fields else doc.steps
+        steps = _number(fields, "steps") if "steps" in fields else doc.steps
     except (ParseError, ValueError) as err:
         raise PlanFormatError(str(err)) from err
     if steps != doc.steps:

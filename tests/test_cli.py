@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -225,6 +226,12 @@ class TestInfinite:
         code, _, err = run(capsys, "infinite", "finitary2", "--sigma", "(1 2")
         assert code == 2
 
+    def test_negative_horizon_rejected(self, capsys):
+        code, out, err = run(capsys, "infinite", "shift3", "--horizon", "-3")
+        assert (code, out, err) == (2, "", "error: --horizon must be at least 0\n")
+        code, out, _ = run(capsys, "infinite", "shift3", "--horizon", "0")
+        assert code == 0 and "composition check: ok" in out
+
 
 class TestPlanDocFormat:
     def test_dumps_loads_round_trip_is_byte_exact(self, capsys):
@@ -286,21 +293,34 @@ class TestPlanDocFormat:
         [
             ("outsiders: x1 a1", "pool entry a1 is not an outsider"),
             ("lower-bound: 5", "lower bound 5 exceeds the plan's 2 steps"),
-            ("lower-bound: -3", "lower bound -3 is negative"),
+            ("lower-bound: -3", "malformed lower-bound '-3'"),
             ("machine-size: 3", "repeated field 'machine-size'"),
             ("target: (a1 a2 a3)", "repeated field 'target'"),
             ("bogus: 1", "unknown field 'bogus'"),
+            ("machine-size: \u0663", "malformed machine-size '\u0663'"),
+            ("steps: 0_2", "malformed steps '0_2'"),
+            ("lower-bound: +2", r"malformed lower-bound '\+2'"),
         ],
         ids=["insider-in-pool", "lower-bound-above-steps", "negative-lower-bound", "repeated-size",
-             "repeated-target", "unknown-key"],
+             "repeated-target", "unknown-key", "non-ascii-size", "underscored-steps",
+             "signed-lower-bound"],
     )
     def test_strict_fields_rejected(self, field, message):
-        header = "machine-size: 3\ntarget: (a1 a2 a3)\n"
-        if not field.startswith("outsiders:"):
-            header += "outsiders: x1\n"
+        key, _, value = field.partition(": ")
+        base = {"machine-size": "3", "target": "(a1 a2 a3)", "outsiders": "x1"}
+        # A field that changes a base value replaces that line; one equal to it repeats it.
+        header = "".join(f"{k}: {v}\n" for k, v in base.items() if k != key or v == value)
         text = f"mindswap-plan v1\n{header}{field}\nmoves:\n  a1 x1 a2\n  a2 x1 a3\n"
         with pytest.raises(plandoc.PlanFormatError, match=message):
             plandoc.loads(text)
+
+    def test_record_rejects_negative_lower_bound(self):
+        doc = plandoc.loads(
+            "mindswap-plan v1\nmachine-size: 3\ntarget: (a1 a2 a3)\noutsiders: x1\n"
+            "moves:\n  a1 x1 a2\n  a2 x1 a3\n"
+        )
+        with pytest.raises(plandoc.PlanFormatError, match="lower bound -3 is negative"):
+            dataclasses.replace(doc, lower_bound=-3)
 
     def test_wrong_seat_count_rejected(self):
         text = (

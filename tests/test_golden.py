@@ -82,6 +82,22 @@ CASES: dict[str, tuple[list[str], str]] = {
         "",
     ),
     "solve-general_m-empty-target": (["solve", "--target", "", "--m", "4"], ""),
+    "solve-general_m-m5-odd-chain-and-even-pair": (
+        ["solve", "--target", "(1 2 3 4 5 6 7)(8 9 10 11)(12 13)", "--m", "5"],
+        "",
+    ),
+    "solve-general_m-m6-even-prefixes": (
+        ["solve", "--target", "(1 2 3 4 5)(6 7 8 9)(10 11)", "--m", "6"],
+        "",
+    ),
+    "solve-general_m-m7-mixed": (
+        ["solve", "--target", "(1 2 3)(4 5)(6 7)(8 9 10 11 12)", "--m", "7"],
+        "",
+    ),
+    "solve-keeler2-odd-cycle-count": (
+        ["solve", "--target", "(1 2 3 4 5)(6 7)(8 9 10)", "--m", "2"],
+        "",
+    ),
     "solve-optimal3-odd-target": (
         ["solve", "--target", "(1 2)", "--m", "3", "--solver", "optimal3"],
         "",

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mindswap.keeler import cycle_gadget, solve_two_machine, sweep_moves
+from mindswap.keeler import cycle_gadget, solve_two_machine
 from mindswap.moves import MachineMove, plan_product
 from mindswap.perm import Permutation, insider, outsider, parse_cycles
 
@@ -16,16 +16,21 @@ def move(*elements):
 
 
 class TestSweepMoves:
+    """The first k - 1 entries of the gadget sweep x over a2..ak."""
+
+    def sweep(self, tau):
+        return cycle_gadget(tau, X, Y)[: len(tau) - 1]
+
     def test_transposition(self):
-        assert sweep_moves((insider(1), insider(2)), X) == [move(X, insider(2))]
+        assert self.sweep((insider(1), insider(2))) == [move(X, insider(2))]
 
     def test_three_cycle(self):
         tau = (insider(1), insider(2), insider(3))
-        assert sweep_moves(tau, X) == [move(X, insider(2)), move(X, insider(3))]
+        assert self.sweep(tau) == [move(X, insider(2)), move(X, insider(3))]
 
     def test_four_cycle(self):
         tau = tuple(insider(i) for i in range(1, 5))
-        assert sweep_moves(tau, X) == [
+        assert self.sweep(tau) == [
             move(X, insider(2)),
             move(X, insider(3)),
             move(X, insider(4)),
@@ -33,7 +38,9 @@ class TestSweepMoves:
 
     def test_rejects_outsider_inside_cycle(self):
         with pytest.raises(ValueError):
-            sweep_moves((insider(1), X), X)
+            cycle_gadget((insider(1), X), X, Y)
+        with pytest.raises(ValueError):
+            cycle_gadget((insider(1), Y), X, Y)
 
 
 class TestCycleGadget:
@@ -51,6 +58,12 @@ class TestCycleGadget:
         gadget = cycle_gadget(tau, X, Y)
         product = plan_product(reversed(gadget)) * Permutation.from_cycle(tau)
         assert product == Permutation.from_cycle((X, Y))
+
+    def test_rejects_equal_outsiders_and_short_cycles(self):
+        with pytest.raises(ValueError):
+            cycle_gadget((insider(1), insider(2)), X, X)
+        with pytest.raises(ValueError):
+            cycle_gadget((insider(1),), X, Y)
 
     def test_entry_count(self):
         tau = tuple(insider(i) for i in range(1, 6))

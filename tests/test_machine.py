@@ -7,7 +7,6 @@ from mindswap.machine import (
     in_machine_group,
     invert_even_pair_odd_m,
     invert_odd_cycle,
-    invert_three_cycle,
     invert_transposition_even_m,
     outsider_budget,
     solve_m_machine,
@@ -45,7 +44,7 @@ class TestMembership:
 
 class TestInvertThreeCycle:
     def test_m3_exact_moves(self):
-        moves = invert_three_cycle(ins(1, 2, 3), pool(1), 3)
+        moves = invert_odd_cycle(ins(1, 2, 3), pool(1), 3)
         assert moves == [
             MachineMove((insider(3), insider(2), outsider(1))),
             MachineMove((insider(1), insider(3), outsider(1))),
@@ -53,23 +52,23 @@ class TestInvertThreeCycle:
         assert plan_product(moves) == parse_cycles("(1 3 2)")
 
     def test_m5_exact_moves(self):
-        moves = invert_three_cycle(ins(1, 2, 3), pool(1, 2, 3), 5)
+        moves = invert_odd_cycle(ins(1, 2, 3), pool(1, 2, 3), 5)
         assert moves == [
             MachineMove((insider(3), insider(2), outsider(3), outsider(2), outsider(1))),
             MachineMove((insider(1), insider(3), outsider(1), outsider(2), outsider(3))),
         ]
 
     def test_m4_product(self):
-        moves = invert_three_cycle(ins(1, 2, 3), pool(1, 2), 4)
+        moves = invert_odd_cycle(ins(1, 2, 3), pool(1, 2), 4)
         assert plan_product(moves) == parse_cycles("(1 3 2)")
 
     def test_pool_size_mismatch(self):
         with pytest.raises(ValueError):
-            invert_three_cycle(ins(1, 2, 3), pool(1, 2), 5)
+            invert_odd_cycle(ins(1, 2, 3), pool(1, 2), 5)
 
     def test_pool_overlap(self):
         with pytest.raises(ValueError):
-            invert_three_cycle((insider(1), insider(2), outsider(1)), pool(1), 3)
+            invert_odd_cycle((insider(1), insider(2), outsider(1)), pool(1), 3)
 
 
 class TestInvertOddCycle:
@@ -93,6 +92,9 @@ class TestInvertOddCycle:
     def test_even_length_rejected(self):
         with pytest.raises(ValueError):
             invert_odd_cycle(ins(1, 2, 3, 4), pool(1), 3)
+
+    def test_one_cycle_is_the_empty_plan(self):
+        assert invert_odd_cycle((insider(1),), pool(1), 3) == []
 
 
 class TestInvertEvenPairOddM:
