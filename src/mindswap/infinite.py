@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .perm import Permutation, insider
+from .perm import Permutation, insider, insiders_only
 
 FORGETFUL = "forgetful"
 RETENTIVE = "retentive"
@@ -347,36 +347,6 @@ def invert_shift_three_step(stream: str = "a", z: str = "z") -> list[TailMap]:
     return [step1, step2, step3]
 
 
-def invert_multi_shift(streams: Sequence[str], z: str = "z") -> list[TailMap]:
-    """Undo simultaneous forward shifts on disjoint streams, 3 swaps each."""
-    if len(set(streams)) != len(streams):
-        raise ValueError("streams must be pairwise distinct")
-    swaps: list[TailMap] = []
-    for stream in streams:
-        swaps += invert_shift_three_step(stream, z)
-    return swaps
-
-
-def cycle_as_two_swaps(order: Sequence[int], stream: str = "a") -> list[TailMap]:
-    """Produce the cycle over the first n stream points in two swaps.
-
-    Chronologically [forgetful, retentive]: the first swap performs the
-    cycle and bumps the rest of the stream up by one, the second pulls the
-    bumped tail back down.  The composite is the cycle extended by the
-    identity, total on the stream, and the participant sets differ.
-    """
-    n = len(order)
-    if n < 1:
-        raise ValueError("need at least one point")
-    if sorted(order) != list(range(1, n + 1)):
-        raise ValueError("order must arrange the first n stream points")
-    s = lambda i: StreamPoint(stream, i)
-    cycle = {s(order[i]): s(order[(i + 1) % n]) for i in range(n)}
-    bump = TailMap(cycle, {stream: TailRule(n + 1, +1)})
-    pull_back = TailMap({}, {stream: TailRule(n + 2, -1)})
-    return [bump, pull_back]
-
-
 def invert_finitary_two_step(
     sigma: Permutation, stream: str = "a", z: str = "z"
 ) -> list[TailMap]:
@@ -388,8 +358,7 @@ def invert_finitary_two_step(
     whose composite is finitary_extension(sigma.inverse()).  The identity
     yields an empty plan.
     """
-    if any(e.is_outsider for e in sigma.support()):
-        raise ValueError("sigma must move insider-indexed stream points only")
+    insiders_only(sigma)
     if sigma.is_identity():
         return []
     cycles = [[e.index for e in c] for c in sigma.cycles]
@@ -421,8 +390,7 @@ def invert_finitary_two_step(
 
 def finitary_extension(p: Permutation, stream: str = "a", z: str = "z") -> TailMap:
     """p as a total tail map on the stream, fixing z and all untouched points."""
-    if any(e.is_outsider for e in p.support()):
-        raise ValueError("p must move insider-indexed stream points only")
+    insiders_only(p)
     top = max((e.index for e in p.support()), default=0)
     s = lambda i: StreamPoint(stream, i)
     exceptions: dict[CarrierPoint, CarrierPoint] = {NamedPoint(z): NamedPoint(z)}

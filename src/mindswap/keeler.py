@@ -15,7 +15,7 @@ when the cycle count is odd yields the inverse.
 from __future__ import annotations
 
 from .moves import MachineMove
-from .perm import Cycle, Element, Permutation, format_cycles, outsider
+from .perm import Cycle, Element, Permutation, format_cycles, insiders_only, outsider
 from .plandoc import PlanDocument
 
 
@@ -45,8 +45,7 @@ def solve_two_machine(sigma: Permutation) -> PlanDocument:
     A single k-cycle takes k + 3 moves; in general the count is
     sum(k_i + 2) plus one extra (x1 x2) move when the cycle count is odd.
     """
-    if any(e.is_outsider for e in sigma.support()):
-        raise ValueError("target must move insiders only")
+    insiders_only(sigma)
     x, y = outsider(1), outsider(2)
     factors: list[MachineMove] = []
     cycles = sigma.cycles

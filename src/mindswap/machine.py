@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .moves import MachineMove
-from .perm import Cycle, Element, Permutation, format_cycles, insider, outsider
+from .perm import Cycle, Element, Permutation, format_cycles, insiders_only, outsider
 from .plandoc import PlanDocument
 
 
@@ -133,29 +133,6 @@ def invert_transposition_even_m(
     ]
 
 
-def generator_identity_check(m: int) -> bool:
-    """Self-test that even machines generate every transposition.
-
-    Verifies by direct composition that two m-cycles collapse to an
-    (m-1)-cycle and that a third m-cycle reduces that to the bare swap
-    (x y) on x1, x2 and insiders a1..a(m-2).  Returns True when both
-    identities hold.
-    """
-    if m % 2 or m < 4:
-        raise ValueError("machine size must be even and at least 4")
-    x, y = outsider(1), outsider(2)
-    a = tuple(insider(i) for i in range(1, m - 1))
-    evens = a[1::2]
-    odds = a[0::2]
-    g1 = Permutation.from_cycle((y, a[0], x) + a[1:])
-    g2 = Permutation.from_cycle((y, x) + a)
-    collapsed = Permutation.from_cycle((y,) + evens + odds)
-    first = g1 * g2 == collapsed
-    g3 = Permutation.from_cycle((x, y) + tuple(reversed(odds)) + tuple(reversed(evens)))
-    second = g3 * collapsed == Permutation.from_cycle((x, y))
-    return first and second
-
-
 def solve_m_machine(sigma: Permutation, m: int) -> PlanDocument:
     """Invert sigma with m-cycle moves on pairwise distinct seat sets.
 
@@ -163,8 +140,7 @@ def solve_m_machine(sigma: Permutation, m: int) -> PlanDocument:
     move has exactly m seats including at least one outsider, and the pool
     has exactly outsider_budget(m) members.
     """
-    if any(e.is_outsider for e in sigma.support()):
-        raise ValueError("target must move insiders only")
+    insiders_only(sigma)
     if not in_machine_group(sigma, m):
         raise ValueError(f"odd permutation is not a product of {m}-cycles")
     d = outsider_budget(m)

@@ -30,7 +30,7 @@ class MachineMove:
             raise ValueError("a machine move needs at least 2 seats")
         if len(set(seats)) != len(seats):
             raise ValueError(f"repeated seat in move ({' '.join(map(str, seats))})")
-        lead = min(range(len(seats)), key=lambda i: seats[i])
+        lead = seats.index(min(seats))
         object.__setattr__(self, "seats", seats[lead:] + seats[:lead])
 
     @property

@@ -16,21 +16,9 @@ truth (products here are right-to-left, and plans are chronological).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .moves import MachineMove
-from .perm import Cycle, Element, Permutation, format_cycles, outsider
+from .perm import Cycle, Element, Permutation, format_cycles, insiders_only, outsider
 from .plandoc import PlanDocument
-
-
-def insider_occurrences(moves: Sequence[MachineMove]) -> int:
-    """Total insider seats across a 3-cycle plan; 2 per move when legal."""
-    total = 0
-    for move in moves:
-        if not move.has_outsider():
-            raise ValueError(f"move {move} contains no outsider")
-        total += sum(1 for s in move.seats if not s.is_outsider)
-    return total
 
 
 def odd_cycle_moves(tau: Cycle, x: Element) -> list[MachineMove]:
@@ -76,11 +64,10 @@ def solve_three_machine_optimal(sigma: Permutation) -> PlanDocument:
     distinct, and the plan seats exactly n + r insiders, meeting the lower
     bound with equality.
     """
+    insiders_only(sigma)
     cycles = sigma.cycles
     if sum(len(c) - 1 for c in cycles) % 2 != 0:
         raise ValueError("odd permutation is not reachable on a 3-machine")
-    if any(e.is_outsider for e in sigma.support()):
-        raise ValueError("target must move insiders only")
     x = outsider(1)
     odd_cycles = [c for c in cycles if len(c) % 2 == 1]
     even_cycles = [c for c in cycles if len(c) % 2 == 0]

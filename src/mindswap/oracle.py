@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from .moves import MachineMove, plan_product
-from .perm import Element, Permutation
+from .perm import Element, Permutation, insiders_only
 
 
 class OracleBudgetError(RuntimeError):
@@ -112,12 +112,10 @@ def search_min_plan(
     target on an odd machine is unreachable at any length and returns None
     without searching.
     """
+    insiders_only(target)
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
-    support = sorted(target.support())
-    if any(e.is_outsider for e in support):
-        raise ValueError("target must move insiders only; outsiders are fresh by definition")
-    ground = support + sorted(rules.outsiders)
+    ground = sorted(target.support()) + sorted(rules.outsiders)
     if len(ground) > 16:
         raise ValueError(f"ground set of {len(ground)} elements is too large to search")
     if rules.m % 2 and target.parity():

@@ -13,6 +13,7 @@ first.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -170,6 +171,18 @@ class Permutation:
         return f"Permutation({self})"
 
 
+def insiders_only(p: Permutation) -> Permutation:
+    """p itself, or ValueError when p moves an outsider: a scramble moves
+    insiders only, and outsiders are fresh."""
+    if any(e.is_outsider for e in p._map):
+        raise ValueError("target must move insiders only")
+    return p
+
+
+# a parenthesis, or a run of everything else up to whitespace or a parenthesis
+_TOKEN = re.compile(r"[()]|[^()\s]+")
+
+
 def parse_cycles(text: str) -> Permutation:
     """Parse cycle-notation text into a canonical permutation.
 
@@ -181,33 +194,20 @@ def parse_cycles(text: str) -> Permutation:
     """
     groups: list[list[Element]] = []
     current: list[Element] | None = None
-    token = ""
-
-    def flush_token() -> None:
-        nonlocal token
-        if token:
-            if current is None:
-                raise ParseError(f"element {token!r} outside parentheses")
-            current.append(parse_element(token))
-            token = ""
-
-    for ch in text:
-        if ch == "(":
+    for token in _TOKEN.findall(text):
+        if token == "(":
             if current is not None:
                 raise ParseError("nested '(' in cycle notation")
             current = []
-        elif ch == ")":
-            flush_token()
+        elif token == ")":
             if current is None:
                 raise ParseError("unbalanced ')' in cycle notation")
             groups.append(current)
             current = None
-        elif ch.isspace():
-            flush_token()
         elif current is None:
-            raise ParseError(f"unexpected character {ch!r} outside parentheses")
+            raise ParseError(f"unexpected character {token[0]!r} outside parentheses")
         else:
-            token += ch
+            current.append(parse_element(token))
     if current is not None:
         raise ParseError("unbalanced '(' in cycle notation")
 

@@ -1,7 +1,9 @@
 import random
+from typing import Sequence
 
+from mindswap.infinite import StreamPoint, TailMap, TailRule
 from mindswap.oracle import RuleSet, verify_plan
-from mindswap.perm import Permutation, insider
+from mindswap.perm import Permutation, insider, outsider
 
 
 def permutation_from_images(images: list[int]) -> Permutation:
@@ -36,3 +38,46 @@ def duplicate_supports(moves) -> list[int]:
     rules = RuleSet(m=2, outsiders=(), require_outsider_per_move=False)
     report = verify_plan(Permutation.identity(), list(moves), rules)
     return [i for i, kind in report.rule_violations if kind == "duplicate-support"]
+
+
+def generator_identity_check(m: int) -> bool:
+    """Self-test that even machines generate every transposition.
+
+    Verifies by direct composition that two m-cycles collapse to an
+    (m-1)-cycle and that a third m-cycle reduces that to the bare swap
+    (x y) on x1, x2 and insiders a1..a(m-2).  Returns True when both
+    identities hold.
+    """
+    if m % 2 or m < 4:
+        raise ValueError("machine size must be even and at least 4")
+    x, y = outsider(1), outsider(2)
+    a = tuple(insider(i) for i in range(1, m - 1))
+    evens = a[1::2]
+    odds = a[0::2]
+    g1 = Permutation.from_cycle((y, a[0], x) + a[1:])
+    g2 = Permutation.from_cycle((y, x) + a)
+    collapsed = Permutation.from_cycle((y,) + evens + odds)
+    first = g1 * g2 == collapsed
+    g3 = Permutation.from_cycle((x, y) + tuple(reversed(odds)) + tuple(reversed(evens)))
+    second = g3 * collapsed == Permutation.from_cycle((x, y))
+    return first and second
+
+
+def cycle_as_two_swaps(order: Sequence[int], stream: str = "a") -> list[TailMap]:
+    """Produce the cycle over the first n stream points in two swaps.
+
+    Chronologically [forgetful, retentive]: the first swap performs the
+    cycle and bumps the rest of the stream up by one, the second pulls the
+    bumped tail back down.  The composite is the cycle extended by the
+    identity, total on the stream, and the participant sets differ.
+    """
+    n = len(order)
+    if n < 1:
+        raise ValueError("need at least one point")
+    if sorted(order) != list(range(1, n + 1)):
+        raise ValueError("order must arrange the first n stream points")
+    s = lambda i: StreamPoint(stream, i)
+    cycle = {s(order[i]): s(order[(i + 1) % n]) for i in range(n)}
+    bump = TailMap(cycle, {stream: TailRule(n + 1, +1)})
+    pull_back = TailMap({}, {stream: TailRule(n + 2, -1)})
+    return [bump, pull_back]

@@ -1,7 +1,12 @@
+import contextlib
 import dataclasses
+import io
 import itertools
+import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mindswap.cli import SOLVERS, main
 from mindswap.moves import plan_product
@@ -147,6 +152,28 @@ class TestVerify:
         assert code == 0
         assert "verdict: clean" in out
 
+    @pytest.mark.parametrize(
+        "solver, target, claim, override, line",
+        [
+            ("optimal3", "(1 2 3)(4 5 6)", 1, None, "claimed=1 bound=4"),
+            ("general_m", "(1 2 3 4 5)", 4, None, "claimed=4 bound=3"),
+            ("optimal3", "(1 2 3)(4 5 6)", 4, "(1 2)(3 4 5)", "claimed=4 bound=none"),
+        ],
+        ids=["below", "above", "odd-target"],
+    )
+    def test_false_lower_bound_claim_fails(
+        self, capsys, tmp_path, solver, target, claim, override, line
+    ):
+        _, out, _ = run(capsys, "solve", "--target", target, "--m", "3", "--solver", solver)
+        doc = dataclasses.replace(plandoc.loads(out), lower_bound=claim)
+        plan_file = tmp_path / "plan.txt"
+        plan_file.write_text(plandoc.dumps(doc))
+        argv = ["verify", "--plan", str(plan_file)] + (["--target", override] if override else [])
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "")
+        assert f"violation: kind=lower-bound {line}\n" in out
+        assert out.endswith("verdict: failed\n")
+
 
 class TestOracle:
     def test_pair_of_transpositions(self, capsys):
@@ -231,6 +258,44 @@ class TestInfinite:
         assert (code, out, err) == (2, "", "error: --horizon must be at least 0\n")
         code, out, _ = run(capsys, "infinite", "shift3", "--horizon", "0")
         assert code == 0 and "composition check: ok" in out
+
+
+BASE_DOCUMENTS = [
+    plandoc.dumps(solve(parse_cycles(target), m))
+    for solve, target, m in [
+        (SOLVERS["keeler2"][1], "(1 2)(3 4 5)", 2),
+        (SOLVERS["optimal3"][1], "(1 2 3)(4 5)(6 7)", 3),
+        (SOLVERS["general_m"][1], "(1 2)(3 4 5)", 4),
+    ]
+]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid plan document with lines dropped, duplicated or swapped,
+    tokens swapped, or a digit-like character inserted."""
+    lines = draw(st.sampled_from(BASE_DOCUMENTS)).split("\n")
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["drop", "duplicate", "swap-lines", "swap-tokens", "insert"]))
+        i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(j, lines[i])
+        elif op == "swap-lines":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "swap-tokens":
+            a = lines[i].split(" ")
+            b = a if i == j else lines[j].split(" ")
+            s, t = draw(st.integers(0, len(a) - 1)), draw(st.integers(0, len(b) - 1))
+            a[s], b[t] = b[t], a[s]
+            lines[i], lines[j] = " ".join(a), " ".join(b)
+        else:
+            at = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:at] + draw(st.sampled_from("\u0663\u00b20")) + lines[i][at:]
+        if not lines:
+            lines = [""]
+    return "\n".join(lines)
 
 
 class TestPlanDocFormat:
@@ -321,6 +386,20 @@ class TestPlanDocFormat:
         )
         with pytest.raises(plandoc.PlanFormatError, match="lower bound -3 is negative"):
             dataclasses.replace(doc, lower_bound=-3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_documents())
+    def test_mutated_documents_fail_cleanly(self, text):
+        try:
+            plandoc.loads(text)
+        except plandoc.PlanFormatError:
+            pass
+        quiet = io.StringIO()
+        with mock.patch.object(sys, "stdin", io.StringIO(text)), contextlib.redirect_stdout(
+            quiet
+        ), contextlib.redirect_stderr(quiet):
+            code = main(["verify", "--plan", "-"])
+        assert code in (0, 1, 2)
 
     def test_wrong_seat_count_rejected(self):
         text = (

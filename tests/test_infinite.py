@@ -16,19 +16,17 @@ from mindswap.infinite import (
     classify,
     compose,
     compose_all,
-    cycle_as_two_swaps,
     cycle_string,
     finitary_extension,
     forward_shift,
     invert_finitary_two_step,
-    invert_multi_shift,
     invert_shift_three_step,
     inverse_shift_map,
     step_table,
 )
 from mindswap.perm import Permutation, insider, parse_cycles
 
-from conftest import random_permutation
+from conftest import cycle_as_two_swaps, random_permutation
 
 Z = NamedPoint("z")
 
@@ -265,24 +263,14 @@ class TestInvertShiftThreeStep:
 
 
 class TestInvertMultiShift:
-    def test_single_stream_matches_three_step(self):
-        assert invert_multi_shift(["a"]) == invert_shift_three_step()
-
     def test_two_streams(self):
-        swaps = invert_multi_shift(["a", "b"])
+        swaps = invert_shift_three_step("a") + invert_shift_three_step("b")
         assert len(swaps) == 6
         expected = TailMap(
             {Z: Z}, {"a": TailRule(2, -1), "b": TailRule(2, -1)}
         )
         assert compose_all(swaps) == expected
         assert len({f.participants() for f in swaps}) == 6
-
-    def test_no_streams(self):
-        assert invert_multi_shift([]) == []
-
-    def test_repeated_stream_rejected(self):
-        with pytest.raises(ValueError):
-            invert_multi_shift(["a", "a"])
 
 
 class TestCycleAsTwoSwaps:

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from mindswap.machine import (
-    generator_identity_check,
     in_machine_group,
     invert_even_pair_odd_m,
     invert_odd_cycle,
@@ -14,7 +13,7 @@ from mindswap.machine import (
 from mindswap.moves import MachineMove, plan_product
 from mindswap.perm import Permutation, insider, outsider, parse_cycles
 
-from conftest import duplicate_supports, random_cycle, random_permutation
+from conftest import duplicate_supports, generator_identity_check, random_cycle, random_permutation
 
 
 def pool(*indices):

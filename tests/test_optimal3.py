@@ -5,7 +5,6 @@ import pytest
 from mindswap.moves import MachineMove, plan_product
 from mindswap.optimal3 import (
     even_pair_moves,
-    insider_occurrences,
     lower_bound,
     odd_cycle_moves,
     solve_three_machine_optimal,
@@ -26,18 +25,9 @@ def move(*elements):
 
 
 class TestInsiderOccurrences:
-    def test_single_move(self):
-        assert insider_occurrences([move(insider(1), insider(2), X)]) == 2
-
     def test_odd_cycle_plan(self):
-        assert insider_occurrences(odd_cycle_moves(ins(1, 2, 3), X)) == 4
-
-    def test_empty_plan(self):
-        assert insider_occurrences([]) == 0
-
-    def test_move_without_outsider_rejected(self):
-        with pytest.raises(ValueError):
-            insider_occurrences([move(insider(1), insider(2), insider(3))])
+        moves = odd_cycle_moves(ins(1, 2, 3), X)
+        assert sum(not s.is_outsider for mv in moves for s in mv.seats) == 4
 
 
 class TestOddCycleMoves:
@@ -142,7 +132,7 @@ class TestBoundIsMetExactly:
             expected = lower_bound(sigma)
             assert plan.steps == expected
             moved, cycles = len(sigma.support()), len(sigma.cycles)
-            assert insider_occurrences(plan.moves) == moved + cycles
+            assert sum(not s.is_outsider for mv in plan.moves for s in mv.seats) == moved + cycles
             assert (moved + cycles) % 2 == 0
             assert plan_product(plan.moves) == sigma.inverse()
             assert not duplicate_supports(plan.moves)

@@ -1,15 +1,23 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from mindswap import cli
+from mindswap.infinite import finitary_extension, invert_finitary_two_step
+from mindswap.keeler import solve_two_machine
+from mindswap.machine import solve_m_machine
 from mindswap.moves import MachineMove, plan_product
+from mindswap.optimal3 import solve_three_machine_optimal
+from mindswap.oracle import RuleSet, search_min_plan
 from mindswap.perm import (
     Element,
     ParseError,
     Permutation,
+    _compose_cycles,
     format_cycles,
     insider,
     outsider,
     parse_cycles,
+    parse_element,
 )
 
 from conftest import permutation_from_images
@@ -76,6 +84,110 @@ class TestParse:
             parse_cycles("1 2)")
         with pytest.raises(ParseError):
             parse_cycles("(1 (2))")
+
+
+def character_loop_parse_cycles(text: str) -> Permutation:
+    """The reference parser: one pass over the characters of the text."""
+    groups: list[list[Element]] = []
+    current: list[Element] | None = None
+    token = ""
+
+    def flush_token() -> None:
+        nonlocal token
+        if token:
+            if current is None:
+                raise ParseError(f"element {token!r} outside parentheses")
+            current.append(parse_element(token))
+            token = ""
+
+    for ch in text:
+        if ch == "(":
+            if current is not None:
+                raise ParseError("nested '(' in cycle notation")
+            current = []
+        elif ch == ")":
+            flush_token()
+            if current is None:
+                raise ParseError("unbalanced ')' in cycle notation")
+            groups.append(current)
+            current = None
+        elif ch.isspace():
+            flush_token()
+        elif current is None:
+            raise ParseError(f"unexpected character {ch!r} outside parentheses")
+        else:
+            token += ch
+    if current is not None:
+        raise ParseError("unbalanced '(' in cycle notation")
+
+    for group in groups:
+        if len(set(group)) != len(group):
+            raise ParseError(f"repeated element within cycle ({' '.join(map(str, group))})")
+    return _compose_cycles(reversed(groups))
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as err:
+        return str(err)
+
+
+CYCLE_TEXT_ALPHABET = "()ax0123456789 \t\n\x1c\u3000\u00b2\u0663"
+TOKEN_ALPHABET = "ax0123456789\u00b2\u0663"
+
+
+class TestParserDifferential:
+    """parse_cycles against the character loop it replaced.
+
+    The two differ in one case only: a malformed token glued to a '(' or
+    left at the end of an unclosed group is reported as a malformed token,
+    where the character loop reported the parenthesis.
+    """
+
+    @given(
+        st.one_of(
+            st.text(alphabet=CYCLE_TEXT_ALPHABET, max_size=40),
+            st.lists(
+                st.lists(st.text(alphabet=TOKEN_ALPHABET, min_size=1, max_size=3), max_size=5),
+                max_size=4,
+            ).map(lambda groups: "".join("(" + " ".join(g) + ")" for g in groups)),
+        )
+    )
+    def test_same_permutation_or_same_error(self, text):
+        expected = parse_outcome(character_loop_parse_cycles, text)
+        actual = parse_outcome(parse_cycles, text)
+        if actual != expected:
+            assert expected in ("nested '(' in cycle notation", "unbalanced '(' in cycle notation")
+            assert actual.startswith("malformed element token ")
+
+    @pytest.mark.parametrize(
+        "text, before",
+        [("(0(", "nested '('"), ("(a1 0", "unbalanced '('"), ("(1 2)(b", "unbalanced '('")],
+    )
+    def test_departure_reports_the_token(self, text, before):
+        assert parse_outcome(character_loop_parse_cycles, text) == f"{before} in cycle notation"
+        assert parse_outcome(parse_cycles, text).startswith("malformed element token ")
+
+
+class TestInsidersOnly:
+    @pytest.mark.parametrize(
+        "site",
+        [
+            lambda p: cli._parse_target(format_cycles(p)),
+            solve_two_machine,
+            lambda p: solve_m_machine(p, 3),
+            solve_three_machine_optimal,
+            lambda p: search_min_plan(p, RuleSet(m=3, outsiders=(outsider(2),)), -1),
+            invert_finitary_two_step,
+            finitary_extension,
+        ],
+        ids=["cli", "keeler2", "general_m", "optimal3", "oracle", "finitary2", "extension"],
+    )
+    def test_every_site_rejects_a_moved_outsider_first(self, site):
+        # an odd target and a negative step limit: the outsider check comes first
+        with pytest.raises(ValueError, match=r"^target must move insiders only$"):
+            site(parse_cycles("(a1 x1)"))
 
 
 class TestCompose:
