@@ -116,9 +116,10 @@ def verify_plan(
     if rules.require_distinct_supports:
         seen: set[frozenset[Element]] = set()
         for i, move in enumerate(plan):
-            if move.support in seen:
+            support = move.support
+            if support in seen:
                 violations.append((i, "duplicate-support"))
-            seen.add(move.support)
+            seen.add(support)
     product_ok = plan_product(plan) == target.inverse()
     return VerificationReport(product_ok, violations, len(plan))
 

@@ -2,9 +2,12 @@
 
 Elements are either insiders ("a1", "a2", ...), the originally scrambled
 people, or outsiders ("x1", "x2", ...), fresh helpers recruited to undo the
-scramble.  A :class:`Permutation` is stored as its image map, fixed points
-dropped; its canonical disjoint cycles are derived on demand, each led by
-its minimal element and sorted by leader.
+scramble.  An :class:`Element` is the tuple ``(kind, index)``: its hash,
+equality and order (kind, then numeric index) are the tuple's, so they run
+in C, and it equals the plain tuple ``(kind, index)``.  The index is a
+positive ``int``, never a ``bool``.  A :class:`Permutation` is stored as its
+image map, fixed points dropped; its canonical disjoint cycles are derived
+on demand, each led by its minimal element and sorted by leader.
 
 Composition is right-to-left everywhere in this package: ``(p * q)(e) ==
 p(q(e))``, so in a written product of cycles the rightmost factor acts
@@ -14,7 +17,7 @@ first.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 INSIDER = "a"
@@ -25,28 +28,34 @@ class ParseError(ValueError):
     """Raised for malformed cycle-notation text."""
 
 
-@dataclass(frozen=True, order=True)
-class Element:
-    """A labeled point; total order puts all insiders before all outsiders."""
+class Element(tuple):
+    """A labeled point (kind, index); total order puts all insiders before
+    all outsiders, and each kind in numeric index order."""
 
-    kind: str
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in (INSIDER, OUTSIDER):
-            raise ValueError(f"unknown element kind {self.kind!r}")
-        if not isinstance(self.index, int) or self.index < 1:
-            raise ValueError(f"element index must be a positive integer, got {self.index!r}")
+    def __new__(cls, kind: str, index: int) -> "Element":
+        if kind not in (INSIDER, OUTSIDER):
+            raise ValueError(f"unknown element kind {kind!r}")
+        if not isinstance(index, int) or isinstance(index, bool) or index < 1:
+            raise ValueError(f"element index must be a positive integer, got {index!r}")
+        return tuple.__new__(cls, (kind, index))
+
+    kind = property(itemgetter(0), doc="INSIDER or OUTSIDER")
+    index = property(itemgetter(1), doc="the positive integer index")
+
+    def __getnewargs__(self) -> tuple[str, int]:
+        return tuple(self)
 
     @property
     def is_outsider(self) -> bool:
-        return self.kind == OUTSIDER
+        return self[0] == OUTSIDER
 
     def __str__(self) -> str:
-        return f"{self.kind}{self.index}"
+        return f"{self[0]}{self[1]}"
 
     def __repr__(self) -> str:
-        return f"Element({self.kind}{self.index})"
+        return f"Element({self[0]}{self[1]})"
 
 
 def insider(index: int) -> Element:
@@ -65,18 +74,27 @@ def _natural(text: str) -> int | None:
     return None
 
 
+_ELEMENT = re.compile(rf"([{INSIDER}{OUTSIDER}]?)([1-9][0-9]*)")
+
+
 def parse_element(token: str) -> Element:
     """Parse "a3", "x2" or a bare integer (bare integers are insiders).
 
     Every index is ASCII digits with no leading zero, and not 0.
     """
-    kind, digits = INSIDER, token
-    if token[:1] in (INSIDER, OUTSIDER):
-        kind, digits = token[:1], token[1:]
-    index = _natural(digits)
-    if index:
-        return Element(kind, index)
-    raise ParseError(f"malformed element token {token!r}")
+    match = _ELEMENT.fullmatch(token)
+    if match is None:
+        raise ParseError(f"malformed element token {token!r}")
+    kind, digits = match.groups()
+    return Element(kind or INSIDER, int(digits))
+
+
+class ElementTokens(dict):
+    """token -> Element for one text: each distinct token is parsed once."""
+
+    def __missing__(self, token: str) -> Element:
+        element = self[token] = parse_element(token)
+        return element
 
 
 Cycle = tuple[Element, ...]
@@ -192,6 +210,11 @@ def parse_cycles(text: str) -> Permutation:
     repeats inside one cycle are an error.  The empty string is the
     identity.
     """
+    return _parse_cycles(text, ElementTokens())
+
+
+def _parse_cycles(text: str, tokens: ElementTokens) -> Permutation:
+    """parse_cycles, reading element tokens through the given memo."""
     groups: list[list[Element]] = []
     current: list[Element] | None = None
     for token in _TOKEN.findall(text):
@@ -207,7 +230,7 @@ def parse_cycles(text: str) -> Permutation:
         elif current is None:
             raise ParseError(f"unexpected character {token[0]!r} outside parentheses")
         else:
-            current.append(parse_element(token))
+            current.append(tokens[token])
     if current is not None:
         raise ParseError("unbalanced '(' in cycle notation")
 

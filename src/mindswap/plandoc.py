@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .moves import MachineMove
-from .perm import Element, ParseError, _natural, parse_cycles, parse_element
+from .perm import Element, ElementTokens, ParseError, _natural, _parse_cycles
 
 HEADER = "mindswap-plan v1"
 _FIELDS = ("machine-size", "target", "outsiders", "solver", "steps", "lower-bound")
@@ -130,12 +130,12 @@ def loads(text: str) -> PlanDocument:
             raise PlanFormatError(f"missing required field {required!r}")
     try:
         m = _number(fields, "machine-size")
-        outsiders = tuple(parse_element(tok) for tok in fields["outsiders"].split())
+        tokens = ElementTokens()
+        outsiders = tuple(map(tokens.__getitem__, fields["outsiders"].split()))
         moves = tuple(
-            MachineMove(tuple(parse_element(tok) for tok in line.split()))
-            for line in move_lines
+            MachineMove(tuple(map(tokens.__getitem__, line.split()))) for line in move_lines
         )
-        parse_cycles(fields["target"])
+        _parse_cycles(fields["target"], tokens)
         doc = PlanDocument(
             m=m,
             target=fields["target"],

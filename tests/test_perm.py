@@ -1,7 +1,10 @@
-import pytest
-from hypothesis import given, strategies as st
+import copy
+import pickle
 
-from mindswap import cli
+import pytest
+from hypothesis import example, given, strategies as st
+
+from mindswap import cli, perm, plandoc
 from mindswap.infinite import finitary_extension, invert_finitary_two_step
 from mindswap.keeler import solve_two_machine
 from mindswap.machine import solve_m_machine
@@ -10,9 +13,12 @@ from mindswap.optimal3 import solve_three_machine_optimal
 from mindswap.oracle import RuleSet, search_min_plan
 from mindswap.perm import (
     Element,
+    INSIDER,
+    OUTSIDER,
     ParseError,
     Permutation,
     _compose_cycles,
+    _natural,
     format_cycles,
     insider,
     outsider,
@@ -86,8 +92,23 @@ class TestParse:
             parse_cycles("(1 (2))")
 
 
+def natural_parse_element(token: str) -> Element:
+    """Parse "a3", "x2" or a bare integer (bare integers are insiders).
+
+    Every index is ASCII digits with no leading zero, and not 0.
+    """
+    kind, digits = INSIDER, token
+    if token[:1] in (INSIDER, OUTSIDER):
+        kind, digits = token[:1], token[1:]
+    index = _natural(digits)
+    if index:
+        return Element(kind, index)
+    raise ParseError(f"malformed element token {token!r}")
+
+
 def character_loop_parse_cycles(text: str) -> Permutation:
-    """The reference parser: one pass over the characters of the text."""
+    """The reference parser: one pass over the characters of the text, each
+    token read by the reference element parser."""
     groups: list[list[Element]] = []
     current: list[Element] | None = None
     token = ""
@@ -97,7 +118,7 @@ def character_loop_parse_cycles(text: str) -> Permutation:
         if token:
             if current is None:
                 raise ParseError(f"element {token!r} outside parentheses")
-            current.append(parse_element(token))
+            current.append(natural_parse_element(token))
             token = ""
 
     for ch in text:
@@ -168,6 +189,51 @@ class TestParserDifferential:
     def test_departure_reports_the_token(self, text, before):
         assert parse_outcome(character_loop_parse_cycles, text) == f"{before} in cycle notation"
         assert parse_outcome(parse_cycles, text).startswith("malformed element token ")
+
+
+class TestElementParserDifferential:
+    """parse_element's one regex against the digit-rule parser it replaced."""
+
+    @given(st.text(alphabet="ax0123456789\u0663\u00b2", max_size=6))
+    @example("")
+    @example("a")
+    @example("a0")
+    @example("a01")
+    @example("xa1")
+    @example("0")
+    def test_same_element_or_same_error(self, token):
+        assert parse_outcome(parse_element, token) == parse_outcome(natural_parse_element, token)
+
+
+class TestParseCounts:
+    """Each distinct element token is parsed once per text."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        tokens = []
+
+        def counting_parse_element(token):
+            tokens.append(token)
+            return parse_element(token)
+
+        monkeypatch.setattr(perm, "parse_element", counting_parse_element)
+        # also counted if plandoc ever reads tokens through its own import
+        monkeypatch.setattr(plandoc, "parse_element", counting_parse_element, raising=False)
+        return tokens
+
+    def test_parse_cycles(self, parsed):
+        assert parse_cycles("(a1 a2)(a1 a3)(a2 a3)") == Permutation.from_cycle(
+            [insider(1), insider(3)]
+        )
+        assert sorted(parsed) == ["a1", "a2", "a3"]
+
+    def test_plan_document(self, parsed):
+        text = plandoc.dumps(solve_three_machine_optimal(cyc(*range(1, 10))))
+        parsed.clear()
+        doc = plandoc.loads(text)
+        distinct = {str(s) for move in doc.moves for s in move.seats}
+        assert distinct == {f"a{i}" for i in range(1, 10)} | {"x1"}
+        assert sorted(parsed) == sorted(distinct)
 
 
 class TestInsidersOnly:
@@ -269,20 +335,65 @@ class TestSupportAndCycles:
 
 
 class TestElementOrdering:
+    """An Element is the tuple (kind, index): the dataclass it replaced had
+    the same order and hash.  The one departure is that it now equals the
+    plain tuple, because tuple equality is what runs in C."""
+
     def test_insiders_before_outsiders(self):
         assert insider(99) < outsider(1)
         assert insider(1) < insider(2)
         assert outsider(1) < outsider(2)
+        assert insider(2) < insider(10) < outsider(1)
+        assert sorted([outsider(1), insider(10), insider(2)]) == [
+            insider(2), insider(10), outsider(1)
+        ]
+
+    def test_hash_is_the_dataclass_hash(self):
+        assert hash(insider(3)) == hash(("a", 3))
+        assert hash(outsider(12)) == hash(("x", 12))
 
     def test_str(self):
         assert str(insider(3)) == "a3"
         assert str(outsider(12)) == "x12"
+        assert repr(insider(3)) == "Element(a3)"
+        assert repr(outsider(12)) == "Element(x12)"
+
+    def test_fields_are_read_only(self):
+        e = outsider(4)
+        assert (e.kind, e.index, e.is_outsider) == ("x", 4, True)
+        assert not insider(4).is_outsider
+        with pytest.raises(AttributeError):
+            e.index = 5
+
+    def test_equals_the_plain_tuple(self):
+        assert Element("a", 1) == ("a", 1) == insider(1)
+        assert isinstance(insider(1), tuple)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        e = pickle.loads(pickle.dumps(outsider(7), protocol))
+        assert type(e) is Element and e == outsider(7)
+
+    def test_copy_round_trip(self):
+        for e in (copy.copy(insider(5)), copy.deepcopy(insider(5))):
+            assert type(e) is Element and e == insider(5)
+        moved = copy.deepcopy(MachineMove((outsider(1), insider(2))))
+        assert all(type(s) is Element for s in moved.seats)
 
     def test_bad_index(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^element index must be a positive integer, got 0$"):
             Element("a", 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unknown element kind 'q'$"):
             Element("q", 1)
+        with pytest.raises(ValueError, match=r"^element index must be a positive integer, got '1'$"):
+            Element("a", "1")
+
+    def test_bool_index_rejected(self):
+        for flag in (True, False):
+            with pytest.raises(
+                ValueError, match=rf"^element index must be a positive integer, got {flag}$"
+            ):
+                Element("a", flag)
 
 
 @st.composite
