@@ -13,7 +13,8 @@ tuple of its image indices: the state is the product of the moves so far,
 the goal is the target's inverse, and a plan is complete when R is the
 identity tuple.  A move g turns R into R∘g⁻¹, so each catalog move is
 precomputed once as an itemgetter over g's preimage tuple, next to its
-support id and seat bitmask.  Support ids rank the legal supports in
+support id and seat bitmask, and a dict maps g's own image tuple to its
+catalog index.  Support ids rank the legal supports in
 itertools.combinations order, which is sorted-tuple order.  Spent
 supports are an int bitset over those ids.  MachineMove objects are
 built only for the plan that is returned.
@@ -33,7 +34,9 @@ With d moves left:
   of transpositions whose product is R.  An m-cycle is a product of
   m - 1 transpositions, and each transposition changes the cycle count by
   exactly one, so one move lowers N - cycles by at most m - 1, and the
-  identity has N - cycles = 0.
+  identity has N - cycles = 0.  At d = 1 displacement implies it: k <= m
+  moved points in c >= 1 cycles give k - c <= m - 1, so it is applied
+  from d = 2 on.
 - Parity, for even m: d ≡ parity(R) (mod 2).  An m-cycle is odd for even
   m, so every move flips the parity of R and the identity is even.  Since
   a move also lowers d by one, the condition holds at every node of a
@@ -43,6 +46,22 @@ With d moves left:
 - Commuting normal form: two consecutive moves with disjoint seat sets are
   explored only with the lower support id first, since swapping them
   changes neither the product nor the spent supports.
+
+Search order.  A position applies the bounds to each child R∘g⁻¹ before
+descending, so it enters only children that pass them; the root is
+bounded once per limit.  With one move left, R∘g⁻¹ is the identity
+exactly when g = R, and each m-cycle appears once in the catalog, so the
+last move is found by one dict lookup on R's image tuple, then checked
+for a spent support and the normal form.  That position still counts
+k + 1 nodes when catalog move k completes the plan, and the whole catalog
+when none does, which is what trying each move in turn counted; the
+budget is checked after adding them, so a search raises OracleBudgetError
+under exactly the budgets it would while trying each move.
+
+Inputs.  The rule pool must hold outsiders only (RuleSet raises
+ValueError otherwise, as PlanDocument does), and a search refuses with
+ValueError a ground set of more than 16 elements or a catalog of more
+than CATALOG_CAP moves, sized before any move is built.
 
 No transposition table.  A table keyed on R alone would be unsound here:
 under the distinct-seat-set rule the same residual can be reached with
@@ -55,11 +74,16 @@ previous support as well, so its interaction needs its own proof.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from operator import itemgetter, ne
 
 from .moves import MachineMove, plan_product
 from .perm import Element, Permutation, insiders_only
+
+CATALOG_CAP = 100_000
+"""Most catalog moves a search builds.  86,400 moves (m = 7 on 10 elements)
+take about 0.5 s and 48 MB to build with CPython 3.11 on a Xeon vCPU."""
 
 
 class OracleBudgetError(RuntimeError):
@@ -82,6 +106,9 @@ class RuleSet:
             raise ValueError("outsider rule requires a nonempty outsider pool")
         if len(set(self.outsiders)) != len(self.outsiders):
             raise ValueError("repeated outsider in pool")
+        for e in self.outsiders:
+            if not e.is_outsider:
+                raise ValueError(f"pool entry {e} is not an outsider")
 
 
 @dataclass
@@ -126,30 +153,42 @@ def verify_plan(
 
 def _move_catalog(
     n: int, first_outsider: int, rules: RuleSet
-) -> list[tuple[int, int, itemgetter, tuple[int, ...]]]:
+) -> tuple[list[tuple[int, int, itemgetter, tuple[int, ...]]], dict[tuple[int, ...], int]]:
     """All legal moves on ground indices 0..n-1, in canonical deterministic order.
 
     Each move is (support id, seat bitmask, action on the residual, seats).
     Supports come in itertools.combinations order, and a support holds an
     outsider when its greatest index does.  Each support lists its
-    orderings with the least seat leading.
+    orderings with the least seat leading, so every legal m-cycle appears
+    once; the returned dict maps each move's own image tuple to its index.
+    Raises ValueError, before building anything, for a catalog of more
+    than CATALOG_CAP moves.
     """
+    m = rules.m
+    legal = math.comb(n, m)
+    if rules.require_outsider_per_move:
+        legal -= math.comb(first_outsider, m)  # the supports of insiders only
+    size = legal * math.factorial(m - 1)
+    if size > CATALOG_CAP:
+        raise ValueError(f"catalog of {size} moves is too large to search")
     supports = [
         combo
-        for combo in itertools.combinations(range(n), rules.m)
+        for combo in itertools.combinations(range(n), m)
         if not rules.require_outsider_per_move or combo[-1] >= first_outsider
     ]
     catalog = []
+    last_move = {}
     for sid, combo in enumerate(supports):
         mask = sum(1 << i for i in combo)
         lead, rest = combo[0], combo[1:]
         for ordering in itertools.permutations(rest):
             seats = (lead,) + ordering
-            preimage = list(range(n))
+            image, preimage = list(range(n)), list(range(n))
             for a, b in zip(seats, seats[1:] + seats[:1]):
-                preimage[b] = a
+                image[a], preimage[b] = b, a
+            last_move[tuple(image)] = len(catalog)
             catalog.append((sid, mask, itemgetter(*preimage), seats))
-    return catalog
+    return catalog, last_move
 
 
 def _cayley_distance(r: tuple[int, ...]) -> int:
@@ -193,7 +232,8 @@ def search_min_plan(
     m, parity = rules.m, target.parity()
     if m % 2 and parity:
         return None  # odd-length cycles multiply to even permutations only
-    catalog = _move_catalog(n, len(insiders), rules)
+    catalog, last_move = _move_catalog(n, len(insiders), rules)
+    size = len(catalog)
     distinct = rules.require_distinct_supports
     identity = tuple(range(n))
     nodes = 0
@@ -206,13 +246,23 @@ def search_min_plan(
         prev_mask: int,
         path: list[tuple[int, ...]],
     ) -> bool:
+        """Complete r, which passed the bounds for depth_left >= 1, onto path."""
         nonlocal nodes
-        if depth_left == 0:
-            return r == identity
-        if sum(map(ne, r, identity)) > m * depth_left:
-            return False  # displacement bound
-        if _cayley_distance(r) > (m - 1) * depth_left:
-            return False  # Cayley bound
+        if depth_left == 1:  # R∘g⁻¹ is the identity exactly when g = R
+            k = last_move.get(r)
+            if k is not None:
+                sid, mask, _, seats = catalog[k]
+                if (distinct and spent >> sid & 1) or (not mask & prev_mask and sid < prev_sid):
+                    k = None
+            nodes += size if k is None else k + 1
+            if nodes > node_budget:
+                raise OracleBudgetError(f"node budget of {node_budget} exceeded")
+            if k is None:
+                return False
+            path.append(seats)
+            return True
+        d = depth_left - 1
+        reach, distance = m * d, (m - 1) * d
         for sid, mask, act, seats in catalog:
             nodes += 1
             if nodes > node_budget:
@@ -221,18 +271,26 @@ def search_min_plan(
                 continue
             if not mask & prev_mask and sid < prev_sid:
                 continue
+            child = act(r)
+            if sum(map(ne, child, identity)) > reach:
+                continue  # displacement bound
+            if d > 1 and _cayley_distance(child) > distance:
+                continue  # Cayley bound; at d = 1 displacement implies it
             path.append(seats)
-            if dfs(act(r), depth_left - 1, spent | 1 << sid, sid, mask, path):
+            if dfs(child, d, spent | 1 << sid, sid, mask, path):
                 return True
             path.pop()
         return False
 
     goal = target.inverse()
     start = tuple(ground.index(goal(e)) for e in ground)  # R before any move
+    moved, distance = sum(map(ne, start, identity)), _cayley_distance(start)
     for limit in range(max_steps + 1):
         if m % 2 == 0 and limit % 2 != parity:
             continue  # the parity bound fails at the root, so at every node
+        if moved > m * limit or distance > (m - 1) * limit:
+            continue  # displacement and Cayley bounds at the root
         path: list[tuple[int, ...]] = []
-        if dfs(start, limit, 0, -1, 0, path):
+        if limit == 0 or dfs(start, limit, 0, -1, 0, path):
             return [MachineMove(tuple(ground[i] for i in seats)) for seats in path]
     return None

@@ -219,6 +219,15 @@ class TestOracle:
         assert code == 4
         assert "budget exceeded" in err
 
+    def test_oversized_catalog_is_refused_at_once(self, capsys):
+        # one support of 11! orderings: refused before any move is built
+        target = "(" + " ".join(map(str, range(1, 12))) + ")"
+        code, _, err = run(
+            capsys, "oracle", "--target", target, "--m", "12", "--d", "1", "--node-budget", "5"
+        )
+        assert code == 2
+        assert "error: catalog of 39916800 moves is too large to search" in err
+
 
 class TestInfinite:
     def test_shift3(self, capsys):
