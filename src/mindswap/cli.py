@@ -54,7 +54,10 @@ def _verify(
     report = verify_plan(target, list(doc.moves), rules)
     violations = [f"index={index} kind={kind}" for index, kind in report.rule_violations]
     if rules.m == 3 and doc.lower_bound is not None:
-        bound = lower_bound(target) if target.parity() == 0 else "none"
+        try:
+            bound = lower_bound(target)
+        except ValueError:
+            bound = "none"
         if doc.lower_bound != bound:
             violations.append(f"kind=lower-bound claimed={doc.lower_bound} bound={bound}")
     print(f"steps: {report.step_count}", file=out)
@@ -75,21 +78,17 @@ SOLVERS = {
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    name = args.solver or ("keeler2" if args.m == 2 else "general_m")
+    accepts_m, solve = SOLVERS[name]
     try:
         target = _parse_target(args.target)
+        if not accepts_m(args.m):
+            print(f"solver {name} is incompatible with machine size {args.m}", file=sys.stderr)
+            return EXIT_PARSE
+        doc = solve(target, args.m)
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    except ValueError as err:
-        print(f"unsolvable: {err}", file=sys.stderr)
-        return EXIT_UNSOLVABLE
-    name = args.solver or ("keeler2" if args.m == 2 else "general_m")
-    accepts_m, solve = SOLVERS[name]
-    if not accepts_m(args.m):
-        print(f"solver {name} is incompatible with machine size {args.m}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        doc = solve(target, args.m)
     except ValueError as err:
         print(f"unsolvable: {err}", file=sys.stderr)
         return EXIT_UNSOLVABLE

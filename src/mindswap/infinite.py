@@ -271,7 +271,11 @@ def _max_key_index(f: TailMap, stream: str) -> int:
 
 
 def compose(f: TailMap, g: TailMap) -> TailMap:
-    """Ride-with-parking composite: g first, then f; dom = dom(g) | dom(f)."""
+    """Ride-with-parking composite: g first, then f; dom = dom(g) | dom(f).
+
+    Candidates in the new tail region are composed too: there both factors
+    act by their tails, so TailMap's canonical form absorbs them.
+    """
     tails: dict[str, TailRule] = {}
     for s in set(f._tails) | set(g._tails):
         rg, rf = g._tails.get(s), f._tails.get(s)
@@ -292,11 +296,7 @@ def compose(f: TailMap, g: TailMap) -> TailMap:
         candidates |= {StreamPoint(s, n) for n in range(1, rule.threshold)}
 
     exceptions: dict[CarrierPoint, CarrierPoint] = {}
-    for e in sorted(candidates, key=_point_key):
-        if isinstance(e, StreamPoint):
-            rule = tails.get(e.stream)
-            if rule and e.index >= rule.threshold:
-                continue
+    for e in sorted(candidates, key=_point_key):  # order free of string hashing
         mid = g.apply(e)
         parked_g = mid is None
         if parked_g:
@@ -406,11 +406,10 @@ def _chains(f: TailMap) -> list[list[tuple[CarrierPoint, CarrierPoint]]]:
     """Exception entries grouped into flow-ordered chains and closed cycles."""
     exc = f._exceptions
     values = set(exc.values())
-    open_starts = sorted((k for k in exc if k not in values), key=_point_key)
     chains: list[list[tuple[CarrierPoint, CarrierPoint]]] = []
     seen: set[CarrierPoint] = set()
-    # open chains first; every key left over then lies on a closed cycle
-    for start in open_starts + sorted(exc, key=_point_key):
+    # open starts first; every key not yet seen then lies on a closed cycle
+    for start in sorted(exc, key=lambda k: (k in values, _point_key(k))):
         chain = []
         cur = start
         while cur in exc and cur not in seen:

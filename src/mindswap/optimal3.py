@@ -65,9 +65,8 @@ def solve_three_machine_optimal(sigma: Permutation) -> PlanDocument:
     bound with equality.
     """
     insiders_only(sigma)
+    bound = lower_bound(sigma)
     cycles = sigma.cycles
-    if sum(len(c) - 1 for c in cycles) % 2 != 0:
-        raise ValueError("odd permutation is not reachable on a 3-machine")
     x = outsider(1)
     odd_cycles = [c for c in cycles if len(c) % 2 == 1]
     even_cycles = [c for c in cycles if len(c) % 2 == 0]
@@ -83,7 +82,7 @@ def solve_three_machine_optimal(sigma: Permutation) -> PlanDocument:
         outsiders=(x,),
         moves=tuple(moves),
         solver="optimal3",
-        lower_bound=lower_bound(sigma),
+        lower_bound=bound,
     )
 
 
@@ -91,10 +90,11 @@ def lower_bound(sigma: Permutation) -> int:
     """(n + r) / 2 with n the moved insiders and r the cycle count.
 
     Valid for any outsider count d >= 1; fixed points never inflate it.
+    Raises ValueError for an odd sigma, which no 3-machine plan reaches.
     """
     cycles = sigma.cycles
     n = sum(len(c) for c in cycles)
     r = len(cycles)
     if (n - r) % 2 != 0:
-        raise ValueError("lower bound applies to even permutations only")
+        raise ValueError("odd permutation is not reachable on a 3-machine")
     return (n + r) // 2

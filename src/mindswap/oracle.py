@@ -35,8 +35,11 @@ With d moves left:
   m - 1 transpositions, and each transposition changes the cycle count by
   exactly one, so one move lowers N - cycles by at most m - 1, and the
   identity has N - cycles = 0.  At d = 1 displacement implies it: k <= m
-  moved points in c >= 1 cycles give k - c <= m - 1, so it is applied
-  from d = 2 on.
+  moved points in c >= 1 cycles give k - c <= m - 1.  At d = 2 it does
+  too: k <= 2m moved points give k - c <= 2m - 2 unless R is a single
+  2m-cycle, which is odd, while every residual at d = 2 is even (for odd
+  m every move is even and an odd target is refuted before the search;
+  for even m by the parity bound).  So it is applied from d = 3 on.
 - Parity, for even m: d ≡ parity(R) (mod 2).  An m-cycle is odd for even
   m, so every move flips the parity of R and the identity is even.  Since
   a move also lowers d by one, the condition holds at every node of a
@@ -59,9 +62,10 @@ budget is checked after adding them, so a search raises OracleBudgetError
 under exactly the budgets it would while trying each move.
 
 Inputs.  The rule pool must hold outsiders only (RuleSet raises
-ValueError otherwise, as PlanDocument does), and a search refuses with
-ValueError a ground set of more than 16 elements or a catalog of more
-than CATALOG_CAP moves, sized before any move is built.
+ValueError otherwise, and PlanDocument checks its pool through RuleSet),
+and a search refuses with ValueError a ground set of more than 16
+elements or a catalog of more than CATALOG_CAP moves, sized from its
+legal supports before any move is built.
 
 No transposition table.  A table keyed on R alone would be unsound here:
 under the distinct-seat-set rule the same residual can be reached with
@@ -101,7 +105,7 @@ class RuleSet:
 
     def __post_init__(self) -> None:
         if self.m < 2:
-            raise ValueError("machine size must be at least 2")
+            raise ValueError(f"machine size must be at least 2, got {self.m}")
         if self.require_outsider_per_move and not self.outsiders:
             raise ValueError("outsider rule requires a nonempty outsider pool")
         if len(set(self.outsiders)) != len(self.outsiders):
@@ -161,21 +165,18 @@ def _move_catalog(
     outsider when its greatest index does.  Each support lists its
     orderings with the least seat leading, so every legal m-cycle appears
     once; the returned dict maps each move's own image tuple to its index.
-    Raises ValueError, before building anything, for a catalog of more
-    than CATALOG_CAP moves.
+    Raises ValueError, before building any move, for a catalog of more
+    than CATALOG_CAP moves: each legal support has (m - 1)! orderings.
     """
     m = rules.m
-    legal = math.comb(n, m)
-    if rules.require_outsider_per_move:
-        legal -= math.comb(first_outsider, m)  # the supports of insiders only
-    size = legal * math.factorial(m - 1)
-    if size > CATALOG_CAP:
-        raise ValueError(f"catalog of {size} moves is too large to search")
     supports = [
         combo
         for combo in itertools.combinations(range(n), m)
         if not rules.require_outsider_per_move or combo[-1] >= first_outsider
     ]
+    size = len(supports) * math.factorial(m - 1)
+    if size > CATALOG_CAP:
+        raise ValueError(f"catalog of {size} moves is too large to search")
     catalog = []
     last_move = {}
     for sid, combo in enumerate(supports):
@@ -274,8 +275,8 @@ def search_min_plan(
             child = act(r)
             if sum(map(ne, child, identity)) > reach:
                 continue  # displacement bound
-            if d > 1 and _cayley_distance(child) > distance:
-                continue  # Cayley bound; at d = 1 displacement implies it
+            if d > 2 and _cayley_distance(child) > distance:
+                continue  # Cayley bound; with d <= 2 left it never cuts
             path.append(seats)
             if dfs(child, d, spent | 1 << sid, sid, mask, path):
                 return True

@@ -66,15 +66,14 @@ def outsider(index: int) -> Element:
     return Element(OUTSIDER, index)
 
 
+_INDEX = "[1-9][0-9]*"  # ASCII digits, no sign, no leading zero
+_NATURAL = re.compile(f"0|{_INDEX}")
+_ELEMENT = re.compile(rf"([{INSIDER}{OUTSIDER}]?)({_INDEX})")
+
+
 def _natural(text: str) -> int | None:
-    """The value of ASCII digits with no sign and no leading zero ("0" itself
-    allowed), or None for any other text."""
-    if text.isascii() and text.isdigit() and (text == "0" or not text.startswith("0")):
-        return int(text)
-    return None
-
-
-_ELEMENT = re.compile(rf"([{INSIDER}{OUTSIDER}]?)([1-9][0-9]*)")
+    """The value of text when it is 0 or an index, or None for any other text."""
+    return int(text) if _NATURAL.fullmatch(text) else None
 
 
 def parse_element(token: str) -> Element:
@@ -156,10 +155,7 @@ class Permutation:
         """Compose right-to-left: (self * other)(e) == self(other(e))."""
         if not isinstance(other, Permutation):
             return NotImplemented
-        mapping = {}
-        for e in self.support() | other.support():
-            mapping[e] = self.apply(other.apply(e))
-        return Permutation(mapping)
+        return _compose_cycles(other.cycles + self.cycles)
 
     def inverse(self) -> "Permutation":
         return Permutation({v: k for k, v in self._map.items()})

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .moves import MachineMove
+from .oracle import RuleSet
 from .perm import Element, ElementTokens, ParseError, _natural, _parse_cycles
 
 HEADER = "mindswap-plan v1"
@@ -41,6 +42,7 @@ class PlanDocument:
     ``target`` is canonical cycle text (``format_cycles`` output); it is
     only re-parsed by ``loads``, where text enters from outside.  Solvers
     fill every field except ``lower_bound``, which only optimal3 sets.
+    The machine size and the pool are checked by ``RuleSet``.
     """
 
     m: int
@@ -51,13 +53,10 @@ class PlanDocument:
     lower_bound: int | None = None
 
     def __post_init__(self) -> None:
-        if self.m < 2:
-            raise PlanFormatError(f"machine size must be at least 2, got {self.m}")
-        if len(set(self.outsiders)) != len(self.outsiders):
-            raise PlanFormatError("repeated outsider in pool")
-        for e in self.outsiders:
-            if not e.is_outsider:
-                raise PlanFormatError(f"pool entry {e} is not an outsider")
+        try:
+            RuleSet(self.m, self.outsiders, require_outsider_per_move=False)
+        except ValueError as err:
+            raise PlanFormatError(str(err)) from err
         if self.lower_bound is not None and self.lower_bound > self.steps:
             raise PlanFormatError(
                 f"lower bound {self.lower_bound} exceeds the plan's {self.steps} steps"

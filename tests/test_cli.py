@@ -12,7 +12,7 @@ from mindswap.cli import SOLVERS, main
 from mindswap.moves import plan_product
 from mindswap.optimal3 import lower_bound
 from mindswap.oracle import RuleSet, verify_plan
-from mindswap.perm import format_cycles, parse_cycles
+from mindswap.perm import format_cycles, parse_cycles, parse_element
 from mindswap import plandoc
 
 from conftest import permutation_from_images
@@ -307,7 +307,27 @@ def mutated_documents(draw):
     return "\n".join(lines)
 
 
+# (m, pool, message): each breaks the one pool rule that RuleSet owns
+POOL_RULE_CASES = [
+    (1, "x1", "machine size must be at least 2, got 1"),
+    (3, "x1 x1", "repeated outsider in pool"),
+    (3, "x1 a1", "pool entry a1 is not an outsider"),
+]
+
+
 class TestPlanDocFormat:
+    @pytest.mark.parametrize("m, pool, message", POOL_RULE_CASES, ids=["m1", "repeat", "insider"])
+    def test_pool_rule_has_one_message(self, m, pool, message):
+        outsiders = tuple(map(parse_element, pool.split()))
+        with pytest.raises(ValueError) as rules_err:
+            RuleSet(m=m, outsiders=outsiders)
+        with pytest.raises(plandoc.PlanFormatError) as record_err:
+            plandoc.PlanDocument(m=m, target="", outsiders=outsiders, moves=())
+        text = f"mindswap-plan v1\nmachine-size: {m}\ntarget: (a1 a2)\noutsiders: {pool}\nmoves:\n"
+        with pytest.raises(plandoc.PlanFormatError) as loads_err:
+            plandoc.loads(text)
+        assert str(rules_err.value) == str(record_err.value) == str(loads_err.value) == message
+
     def test_dumps_loads_round_trip_is_byte_exact(self, capsys):
         _, out, _ = run(capsys, "solve", "--target", "(1 2 3)", "--m", "3")
         doc = plandoc.loads(out)

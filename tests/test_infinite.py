@@ -1,18 +1,22 @@
 import random
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from mindswap.infinite import (
     FORGETFUL,
     NEITHER,
     RETENTIVE,
+    CarrierPoint,
     IncompatibleTailsError,
     NamedPoint,
     PointSet,
     StreamPoint,
     TailMap,
     TailRule,
+    _chains,
+    _max_key_index,
+    _point_key,
     classify,
     compose,
     compose_all,
@@ -82,6 +86,90 @@ def tail_maps(draw):
         return compose_all(parts)
     except ValueError:
         assume(False)
+
+
+def reference_compose(f: TailMap, g: TailMap) -> TailMap:
+    """Ride-with-parking composite: g first, then f; dom = dom(g) | dom(f)."""
+    tails: dict[str, TailRule] = {}
+    for s in set(f._tails) | set(g._tails):
+        rg, rf = g._tails.get(s), f._tails.get(s)
+        dg = rg.delta if rg else 0
+        df = rf.delta if rf else 0
+        delta = dg + df
+        if abs(delta) > 1:
+            raise IncompatibleTailsError(
+                f"net shift {delta:+d} on stream {s} is not representable"
+            )
+        bounds = [1, 1 - delta]
+        bounds.append(rg.threshold if rg else _max_key_index(g, s) + 1)
+        bounds.append(rf.threshold - dg if rf else _max_key_index(f, s) - dg + 1)
+        tails[s] = TailRule(max(bounds), delta)
+
+    candidates: set[CarrierPoint] = set(g._exceptions) | set(f._exceptions)
+    for s, rule in tails.items():
+        candidates |= {StreamPoint(s, n) for n in range(1, rule.threshold)}
+
+    exceptions: dict[CarrierPoint, CarrierPoint] = {}
+    for e in sorted(candidates, key=_point_key):
+        if isinstance(e, StreamPoint):
+            rule = tails.get(e.stream)
+            if rule and e.index >= rule.threshold:
+                continue
+        mid = g.apply(e)
+        parked_g = mid is None
+        if parked_g:
+            mid = e
+        out = f.apply(mid)
+        if out is None:
+            if parked_g:
+                continue
+            out = mid
+        exceptions[e] = out
+    return TailMap(exceptions, tails)
+
+
+def reference_chains(f: TailMap) -> list[list[tuple[CarrierPoint, CarrierPoint]]]:
+    """Exception entries grouped into flow-ordered chains and closed cycles."""
+    exc = f._exceptions
+    values = set(exc.values())
+    open_starts = sorted((k for k in exc if k not in values), key=_point_key)
+    chains: list[list[tuple[CarrierPoint, CarrierPoint]]] = []
+    seen: set[CarrierPoint] = set()
+    # open chains first; every key left over then lies on a closed cycle
+    for start in open_starts + sorted(exc, key=_point_key):
+        chain = []
+        cur = start
+        while cur in exc and cur not in seen:
+            chain.append((cur, exc[cur]))
+            seen.add(cur)
+            cur = exc[cur]
+        if chain:
+            chains.append(chain)
+    return chains
+
+
+class TestComposeDifferential:
+    """compose and _chains against the versions kept above: compose used to
+    skip candidates in the new tail region, _chains to sort twice."""
+
+    @staticmethod
+    def outcome(compose_fn, f, g):
+        """The composite with its exception keys in table order, or the error type."""
+        try:
+            composite = compose_fn(f, g)
+        except ValueError as err:
+            return type(err)
+        return composite, list(composite.exceptions)
+
+    # two draws of tail_maps() discard most of their attempts
+    @settings(suppress_health_check=[HealthCheck.filter_too_much], deadline=None)
+    @given(tail_maps(), tail_maps())
+    def test_same_composite_or_same_error(self, f, g):
+        assert self.outcome(compose, f, g) == self.outcome(reference_compose, f, g)
+
+    @given(tail_maps())
+    def test_same_chains(self, f):
+        assert _chains(f) == reference_chains(f)
 
 
 class TestTailRule:

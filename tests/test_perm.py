@@ -205,6 +205,28 @@ class TestElementParserDifferential:
         assert parse_outcome(parse_element, token) == parse_outcome(natural_parse_element, token)
 
 
+def isdigit_natural(text: str) -> int | None:
+    """The value of ASCII digits with no sign and no leading zero ("0" itself
+    allowed), or None for any other text."""
+    if text.isascii() and text.isdigit() and (text == "0" or not text.startswith("0")):
+        return int(text)
+    return None
+
+
+class TestNaturalDifferential:
+    """_natural's shared index pattern against the str-method rule it replaced."""
+
+    @given(st.text(alphabet="0123456789\u0663\u00b2_+- a", max_size=6))
+    @example("")
+    @example("0")
+    @example("00")
+    @example("07")
+    @example("10")
+    @example("7\n")
+    def test_same_value_or_none(self, text):
+        assert _natural(text) == isdigit_natural(text)
+
+
 class TestParseCounts:
     """Each distinct element token is parsed once per text."""
 
