@@ -104,8 +104,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             with open(args.plan) as f:
                 text = f.read()
-        doc = plandoc.loads(text)
-        target = _parse_target(args.target if args.target is not None else doc.target)
+        doc, target = plandoc._read(text)
+        target = insiders_only(target) if args.target is None else _parse_target(args.target)
         rules = RuleSet(
             m=doc.m,
             outsiders=doc.outsiders,

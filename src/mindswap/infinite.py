@@ -1,11 +1,11 @@
 """Symbolic algebra for the countably infinite machine.
 
-Carrier points are stream points ("a1", "a2", ... along a named stream) or
-named points (a lone helper "z").  A :class:`TailMap` is a partial
-injection described by a finite exception table plus, per stream, an
-eventual shift rule: every index at or above a threshold moves by a fixed
-delta of -1, 0 or +1.  Canonical form keeps thresholds minimal, so two
-writings of the same map compare equal syntactically.
+The machine seats one infinite stream of people, whose points are a1,
+a2, ..., and named points (the one helper z).  A :class:`TailMap` is a
+partial injection described by a finite exception table plus at most one
+eventual shift rule: every stream index at or above a threshold moves by
+a fixed delta of -1, 0 or +1.  Canonical form keeps the threshold
+minimal, so two writings of the same map compare equal syntactically.
 
 Composition uses ride-with-parking semantics: a mind carried to a body the
 next swap does not seat simply stays there, so ``compose(f, g)`` is
@@ -32,6 +32,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .perm import Permutation, insider, insiders_only
 
+STREAM = "a"
 FORGETFUL = "forgetful"
 RETENTIVE = "retentive"
 NEITHER = "neither"
@@ -43,15 +44,15 @@ class IncompatibleTailsError(ValueError):
 
 @dataclass(frozen=True, order=True)
 class StreamPoint:
-    stream: str
     index: int
 
     def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError("stream indices start at 1")
+        index = self.index
+        if not isinstance(index, int) or isinstance(index, bool) or index < 1:
+            raise ValueError(f"stream index must be a positive integer, got {index!r}")
 
     def __str__(self) -> str:
-        return f"{self.stream}{self.index}"
+        return f"{STREAM}{self.index}"
 
 
 @dataclass(frozen=True, order=True)
@@ -63,17 +64,18 @@ class NamedPoint:
 
 
 CarrierPoint = StreamPoint | NamedPoint
+HELPER = NamedPoint("z")
 
 
 def _point_key(p: CarrierPoint) -> tuple:
     if isinstance(p, StreamPoint):
-        return (0, p.stream, p.index)
+        return (0, p.index)
     return (1, p.label)
 
 
 @dataclass(frozen=True)
 class TailRule:
-    """Stream(s, n) -> Stream(s, n + delta) for all n >= threshold."""
+    """a<n> -> a<n + delta> for all n >= threshold."""
 
     threshold: int
     delta: int
@@ -88,120 +90,90 @@ class TailRule:
 
 @dataclass(frozen=True)
 class PointSet:
-    """Per-stream cofinite or finite slices plus named points.
+    """A slice of the stream plus named points.
 
-    ``streams`` holds (stream, kind, indices) entries where kind "cofinite"
-    means the whole stream except the listed indices and "finite" means
-    exactly the listed indices.
+    When ``cofinite`` is true the slice is the whole stream except
+    ``indices``; otherwise it is exactly ``indices``.
     """
 
-    streams: tuple[tuple[str, str, frozenset[int]], ...]
+    cofinite: bool
+    indices: frozenset[int]
     named: frozenset[str]
-
-    @classmethod
-    def from_parts(
-        cls,
-        cofinite: Mapping[str, Iterable[int]] | None = None,
-        finite: Mapping[str, Iterable[int]] | None = None,
-        named: Iterable[str] = (),
-    ) -> "PointSet":
-        parts: dict[str, tuple[str, frozenset[int]]] = {}
-        for s, excluded in (cofinite or {}).items():
-            parts[s] = ("cofinite", frozenset(excluded))
-        for s, included in (finite or {}).items():
-            if s in parts:
-                raise ValueError(f"stream {s} given as both cofinite and finite")
-            if included:
-                parts[s] = ("finite", frozenset(included))
-        return cls(
-            tuple(sorted((s, kind, idx) for s, (kind, idx) in parts.items())),
-            frozenset(named),
-        )
 
     def __contains__(self, point: CarrierPoint) -> bool:
         if isinstance(point, NamedPoint):
             return point.label in self.named
-        for s, kind, idx in self.streams:
-            if s == point.stream:
-                inside = point.index not in idx if kind == "cofinite" else point.index in idx
-                return inside
-        return False
+        return (point.index in self.indices) != self.cofinite
 
     def __str__(self) -> str:
         pieces = []
-        for s, kind, idx in self.streams:
-            shown = "{" + ", ".join(map(str, sorted(idx))) + "}"
-            if kind == "cofinite":
-                pieces.append(f"stream {s}: all" + (f" except {shown}" if idx else ""))
-            else:
-                pieces.append(f"stream {s}: {shown}")
+        shown = "{" + ", ".join(map(str, sorted(self.indices))) + "}"
+        if self.cofinite:
+            pieces.append(f"stream {STREAM}: all" + (f" except {shown}" if self.indices else ""))
+        elif self.indices:
+            pieces.append(f"stream {STREAM}: {shown}")
         if self.named:
             pieces.append("named: " + " ".join(sorted(self.named)))
         return "; ".join(pieces) if pieces else "(empty)"
 
 
 class TailMap:
-    """Finite exceptions plus per-stream eventual shifts; canonical on build."""
+    """Finite exceptions plus at most one eventual shift; canonical on build."""
 
-    __slots__ = ("_exceptions", "_tails")
+    __slots__ = ("_exceptions", "_tail")
 
     def __init__(
         self,
         exceptions: Mapping[CarrierPoint, CarrierPoint] | None = None,
-        tails: Mapping[str, TailRule] | None = None,
+        tail: TailRule | None = None,
     ):
         exc = dict(exceptions or {})
-        rules = dict(tails or {})
         for k, v in exc.items():
             if not isinstance(k, (StreamPoint, NamedPoint)) or not isinstance(
                 v, (StreamPoint, NamedPoint)
             ):
                 raise TypeError("exceptions must map carrier points to carrier points")
-        # exceptions inside a tail's region must agree with it; absorb them
-        for k in list(exc):
-            if isinstance(k, StreamPoint):
-                rule = rules.get(k.stream)
-                if rule and k.index >= rule.threshold:
-                    if exc[k] == StreamPoint(k.stream, k.index + rule.delta):
+        if tail is not None:
+            t, d = tail.threshold, tail.delta
+            # exceptions inside the tail's region must agree with it; absorb them
+            for k in list(exc):
+                if isinstance(k, StreamPoint) and k.index >= t:
+                    if exc[k] == StreamPoint(k.index + d):
                         del exc[k]
                     else:
                         raise ValueError(f"exception at {k} conflicts with its stream tail")
-        # minimal thresholds: pull agreeing exceptions into the tail
-        for s, rule in list(rules.items()):
-            t, d = rule.threshold, rule.delta
+            # minimal threshold: pull agreeing exceptions into the tail
             floor = 2 if d == -1 else 1
-            while t > floor and exc.get(StreamPoint(s, t - 1)) == StreamPoint(s, t - 1 + d):
-                del exc[StreamPoint(s, t - 1)]
+            while t > floor and exc.get(StreamPoint(t - 1)) == StreamPoint(t - 1 + d):
+                del exc[StreamPoint(t - 1)]
                 t -= 1
-            if t != rule.threshold:
-                rules[s] = TailRule(t, d)
+            if t != tail.threshold:
+                tail = TailRule(t, d)
         values = list(exc.values())
         if len(set(values)) != len(values):
             raise ValueError("map is not injective: repeated image")
-        for v in values:
-            if isinstance(v, StreamPoint):
-                rule = rules.get(v.stream)
-                if rule and v.index >= rule.threshold + rule.delta:
-                    raise ValueError(f"image {v} collides with the {v.stream}-stream tail")
+        if tail is not None:
+            for v in values:
+                if isinstance(v, StreamPoint) and v.index >= tail.threshold + tail.delta:
+                    raise ValueError(f"image {v} collides with the {STREAM}-stream tail")
         self._exceptions = exc
-        self._tails = rules
+        self._tail = tail
 
     @property
     def exceptions(self) -> dict[CarrierPoint, CarrierPoint]:
         return dict(self._exceptions)
 
     @property
-    def tails(self) -> dict[str, TailRule]:
-        return dict(self._tails)
+    def tail(self) -> TailRule | None:
+        return self._tail
 
     def apply(self, e: CarrierPoint) -> CarrierPoint | None:
         """Image of e, or None when e is outside the domain."""
         if e in self._exceptions:
             return self._exceptions[e]
-        if isinstance(e, StreamPoint):
-            rule = self._tails.get(e.stream)
-            if rule and e.index >= rule.threshold:
-                return StreamPoint(e.stream, e.index + rule.delta)
+        rule = self._tail
+        if rule is not None and isinstance(e, StreamPoint) and e.index >= rule.threshold:
+            return StreamPoint(e.index + rule.delta)
         return None
 
     __call__ = apply
@@ -209,35 +181,34 @@ class TailMap:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TailMap):
             return NotImplemented
-        return self._exceptions == other._exceptions and self._tails == other._tails
+        return self._exceptions == other._exceptions and self._tail == other._tail
 
     def __hash__(self) -> int:
-        return hash((frozenset(self._exceptions.items()), frozenset(self._tails.items())))
+        return hash((frozenset(self._exceptions.items()), self._tail))
 
     def __repr__(self) -> str:
         exc = ", ".join(
             f"{k}->{v}" for k, v in sorted(self._exceptions.items(), key=lambda kv: _point_key(kv[0]))
         )
-        tails = ", ".join(
-            f"{s}[n>={r.threshold}]->n{r.delta:+d}" for s, r in sorted(self._tails.items())
-        )
-        return f"TailMap({exc}; {tails})"
+        r = self._tail
+        tail = "" if r is None else f"{STREAM}[n>={r.threshold}]->n{r.delta:+d}"
+        return f"TailMap({exc}; {tail})"
 
     def _point_set(
         self, points: Iterable[CarrierPoint], start: Callable[[TailRule], int]
     ) -> PointSet:
-        """points, plus every index from start(rule) on in each tail stream."""
-        cof: dict[str, set[int]] = {s: set(range(1, start(r))) for s, r in self._tails.items()}
-        fin: dict[str, set[int]] = {}
+        """points, plus every stream index from start(tail) on when there is a tail."""
+        indices: set[int] = set()
         named: set[str] = set()
         for p in points:
             if isinstance(p, NamedPoint):
                 named.add(p.label)
-            elif p.stream in cof:
-                cof[p.stream].discard(p.index)
             else:
-                fin.setdefault(p.stream, set()).add(p.index)
-        return PointSet.from_parts(cof, fin, named)
+                indices.add(p.index)
+        if self._tail is None:
+            return PointSet(False, frozenset(indices), frozenset(named))
+        missing = frozenset(range(1, start(self._tail))) - indices
+        return PointSet(True, missing, frozenset(named))
 
     def dom(self) -> PointSet:
         return self._point_set(self._exceptions, lambda r: r.threshold)
@@ -263,11 +234,8 @@ def classify(f: TailMap) -> str:
     return NEITHER
 
 
-def _max_key_index(f: TailMap, stream: str) -> int:
-    return max(
-        (k.index for k in f._exceptions if isinstance(k, StreamPoint) and k.stream == stream),
-        default=0,
-    )
+def _max_key_index(f: TailMap) -> int:
+    return max((k.index for k in f._exceptions if isinstance(k, StreamPoint)), default=0)
 
 
 def compose(f: TailMap, g: TailMap) -> TailMap:
@@ -276,24 +244,26 @@ def compose(f: TailMap, g: TailMap) -> TailMap:
     Candidates in the new tail region are composed too: there both factors
     act by their tails, so TailMap's canonical form absorbs them.
     """
-    tails: dict[str, TailRule] = {}
-    for s in set(f._tails) | set(g._tails):
-        rg, rf = g._tails.get(s), f._tails.get(s)
+    rg, rf = g._tail, f._tail
+    tail = None
+    if rg is not None or rf is not None:
         dg = rg.delta if rg else 0
         df = rf.delta if rf else 0
         delta = dg + df
         if abs(delta) > 1:
             raise IncompatibleTailsError(
-                f"net shift {delta:+d} on stream {s} is not representable"
+                f"net shift {delta:+d} on stream {STREAM} is not representable"
             )
-        bounds = [1, 1 - delta]
-        bounds.append(rg.threshold if rg else _max_key_index(g, s) + 1)
-        bounds.append(rf.threshold - dg if rf else _max_key_index(f, s) - dg + 1)
-        tails[s] = TailRule(max(bounds), delta)
+        # TailRule's floor holds: a net -1 needs a factor tail of threshold >= 2 (dg = 0 if f's)
+        threshold = max(
+            rg.threshold if rg else _max_key_index(g) + 1,
+            rf.threshold - dg if rf else _max_key_index(f) - dg + 1,
+        )
+        tail = TailRule(threshold, delta)
 
     candidates: set[CarrierPoint] = set(g._exceptions) | set(f._exceptions)
-    for s, rule in tails.items():
-        candidates |= {StreamPoint(s, n) for n in range(1, rule.threshold)}
+    if tail is not None:
+        candidates.update(map(StreamPoint, range(1, tail.threshold)))
 
     exceptions: dict[CarrierPoint, CarrierPoint] = {}
     for e in sorted(candidates, key=_point_key):  # order free of string hashing
@@ -307,7 +277,7 @@ def compose(f: TailMap, g: TailMap) -> TailMap:
                 continue
             out = mid
         exceptions[e] = out
-    return TailMap(exceptions, tails)
+    return TailMap(exceptions, tail)
 
 
 def compose_all(maps: Sequence[TailMap]) -> TailMap:
@@ -321,35 +291,26 @@ def compose_all(maps: Sequence[TailMap]) -> TailMap:
 # -- constructions ----------------------------------------------------------
 
 
-def forward_shift(stream: str = "a") -> TailMap:
-    """The scramble itself: every stream point moves up by one."""
-    return TailMap({}, {stream: TailRule(1, +1)})
-
-
-def inverse_shift_map(stream: str = "a", z: str = "z") -> TailMap:
+def inverse_shift_map() -> TailMap:
     """Canonical inverse of the forward shift: n -> n-1 for n >= 2, z fixed."""
-    zz = NamedPoint(z)
-    return TailMap({zz: zz}, {stream: TailRule(2, -1)})
+    return TailMap({HELPER: HELPER}, TailRule(2, -1))
 
 
-def invert_shift_three_step(stream: str = "a", z: str = "z") -> list[TailMap]:
-    """Undo the forward shift in three swaps with one helper z.
+def invert_shift_three_step() -> list[TailMap]:
+    """Undo the forward shift in three swaps with the helper z.
 
     Chronological classifications are [retentive, forgetful, retentive]
     and the three participant sets are pairwise distinct; the composite
-    equals inverse_shift_map(stream, z) exactly.
+    equals inverse_shift_map() exactly.
     """
-    zz = NamedPoint(z)
-    s = lambda i: StreamPoint(stream, i)
-    step1 = TailMap({s(2): s(1), zz: s(2), s(3): zz}, {stream: TailRule(4, -1)})
-    step2 = TailMap({zz: s(2)}, {stream: TailRule(2, +1)})
-    step3 = TailMap({s(3): zz}, {stream: TailRule(4, -1)})
+    z, s = HELPER, StreamPoint
+    step1 = TailMap({s(2): s(1), z: s(2), s(3): z}, TailRule(4, -1))
+    step2 = TailMap({z: s(2)}, TailRule(2, +1))
+    step3 = TailMap({s(3): z}, TailRule(4, -1))
     return [step1, step2, step3]
 
 
-def invert_finitary_two_step(
-    sigma: Permutation, stream: str = "a", z: str = "z"
-) -> list[TailMap]:
+def invert_finitary_two_step(sigma: Permutation) -> list[TailMap]:
     """Invert any finitary stream permutation in exactly two swaps.
 
     sigma is given over insider-indexed points; insider i stands for
@@ -365,38 +326,34 @@ def invert_finitary_two_step(
     support = {i for c in cycles for i in c}
     top = max(support)
     untouched = [i for i in range(1, top) if i not in support]
-    zz = NamedPoint(z)
-    s = lambda i: StreamPoint(stream, i)
+    z, s = HELPER, StreamPoint
 
     first = cycles[0]
-    nodes = [s(first[0])] + [s(i) for i in reversed(first[1:])] + [zz]
+    nodes = [s(first[0])] + [s(i) for i in reversed(first[1:])] + [z]
     for c in cycles[1:]:
         nodes += [s(i) for i in reversed(c)]
     nodes += [s(u) for u in untouched] + [s(top + 1)]
     scatter = TailMap(
-        {nodes[i]: nodes[i + 1] for i in range(len(nodes) - 1)},
-        {stream: TailRule(top + 1, +1)},
+        {nodes[i]: nodes[i + 1] for i in range(len(nodes) - 1)}, TailRule(top + 1, +1)
     )
 
     nodes = [s(top + 1)] + [s(u) for u in reversed(untouched)]
     nodes += [s(c[-1]) for c in reversed(cycles[1:])]
-    nodes += [zz, s(first[0])]
+    nodes += [z, s(first[0])]
     gather = TailMap(
-        {nodes[i]: nodes[i + 1] for i in range(len(nodes) - 1)},
-        {stream: TailRule(top + 2, -1)},
+        {nodes[i]: nodes[i + 1] for i in range(len(nodes) - 1)}, TailRule(top + 2, -1)
     )
     return [scatter, gather]
 
 
-def finitary_extension(p: Permutation, stream: str = "a", z: str = "z") -> TailMap:
+def finitary_extension(p: Permutation) -> TailMap:
     """p as a total tail map on the stream, fixing z and all untouched points."""
     insiders_only(p)
     top = max((e.index for e in p.support()), default=0)
-    s = lambda i: StreamPoint(stream, i)
-    exceptions: dict[CarrierPoint, CarrierPoint] = {NamedPoint(z): NamedPoint(z)}
+    exceptions: dict[CarrierPoint, CarrierPoint] = {HELPER: HELPER}
     for i in range(1, top + 1):
-        exceptions[s(i)] = s(p.apply(insider(i)).index)
-    return TailMap(exceptions, {stream: TailRule(top + 1, 0)})
+        exceptions[StreamPoint(i)] = StreamPoint(p.apply(insider(i)).index)
+    return TailMap(exceptions, TailRule(top + 1, 0))
 
 
 # -- rendering ---------------------------------------------------------------
@@ -424,24 +381,28 @@ def _chains(f: TailMap) -> list[list[tuple[CarrierPoint, CarrierPoint]]]:
 def step_table(f: TailMap, horizon: int = 4) -> list[str]:
     """Rows "p -> q" in reading order, tail samples truncated at horizon."""
     rows: list[str] = []
-    reverse = any(rule.delta == -1 for rule in f._tails.values())
+    rule = f._tail
+    reverse = rule is not None and rule.delta == -1
     for chain in _chains(f):
         hops = list(reversed(chain)) if reverse else chain
         rows += [f"{k} -> {v}" for k, v in hops]
-    for s, rule in sorted(f.tails.items()):
-        if rule.delta == 0:
-            rows.append(f"{s}n -> {s}n for n >= {rule.threshold}")
-            continue
-        for n in range(rule.threshold, rule.threshold + horizon):
-            rows.append(f"{StreamPoint(s, n)} -> {StreamPoint(s, n + rule.delta)}")
-        rows.append("...")
+    if rule is None:
+        return rows
+    t = rule.threshold
+    if rule.delta == 0:
+        rows.append(f"{STREAM}n -> {STREAM}n for n >= {t}")
+        return rows
+    for n in range(t, t + horizon):
+        rows.append(f"{StreamPoint(n)} -> {StreamPoint(n + rule.delta)}")
+    rows.append("...")
     return rows
 
 
 def cycle_string(f: TailMap, horizon: int = 4) -> str:
     """Extended cycle notation with an explicit "..." ellipsis marker."""
     groups: list[str] = []
-    consumed: set[str] = set()
+    rule = f._tail
+    consumed = False
     for chain in _chains(f):
         start, end = chain[0][0], chain[-1][1]
         tokens = [str(start)] + [str(v) for _, v in chain]
@@ -450,31 +411,24 @@ def cycle_string(f: TailMap, horizon: int = 4) -> str:
             continue
         prefix: list[str] = []
         suffix: list[str] = []
-        if isinstance(end, StreamPoint):
-            rule = f._tails.get(end.stream)
-            if rule and rule.delta == 1 and end.index >= rule.threshold:
-                suffix = [
-                    str(StreamPoint(end.stream, end.index + i)) for i in range(1, horizon + 1)
-                ] + ["..."]
-                consumed.add(end.stream)
-        if isinstance(start, StreamPoint):
-            rule = f._tails.get(start.stream)
-            if rule and rule.delta == -1 and start.index == rule.threshold - 1:
-                prefix = ["..."] + [
-                    str(StreamPoint(start.stream, start.index + i))
-                    for i in range(horizon, 0, -1)
-                ]
-                consumed.add(start.stream)
+        if rule is not None and isinstance(end, StreamPoint):
+            if rule.delta == 1 and end.index >= rule.threshold:
+                suffix = [str(StreamPoint(end.index + i)) for i in range(1, horizon + 1)]
+                suffix.append("...")
+                consumed = True
+        if rule is not None and isinstance(start, StreamPoint):
+            if rule.delta == -1 and start.index == rule.threshold - 1:
+                prefix = ["..."]
+                prefix += [str(StreamPoint(start.index + i)) for i in range(horizon, 0, -1)]
+                consumed = True
         groups.append("(" + " ".join(prefix + tokens + suffix) + ")")
-    for s, rule in sorted(f.tails.items()):
-        if s in consumed:
-            continue
+    if rule is not None and not consumed:
         t = rule.threshold
         if rule.delta == 1:
-            tokens = [str(StreamPoint(s, t + i)) for i in range(horizon)] + ["..."]
+            tokens = [str(StreamPoint(t + i)) for i in range(horizon)] + ["..."]
         elif rule.delta == -1:
-            tokens = ["..."] + [str(StreamPoint(s, t + i)) for i in range(horizon - 1, -2, -1)]
+            tokens = ["..."] + [str(StreamPoint(t + i)) for i in range(horizon - 1, -2, -1)]
         else:
-            tokens = [f"{s}n for n >= {t}"]
+            tokens = [f"{STREAM}n for n >= {t}"]
         groups.append("(" + " ".join(tokens) + ")")
     return "".join(groups) if groups else "()"

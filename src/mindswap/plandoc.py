@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .moves import MachineMove
 from .oracle import RuleSet
-from .perm import Element, ElementTokens, ParseError, _natural, _parse_cycles
+from .perm import Element, ElementTokens, ParseError, Permutation, _natural, _parse_cycles
 
 HEADER = "mindswap-plan v1"
 _FIELDS = ("machine-size", "target", "outsiders", "solver", "steps", "lower-bound")
@@ -100,6 +100,11 @@ def _number(fields: dict[str, str], key: str) -> int:
 
 
 def loads(text: str) -> PlanDocument:
+    return _read(text)[0]
+
+
+def _read(text: str) -> tuple[PlanDocument, Permutation]:
+    """The document in text, and the permutation its target field parsed to."""
     lines = [line.rstrip() for line in text.splitlines() if line.strip()]
     if not lines or lines[0].strip() != HEADER:
         raise PlanFormatError(f"missing header line {HEADER!r}")
@@ -134,7 +139,7 @@ def loads(text: str) -> PlanDocument:
         moves = tuple(
             MachineMove(tuple(map(tokens.__getitem__, line.split()))) for line in move_lines
         )
-        _parse_cycles(fields["target"], tokens)
+        target = _parse_cycles(fields["target"], tokens)
         doc = PlanDocument(
             m=m,
             target=fields["target"],
@@ -150,4 +155,4 @@ def loads(text: str) -> PlanDocument:
         raise PlanFormatError(
             f"steps field says {fields['steps']} but document lists {doc.steps} moves"
         )
-    return doc
+    return doc, target

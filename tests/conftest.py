@@ -63,7 +63,12 @@ def generator_identity_check(m: int) -> bool:
     return first and second
 
 
-def cycle_as_two_swaps(order: Sequence[int], stream: str = "a") -> list[TailMap]:
+def forward_shift() -> TailMap:
+    """The scramble the infinite machine undoes: every stream point moves up by one."""
+    return TailMap({}, TailRule(1, +1))
+
+
+def cycle_as_two_swaps(order: Sequence[int]) -> list[TailMap]:
     """Produce the cycle over the first n stream points in two swaps.
 
     Chronologically [forgetful, retentive]: the first swap performs the
@@ -76,8 +81,7 @@ def cycle_as_two_swaps(order: Sequence[int], stream: str = "a") -> list[TailMap]
         raise ValueError("need at least one point")
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError("order must arrange the first n stream points")
-    s = lambda i: StreamPoint(stream, i)
-    cycle = {s(order[i]): s(order[(i + 1) % n]) for i in range(n)}
-    bump = TailMap(cycle, {stream: TailRule(n + 1, +1)})
-    pull_back = TailMap({}, {stream: TailRule(n + 2, -1)})
+    cycle = {StreamPoint(order[i]): StreamPoint(order[(i + 1) % n]) for i in range(n)}
+    bump = TailMap(cycle, TailRule(n + 1, +1))
+    pull_back = TailMap({}, TailRule(n + 2, -1))
     return [bump, pull_back]

@@ -241,11 +241,11 @@ def test_criterion_10_infinite_machine():
 def test_criterion_11_worked_finitary_example():
     swaps = invert_finitary_two_step(parse_cycles("(a1 a2)(a3 a4 a5)"))
     z = NamedPoint("z")
-    a = lambda i: StreamPoint("a", i)
+    a = StreamPoint
     printed_step1 = TailMap(
         {a(1): a(2), a(2): z, z: a(5), a(5): a(4), a(4): a(3), a(3): a(6)},
-        {"a": TailRule(6, +1)},
+        TailRule(6, +1),
     )
-    printed_step2 = TailMap({z: a(1), a(5): z}, {"a": TailRule(6, -1)})
+    printed_step2 = TailMap({z: a(1), a(5): z}, TailRule(6, -1))
     assert swaps == [printed_step1, printed_step2]
     report(11, "worked two-step example reproduces the printed solution exactly")

@@ -107,6 +107,27 @@ class TestVerify:
         assert code == 0
         assert "verdict: clean" in out2
 
+    def test_document_target_is_parsed_once(self, capsys, tmp_path):
+        _, out, _ = run(
+            capsys, "solve", "--target", "(a1 a2 a3 a4 a5 a6 a7 a8 a9)", "--m", "3",
+            "--solver", "optimal3",
+        )
+        plan_file = tmp_path / "plan.txt"
+        plan_file.write_text(out)
+        with mock.patch("mindswap.perm.parse_element", wraps=parse_element) as spy:
+            code, out, _ = run(capsys, "verify", "--plan", str(plan_file))
+        assert code == 0 and out.endswith("verdict: clean\n")
+        # once per distinct token of the document: a1 .. a9 and x1
+        assert spy.call_count == 10
+
+    def test_document_target_moving_an_outsider_is_a_parse_error(self, capsys, tmp_path):
+        plan_file = tmp_path / "plan.txt"
+        plan_file.write_text(
+            "mindswap-plan v1\nmachine-size: 2\ntarget: (a1 x1)\noutsiders: x2\nmoves:\n"
+        )
+        code, out, err = run(capsys, "verify", "--plan", str(plan_file))
+        assert (code, out, err) == (2, "", "parse error: target must move insiders only\n")
+
     def test_duplicate_support_fails(self, capsys, tmp_path):
         text = (
             "mindswap-plan v1\n"
@@ -243,6 +264,14 @@ class TestInfinite:
         assert "step 1 (forgetful):" in out
         assert "a2 -> z" in out
         assert "composition check: ok" in out
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_star_is_finitary2_on_one_cycle(self, capsys, k):
+        cycle = "(" + " ".join(f"a{i}" for i in range(1, k + 1)) + ")"
+        star = run(capsys, "infinite", "star", "--k", str(k))
+        assert star == run(capsys, "infinite", "finitary2", "--sigma", cycle)
+        assert star[0] == 0
+        assert star[1].endswith("composition check: ok (target inverse, canonical form)\n")
 
     def test_finitary2(self, capsys):
         code, out, _ = run(
