@@ -1,11 +1,14 @@
 """Symbolic algebra for the countably infinite machine.
 
-The machine seats one infinite stream of people, whose points are a1,
-a2, ..., and named points (the one helper z).  A :class:`TailMap` is a
-partial injection described by a finite exception table plus at most one
-eventual shift rule: every stream index at or above a threshold moves by
-a fixed delta of -1, 0 or +1.  Canonical form keeps the threshold
-minimal, so two writings of the same map compare equal syntactically.
+The machine seats one infinite stream of people, the insiders a1, a2,
+..., and named points (the one helper z).  Its points are the package's
+own values: stream point i *is* insider i, the
+:class:`~mindswap.perm.Element` ``insider(i)``, and a named point is its
+label string.  A :class:`TailMap` is a partial injection described by a
+finite exception table plus at most one eventual shift rule: every
+stream index at or above a threshold moves by a fixed delta of -1, 0 or
++1.  Canonical form keeps the threshold minimal, so two writings of the
+same map compare equal syntactically.
 
 Composition uses ride-with-parking semantics: a mind carried to a body the
 next swap does not seat simply stays there, so ``compose(f, g)`` is
@@ -30,9 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .perm import Permutation, insider, insiders_only
+from .perm import INSIDER, Element, Permutation, insider, insiders_only
 
-STREAM = "a"
+STREAM = INSIDER
 FORGETFUL = "forgetful"
 RETENTIVE = "retentive"
 NEITHER = "neither"
@@ -42,35 +45,19 @@ class IncompatibleTailsError(ValueError):
     """Composition would need a tail shift outside {-1, 0, +1}."""
 
 
-@dataclass(frozen=True, order=True)
-class StreamPoint:
-    index: int
-
-    def __post_init__(self) -> None:
-        index = self.index
-        if not isinstance(index, int) or isinstance(index, bool) or index < 1:
-            raise ValueError(f"stream index must be a positive integer, got {index!r}")
-
-    def __str__(self) -> str:
-        return f"{STREAM}{self.index}"
+CarrierPoint = Element | str
+HELPER = "z"
 
 
-@dataclass(frozen=True, order=True)
-class NamedPoint:
-    label: str
-
-    def __str__(self) -> str:
-        return self.label
-
-
-CarrierPoint = StreamPoint | NamedPoint
-HELPER = NamedPoint("z")
+def _on_stream(p: object) -> bool:
+    return isinstance(p, Element) and p.kind == STREAM
 
 
 def _point_key(p: CarrierPoint) -> tuple:
-    if isinstance(p, StreamPoint):
-        return (0, p.index)
-    return (1, p.label)
+    """Stream points by index, then named points by label."""
+    if isinstance(p, str):
+        return (1, p)
+    return (0, p.index)
 
 
 @dataclass(frozen=True)
@@ -81,6 +68,9 @@ class TailRule:
     delta: int
 
     def __post_init__(self) -> None:
+        for name, value in (("threshold", self.threshold), ("delta", self.delta)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"tail {name} must be an integer, got {value!r}")
         if self.delta not in (-1, 0, 1):
             raise ValueError("tail delta must be -1, 0 or +1")
         floor = 2 if self.delta == -1 else 1
@@ -101,9 +91,9 @@ class PointSet:
     named: frozenset[str]
 
     def __contains__(self, point: CarrierPoint) -> bool:
-        if isinstance(point, NamedPoint):
-            return point.label in self.named
-        return (point.index in self.indices) != self.cofinite
+        if isinstance(point, str):
+            return point in self.named
+        return _on_stream(point) and (point.index in self.indices) != self.cofinite
 
     def __str__(self) -> str:
         pieces = []
@@ -128,24 +118,22 @@ class TailMap:
         tail: TailRule | None = None,
     ):
         exc = dict(exceptions or {})
-        for k, v in exc.items():
-            if not isinstance(k, (StreamPoint, NamedPoint)) or not isinstance(
-                v, (StreamPoint, NamedPoint)
-            ):
+        for p in (*exc, *exc.values()):
+            if not (isinstance(p, str) or _on_stream(p)):
                 raise TypeError("exceptions must map carrier points to carrier points")
         if tail is not None:
             t, d = tail.threshold, tail.delta
             # exceptions inside the tail's region must agree with it; absorb them
             for k in list(exc):
-                if isinstance(k, StreamPoint) and k.index >= t:
-                    if exc[k] == StreamPoint(k.index + d):
+                if isinstance(k, Element) and k.index >= t:
+                    if exc[k] == insider(k.index + d):
                         del exc[k]
                     else:
                         raise ValueError(f"exception at {k} conflicts with its stream tail")
             # minimal threshold: pull agreeing exceptions into the tail
             floor = 2 if d == -1 else 1
-            while t > floor and exc.get(StreamPoint(t - 1)) == StreamPoint(t - 1 + d):
-                del exc[StreamPoint(t - 1)]
+            while t > floor and exc.get(insider(t - 1)) == insider(t - 1 + d):
+                del exc[insider(t - 1)]
                 t -= 1
             if t != tail.threshold:
                 tail = TailRule(t, d)
@@ -154,7 +142,7 @@ class TailMap:
             raise ValueError("map is not injective: repeated image")
         if tail is not None:
             for v in values:
-                if isinstance(v, StreamPoint) and v.index >= tail.threshold + tail.delta:
+                if isinstance(v, Element) and v.index >= tail.threshold + tail.delta:
                     raise ValueError(f"image {v} collides with the {STREAM}-stream tail")
         self._exceptions = exc
         self._tail = tail
@@ -172,8 +160,8 @@ class TailMap:
         if e in self._exceptions:
             return self._exceptions[e]
         rule = self._tail
-        if rule is not None and isinstance(e, StreamPoint) and e.index >= rule.threshold:
-            return StreamPoint(e.index + rule.delta)
+        if rule is not None and _on_stream(e) and e.index >= rule.threshold:
+            return insider(e.index + rule.delta)
         return None
 
     __call__ = apply
@@ -201,8 +189,8 @@ class TailMap:
         indices: set[int] = set()
         named: set[str] = set()
         for p in points:
-            if isinstance(p, NamedPoint):
-                named.add(p.label)
+            if isinstance(p, str):
+                named.add(p)
             else:
                 indices.add(p.index)
         if self._tail is None:
@@ -235,7 +223,7 @@ def classify(f: TailMap) -> str:
 
 
 def _max_key_index(f: TailMap) -> int:
-    return max((k.index for k in f._exceptions if isinstance(k, StreamPoint)), default=0)
+    return max((k.index for k in f._exceptions if isinstance(k, Element)), default=0)
 
 
 def compose(f: TailMap, g: TailMap) -> TailMap:
@@ -263,7 +251,7 @@ def compose(f: TailMap, g: TailMap) -> TailMap:
 
     candidates: set[CarrierPoint] = set(g._exceptions) | set(f._exceptions)
     if tail is not None:
-        candidates.update(map(StreamPoint, range(1, tail.threshold)))
+        candidates.update(map(insider, range(1, tail.threshold)))
 
     exceptions: dict[CarrierPoint, CarrierPoint] = {}
     for e in sorted(candidates, key=_point_key):  # order free of string hashing
@@ -303,7 +291,7 @@ def invert_shift_three_step() -> list[TailMap]:
     and the three participant sets are pairwise distinct; the composite
     equals inverse_shift_map() exactly.
     """
-    z, s = HELPER, StreamPoint
+    z, s = HELPER, insider
     step1 = TailMap({s(2): s(1), z: s(2), s(3): z}, TailRule(4, -1))
     step2 = TailMap({z: s(2)}, TailRule(2, +1))
     step3 = TailMap({s(3): z}, TailRule(4, -1))
@@ -313,36 +301,31 @@ def invert_shift_three_step() -> list[TailMap]:
 def invert_finitary_two_step(sigma: Permutation) -> list[TailMap]:
     """Invert any finitary stream permutation in exactly two swaps.
 
-    sigma is given over insider-indexed points; insider i stands for
-    stream point i.  However many disjoint cycles sigma has, the result is
-    a single [forgetful, retentive] pair with distinct participant sets
-    whose composite is finitary_extension(sigma.inverse()).  The identity
-    yields an empty plan.
+    sigma moves insiders only, and insider i *is* stream point i, so the
+    swaps are built from sigma's cycles as they stand.  However many
+    disjoint cycles sigma has, the result is a single [forgetful,
+    retentive] pair with distinct participant sets whose composite is
+    finitary_extension(sigma.inverse()).  The identity yields an empty
+    plan.
     """
     insiders_only(sigma)
     if sigma.is_identity():
         return []
-    cycles = [[e.index for e in c] for c in sigma.cycles]
-    support = {i for c in cycles for i in c}
-    top = max(support)
-    untouched = [i for i in range(1, top) if i not in support]
-    z, s = HELPER, StreamPoint
+    first, *rest = sigma.cycles
+    support = sigma.support()
+    top = max(e.index for e in support)
+    untouched = [e for e in map(insider, range(1, top)) if e not in support]
+    beyond = insider(top + 1)
 
-    first = cycles[0]
-    nodes = [s(first[0])] + [s(i) for i in reversed(first[1:])] + [z]
-    for c in cycles[1:]:
-        nodes += [s(i) for i in reversed(c)]
-    nodes += [s(u) for u in untouched] + [s(top + 1)]
-    scatter = TailMap(
-        {nodes[i]: nodes[i + 1] for i in range(len(nodes) - 1)}, TailRule(top + 1, +1)
-    )
+    nodes = [first[0], *reversed(first[1:]), HELPER]
+    for c in rest:
+        nodes += reversed(c)
+    nodes += [*untouched, beyond]
+    scatter = TailMap(dict(zip(nodes, nodes[1:])), TailRule(top + 1, +1))
 
-    nodes = [s(top + 1)] + [s(u) for u in reversed(untouched)]
-    nodes += [s(c[-1]) for c in reversed(cycles[1:])]
-    nodes += [z, s(first[0])]
-    gather = TailMap(
-        {nodes[i]: nodes[i + 1] for i in range(len(nodes) - 1)}, TailRule(top + 2, -1)
-    )
+    nodes = [beyond, *reversed(untouched), *(c[-1] for c in reversed(rest))]
+    nodes += [HELPER, first[0]]
+    gather = TailMap(dict(zip(nodes, nodes[1:])), TailRule(top + 2, -1))
     return [scatter, gather]
 
 
@@ -351,8 +334,8 @@ def finitary_extension(p: Permutation) -> TailMap:
     insiders_only(p)
     top = max((e.index for e in p.support()), default=0)
     exceptions: dict[CarrierPoint, CarrierPoint] = {HELPER: HELPER}
-    for i in range(1, top + 1):
-        exceptions[StreamPoint(i)] = StreamPoint(p.apply(insider(i)).index)
+    for e in map(insider, range(1, top + 1)):
+        exceptions[e] = p.apply(e)
     return TailMap(exceptions, TailRule(top + 1, 0))
 
 
@@ -393,7 +376,7 @@ def step_table(f: TailMap, horizon: int = 4) -> list[str]:
         rows.append(f"{STREAM}n -> {STREAM}n for n >= {t}")
         return rows
     for n in range(t, t + horizon):
-        rows.append(f"{StreamPoint(n)} -> {StreamPoint(n + rule.delta)}")
+        rows.append(f"{insider(n)} -> {insider(n + rule.delta)}")
     rows.append("...")
     return rows
 
@@ -411,23 +394,23 @@ def cycle_string(f: TailMap, horizon: int = 4) -> str:
             continue
         prefix: list[str] = []
         suffix: list[str] = []
-        if rule is not None and isinstance(end, StreamPoint):
+        if rule is not None and isinstance(end, Element):
             if rule.delta == 1 and end.index >= rule.threshold:
-                suffix = [str(StreamPoint(end.index + i)) for i in range(1, horizon + 1)]
+                suffix = [str(insider(end.index + i)) for i in range(1, horizon + 1)]
                 suffix.append("...")
                 consumed = True
-        if rule is not None and isinstance(start, StreamPoint):
+        if rule is not None and isinstance(start, Element):
             if rule.delta == -1 and start.index == rule.threshold - 1:
                 prefix = ["..."]
-                prefix += [str(StreamPoint(start.index + i)) for i in range(horizon, 0, -1)]
+                prefix += [str(insider(start.index + i)) for i in range(horizon, 0, -1)]
                 consumed = True
         groups.append("(" + " ".join(prefix + tokens + suffix) + ")")
     if rule is not None and not consumed:
         t = rule.threshold
         if rule.delta == 1:
-            tokens = [str(StreamPoint(t + i)) for i in range(horizon)] + ["..."]
+            tokens = [str(insider(t + i)) for i in range(horizon)] + ["..."]
         elif rule.delta == -1:
-            tokens = ["..."] + [str(StreamPoint(t + i)) for i in range(horizon - 1, -2, -1)]
+            tokens = ["..."] + [str(insider(t + i)) for i in range(horizon - 1, -2, -1)]
         else:
             tokens = [f"{STREAM}n for n >= {t}"]
         groups.append("(" + " ".join(tokens) + ")")

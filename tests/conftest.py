@@ -1,7 +1,7 @@
 import random
 from typing import Sequence
 
-from mindswap.infinite import StreamPoint, TailMap, TailRule
+from mindswap.infinite import TailMap, TailRule
 from mindswap.oracle import RuleSet, verify_plan
 from mindswap.perm import Permutation, insider, outsider
 
@@ -81,7 +81,7 @@ def cycle_as_two_swaps(order: Sequence[int]) -> list[TailMap]:
         raise ValueError("need at least one point")
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError("order must arrange the first n stream points")
-    cycle = {StreamPoint(order[i]): StreamPoint(order[(i + 1) % n]) for i in range(n)}
+    cycle = {insider(order[i]): insider(order[(i + 1) % n]) for i in range(n)}
     bump = TailMap(cycle, TailRule(n + 1, +1))
     pull_back = TailMap({}, TailRule(n + 2, -1))
     return [bump, pull_back]

@@ -19,8 +19,6 @@ from mindswap.infinite import (
     invert_finitary_two_step,
     invert_shift_three_step,
     inverse_shift_map,
-    NamedPoint,
-    StreamPoint,
     TailMap,
     TailRule,
 )
@@ -240,8 +238,8 @@ def test_criterion_10_infinite_machine():
 
 def test_criterion_11_worked_finitary_example():
     swaps = invert_finitary_two_step(parse_cycles("(a1 a2)(a3 a4 a5)"))
-    z = NamedPoint("z")
-    a = StreamPoint
+    z = "z"
+    a = insider
     printed_step1 = TailMap(
         {a(1): a(2), a(2): z, z: a(5), a(5): a(4), a(4): a(3), a(3): a(6)},
         TailRule(6, +1),

@@ -8,9 +8,7 @@ from mindswap.infinite import (
     NEITHER,
     RETENTIVE,
     IncompatibleTailsError,
-    NamedPoint,
     PointSet,
-    StreamPoint,
     TailMap,
     TailRule,
     classify,
@@ -23,7 +21,7 @@ from mindswap.infinite import (
     inverse_shift_map,
     step_table,
 )
-from mindswap.perm import Permutation, insider, parse_cycles
+from mindswap.perm import Permutation, insider, outsider, parse_cycles
 
 from conftest import (
     cycle_as_two_swaps,
@@ -32,9 +30,9 @@ from conftest import (
     random_permutation,
 )
 
-Z = NamedPoint("z")
-W = NamedPoint("w")
-a = StreamPoint
+Z = "z"
+W = "w"
+a = insider
 
 
 def star(*indices):
@@ -45,7 +43,7 @@ def point_set(cofinite, indices=(), named=()):
     return PointSet(cofinite, frozenset(indices), frozenset(named))
 
 
-points = st.one_of(st.builds(StreamPoint, st.integers(1, 30)), st.sampled_from([Z, W]))
+points = st.one_of(st.builds(insider, st.integers(1, 30)), st.sampled_from([Z, W]))
 
 
 def distinct(draw, pool, n):
@@ -105,13 +103,6 @@ def tail_maps(draw):
     return composite
 
 
-class TestStreamPoint:
-    @pytest.mark.parametrize("index", [0, True, 2.5])
-    def test_index_must_be_a_positive_int(self, index):
-        with pytest.raises(ValueError, match="stream index must be a positive integer, got"):
-            StreamPoint(index)
-
-
 class TestTailRule:
     def test_retentive_needs_room(self):
         with pytest.raises(ValueError):
@@ -120,6 +111,21 @@ class TestTailRule:
     def test_delta_range(self):
         with pytest.raises(ValueError):
             TailRule(1, 2)
+
+    @pytest.mark.parametrize("threshold, delta", [(True, 0), (2, True), (3, 1.0), (2.5, 1), ("2", 0)])
+    def test_threshold_and_delta_must_be_ints(self, threshold, delta):
+        with pytest.raises(ValueError, match=r"^tail (threshold|delta) must be an integer, got "):
+            TailRule(threshold, delta)
+
+
+class TestNonPoints:
+    @pytest.mark.parametrize("bad", [outsider(1), ("a", 3), 3, None])
+    def test_rejected_as_key_and_as_image(self, bad):
+        message = "^exceptions must map carrier points to carrier points$"
+        with pytest.raises(TypeError, match=message):
+            TailMap({bad: a(1)})
+        with pytest.raises(TypeError, match=message):
+            TailMap({a(1): bad})
 
 
 class TestCanonicalForm:
@@ -194,6 +200,7 @@ class TestPointSets:
         ps = point_set(True, {1, 2}, {"z"})
         assert a(3) in ps and a(1) not in ps
         assert Z in ps and W not in ps
+        assert outsider(3) not in ps
 
     @given(tail_maps(), st.lists(points, min_size=1, max_size=40))
     def test_participants_are_dom_union_img(self, f, sample):

@@ -2,8 +2,9 @@
 
 ``infinite_corpus.json`` holds plain-data inputs and what the algebra made
 of them.  A map is ``{"exceptions": [[key, image], ...], "tail": t}``,
-where a point is ``["a", i]`` for stream point a<i>, ``["z"]`` or
-``["w"]``, and ``t`` is ``[threshold, delta]`` or null.  The corpus has:
+where a point is ``["a", i]`` for stream point ``insider(i)``, ``["z"]``
+or ``["w"]`` for that label, and ``t`` is ``[threshold, delta]`` or
+null.  The corpus has:
 
 - seeded random map pairs, invalid ones included, each map recorded with
   the composites ``compose(f, g)`` and ``compose(g, f)`` when both maps
@@ -31,8 +32,6 @@ import random
 from pathlib import Path
 
 from mindswap.infinite import (
-    NamedPoint,
-    StreamPoint,
     TailMap,
     TailRule,
     classify,
@@ -45,6 +44,7 @@ from mindswap.infinite import (
     inverse_shift_map,
     step_table,
 )
+from mindswap.perm import insider
 
 from conftest import permutation_from_images
 
@@ -57,8 +57,8 @@ UNIVERSE = [["a", i] for i in range(1, 8)] + [["z"], ["w"]]
 
 def point(data: list):
     if data[0] == "a":
-        return StreamPoint(data[1])
-    return NamedPoint(data[0])
+        return insider(data[1])
+    return data[0]
 
 
 def tail_map(data: dict) -> TailMap:

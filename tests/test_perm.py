@@ -409,6 +409,8 @@ class TestElementOrdering:
             Element("q", 1)
         with pytest.raises(ValueError, match=r"^element index must be a positive integer, got '1'$"):
             Element("a", "1")
+        with pytest.raises(ValueError, match=r"^element index must be a positive integer, got 2.5$"):
+            Element("a", 2.5)
 
     def test_bool_index_rejected(self):
         for flag in (True, False):
