@@ -361,57 +361,56 @@ def _chains(f: TailMap) -> list[list[tuple[CarrierPoint, CarrierPoint]]]:
     return chains
 
 
+def _tail_hops(rule: TailRule | None, horizon: int) -> list[tuple[int, int]]:
+    """The tail's first horizon hops (n, n + delta) from its threshold; none without a shift."""
+    if rule is None or rule.delta == 0:
+        return []
+    return [(n, n + rule.delta) for n in range(rule.threshold, rule.threshold + horizon)]
+
+
 def step_table(f: TailMap, horizon: int = 4) -> list[str]:
     """Rows "p -> q" in reading order, tail samples truncated at horizon."""
     rows: list[str] = []
     rule = f._tail
     reverse = rule is not None and rule.delta == -1
     for chain in _chains(f):
-        hops = list(reversed(chain)) if reverse else chain
-        rows += [f"{k} -> {v}" for k, v in hops]
-    if rule is None:
-        return rows
-    t = rule.threshold
-    if rule.delta == 0:
-        rows.append(f"{STREAM}n -> {STREAM}n for n >= {t}")
-        return rows
-    for n in range(t, t + horizon):
-        rows.append(f"{insider(n)} -> {insider(n + rule.delta)}")
-    rows.append("...")
+        rows += [f"{k} -> {v}" for k, v in (reversed(chain) if reverse else chain)]
+    if rule is not None and rule.delta == 0:
+        rows.append(f"{STREAM}n -> {STREAM}n for n >= {rule.threshold}")
+    elif rule is not None:
+        rows += [f"{STREAM}{n} -> {STREAM}{m}" for n, m in _tail_hops(rule, horizon)] + ["..."]
     return rows
 
 
 def cycle_string(f: TailMap, horizon: int = 4) -> str:
-    """Extended cycle notation with an explicit "..." ellipsis marker."""
-    groups: list[str] = []
+    """Extended cycle notation with an explicit "..." ellipsis marker.
+
+    With threshold t, a +1 tail's hops follow the chain ending at a<t> and a
+    -1 tail's precede the chain starting at a<t - 1>; else they stand alone.
+    """
+    groups: list[list[str]] = []
     rule = f._tail
-    consumed = False
+    delta, t = (rule.delta, rule.threshold) if rule else (None, 0)
+    hops = _tail_hops(rule, horizon)
+    lead = ["..."] + [f"{STREAM}{n}" for n, _ in reversed(hops)]
+    joined = False
     for chain in _chains(f):
         start, end = chain[0][0], chain[-1][1]
         tokens = [str(start)] + [str(v) for _, v in chain]
         if end == start:
-            groups.append("(" + " ".join(tokens[:-1]) + ")")
-            continue
-        prefix: list[str] = []
-        suffix: list[str] = []
-        if rule is not None and isinstance(end, Element):
-            if rule.delta == 1 and end.index >= rule.threshold:
-                suffix = [str(insider(end.index + i)) for i in range(1, horizon + 1)]
-                suffix.append("...")
-                consumed = True
-        if rule is not None and isinstance(start, Element):
-            if rule.delta == -1 and start.index == rule.threshold - 1:
-                prefix = ["..."]
-                prefix += [str(insider(start.index + i)) for i in range(horizon, 0, -1)]
-                consumed = True
-        groups.append("(" + " ".join(prefix + tokens + suffix) + ")")
-    if rule is not None and not consumed:
-        t = rule.threshold
-        if rule.delta == 1:
-            tokens = [str(insider(t + i)) for i in range(horizon)] + ["..."]
-        elif rule.delta == -1:
-            tokens = ["..."] + [str(insider(t + i)) for i in range(horizon - 1, -2, -1)]
-        else:
-            tokens = [f"{STREAM}n for n >= {t}"]
-        groups.append("(" + " ".join(tokens) + ")")
-    return "".join(groups) if groups else "()"
+            tokens.pop()
+        # TailMap rejects images at or past a<t + delta>, so no chain ends beyond a<t>
+        elif delta == 1 and isinstance(end, Element) and end.index == t:
+            tokens += [f"{STREAM}{m}" for _, m in hops] + ["..."]
+            joined = True
+        elif delta == -1 and isinstance(start, Element) and start.index == t - 1:
+            tokens = lead + tokens
+            joined = True
+        groups.append(tokens)
+    if delta == 1 and not joined:
+        groups.append([f"{STREAM}{n}" for n, _ in hops] + ["..."])
+    elif delta == -1 and not joined:
+        groups.append(lead + [f"{STREAM}{t - 1}"])
+    elif delta == 0:
+        groups.append([f"{STREAM}n for n >= {t}"])
+    return "".join("(" + " ".join(tokens) + ")" for tokens in groups) or "()"

@@ -108,16 +108,10 @@ def _read(text: str) -> tuple[PlanDocument, Permutation]:
     lines = [line.rstrip() for line in text.splitlines() if line.strip()]
     if not lines or lines[0].strip() != HEADER:
         raise PlanFormatError(f"missing header line {HEADER!r}")
+    body = lines[1:]
+    cut = next((i for i, line in enumerate(body) if line.strip() == "moves:"), None)
     fields: dict[str, str] = {}
-    move_lines: list[str] = []
-    in_moves = False
-    for line in lines[1:]:
-        if in_moves:
-            move_lines.append(line.strip())
-            continue
-        if line.strip() == "moves:":
-            in_moves = True
-            continue
+    for line in body[:cut]:
         key, sep, value = line.partition(":")
         if not sep:
             raise PlanFormatError(f"expected 'key: value', got {line!r}")
@@ -127,7 +121,7 @@ def _read(text: str) -> tuple[PlanDocument, Permutation]:
         if key in fields:
             raise PlanFormatError(f"repeated field {key!r}")
         fields[key] = value.strip()
-    if not in_moves:
+    if cut is None:
         raise PlanFormatError("missing 'moves:' section")
     for required in ("machine-size", "target", "outsiders"):
         if required not in fields:
@@ -137,7 +131,7 @@ def _read(text: str) -> tuple[PlanDocument, Permutation]:
         tokens = ElementTokens()
         outsiders = tuple(map(tokens.__getitem__, fields["outsiders"].split()))
         moves = tuple(
-            MachineMove(tuple(map(tokens.__getitem__, line.split()))) for line in move_lines
+            MachineMove(tuple(map(tokens.__getitem__, line.split()))) for line in body[cut + 1 :]
         )
         target = _parse_cycles(fields["target"], tokens)
         doc = PlanDocument(

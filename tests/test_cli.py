@@ -375,6 +375,27 @@ class TestPlanDocFormat:
         once = plandoc.dumps(plandoc.loads(loose))
         assert plandoc.dumps(plandoc.loads(once)) == once
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("outsiders: x1\n", "missing 'moves:' section"),
+            ("outsiders: x1\nstray\nmoves:\n  a1 x1 a2\n", "expected 'key: value', got 'stray'"),
+            ("outsiders: x1\nstray\n", "expected 'key: value', got 'stray'"),
+        ],
+        ids=["no-moves-section", "not-key-value", "field-error-before-missing-section"],
+    )
+    def test_reader_messages(self, body, message):
+        text = "mindswap-plan v1\nmachine-size: 3\ntarget: (a1 a2 a3)\n" + body
+        with pytest.raises(plandoc.PlanFormatError) as err:
+            plandoc.loads(text)
+        assert str(err.value) == message
+
+    def test_padded_moves_section_loads(self):
+        head = "mindswap-plan v1\nmachine-size: 3\ntarget: (a1 a2 a3)\noutsiders: x1\n"
+        plain = head + "moves:\n  a1 x1 a2\n  a2 x1 a3\n"
+        padded = head + "\n   moves:  \n\n\t a1 x1 a2   \n\n  a2 x1 a3 \n\n"
+        assert plandoc.loads(padded) == plandoc.loads(plain)
+
     def test_steps_mismatch_rejected(self):
         text = (
             "mindswap-plan v1\n"

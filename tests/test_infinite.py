@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -386,3 +387,17 @@ class TestRendering:
 
     def test_cycle_string_of_composite(self):
         assert cycle_string(inverse_shift_map(), horizon=2) == "(z)(... a3 a2 a1)"
+
+    def test_renderers_build_no_points(self):
+        maps = [
+            *invert_shift_three_step(),
+            inverse_shift_map(),
+            *invert_finitary_two_step(parse_cycles("(a2 a5)(a7 a9 a8)")),
+        ]
+
+        def render():
+            return [(step_table(f, h), cycle_string(f, h)) for f in maps for h in range(4)]
+
+        expected = render()
+        with mock.patch("mindswap.infinite.insider", side_effect=AssertionError("point built")):
+            assert render() == expected
