@@ -138,16 +138,16 @@ def verify_plan(
     violations: list[tuple[int, str]] = []
     pool = set(rules.outsiders)
     for i, move in enumerate(plan):
-        if move.size != rules.m:
+        if len(move) != rules.m:
             violations.append((i, "seat-count"))
-        if rules.require_outsider_per_move and not move.has_outsider():
+        if rules.require_outsider_per_move and not any(s.is_outsider for s in move):
             violations.append((i, "missing-outsider"))
-        elif any(s.is_outsider and s not in pool for s in move.seats):
+        elif any(s.is_outsider and s not in pool for s in move):
             violations.append((i, "unknown-outsider"))
     if rules.require_distinct_supports:
         seen: set[frozenset[Element]] = set()
         for i, move in enumerate(plan):
-            support = move.support
+            support = frozenset(move)
             if support in seen:
                 violations.append((i, "duplicate-support"))
             seen.add(support)
@@ -293,5 +293,5 @@ def search_min_plan(
             continue  # displacement and Cayley bounds at the root
         path: list[tuple[int, ...]] = []
         if limit == 0 or dfs(start, limit, 0, -1, 0, path):
-            return [MachineMove(tuple(ground[i] for i in seats)) for seats in path]
+            return [MachineMove(ground[i] for i in seats) for seats in path]
     return None

@@ -64,9 +64,9 @@ class PlanDocument:
         if self.lower_bound is not None and self.lower_bound < 0:
             raise PlanFormatError(f"lower bound {self.lower_bound} is negative")
         for move in self.moves:
-            if move.size != self.m:
+            if len(move) != self.m:
                 raise PlanFormatError(
-                    f"move {move} has {move.size} seats, machine size is {self.m}"
+                    f"move {move} has {len(move)} seats, machine size is {self.m}"
                 )
 
     @property
@@ -88,7 +88,7 @@ def dumps(doc: PlanDocument) -> str:
         lines.append(f"lower-bound: {doc.lower_bound}")
     lines.append("moves:")
     for move in doc.moves:
-        lines.append("  " + " ".join(str(s) for s in move.seats))
+        lines.append("  " + " ".join(map(str, move)))
     return "\n".join(lines) + "\n"
 
 
@@ -131,7 +131,7 @@ def _read(text: str) -> tuple[PlanDocument, Permutation]:
         tokens = ElementTokens()
         outsiders = tuple(map(tokens.__getitem__, fields["outsiders"].split()))
         moves = tuple(
-            MachineMove(tuple(map(tokens.__getitem__, line.split()))) for line in body[cut + 1 :]
+            MachineMove(map(tokens.__getitem__, line.split())) for line in body[cut + 1 :]
         )
         target = _parse_cycles(fields["target"], tokens)
         doc = PlanDocument(

@@ -103,10 +103,10 @@ def test_criterion_4_m_machine_soundness():
             assert len(plan.outsiders) == d
             assert d == (m - 2 if m % 2 else 3 * (m // 2 - 1))
             assert plan_product(plan.moves) == sigma.inverse()
-            assert all(mv.size == m for mv in plan.moves)
+            assert all(len(mv) == m for mv in plan.moves)
             assert not duplicate_supports(plan.moves)
-            assert all(mv.has_outsider() for mv in plan.moves)
-            used = {s for mv in plan.moves for s in mv.seats if s.is_outsider}
+            assert all(any(s.is_outsider for s in mv) for mv in plan.moves)
+            used = {s for mv in plan.moves for s in mv if s.is_outsider}
             assert used <= set(plan.outsiders)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
@@ -170,7 +170,7 @@ def test_criterion_7_optimal3_exact_counts():
             r = len(shape)
             plan = solve_three_machine_optimal(sigma)
             assert plan.steps == (n + r) // 2 == lower_bound(sigma)
-            assert sum(not s.is_outsider for mv in plan.moves for s in mv.seats) == n + r
+            assert sum(not s.is_outsider for mv in plan.moves for s in mv) == n + r
             assert plan_product(plan.moves) == sigma.inverse()
             assert not duplicate_supports(plan.moves)
             checked += 1

@@ -119,7 +119,7 @@ class TestSolveTwoMachine:
             plan = solve_two_machine(sigma)
             assert plan_product(plan.moves) == sigma.inverse()
             assert not duplicate_supports(plan.moves)
-            assert all(m.has_outsider() for m in plan.moves)
+            assert all(any(s.is_outsider for s in m) for m in plan.moves)
             cycles = sigma.cycles
             expected = sum(len(c) + 2 for c in cycles) + (len(cycles) % 2)
             assert len(plan.moves) == expected

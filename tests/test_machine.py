@@ -112,7 +112,7 @@ class TestInvertEvenPairOddM:
     def test_two_transpositions_m5(self):
         moves = invert_even_pair_odd_m(ins(1, 2), ins(3, 4), pool(1, 2, 3), 5)
         assert len(moves) == 4
-        assert all(m.size == 5 for m in moves)
+        assert all(len(m) == 5 for m in moves)
         assert plan_product(moves) == parse_cycles("(1 2)(3 4)")
         assert not duplicate_supports(moves)
 
@@ -145,7 +145,7 @@ class TestInvertTranspositionEvenM:
         y = pool(*range(h + 1, 2 * h + 1))
         z = pool(*range(2 * h + 1, 3 * h + 1))
         moves = invert_transposition_even_m(ins(1, 2), w, y, z, m)
-        assert all(mv.size == m for mv in moves)
+        assert all(len(mv) == m for mv in moves)
         assert plan_product(moves) == parse_cycles("(1 2)")
         assert not duplicate_supports(moves)
 
@@ -170,7 +170,7 @@ class TestSolveMMachine:
         plan = solve_m_machine(sigma, 4)
         assert plan.outsiders == pool(1, 2, 3)
         assert len(plan.moves) == 7
-        assert all(m.size == 4 for m in plan.moves)
+        assert all(len(m) == 4 for m in plan.moves)
         assert plan_product(plan.moves) == sigma.inverse()
         assert not duplicate_supports(plan.moves)
 
@@ -181,7 +181,7 @@ class TestSolveMMachine:
     def test_two_transpositions_m5(self):
         sigma = parse_cycles("(1 2)(3 4)")
         plan = solve_m_machine(sigma, 5)
-        assert all(m.size == 5 for m in plan.moves)
+        assert all(len(m) == 5 for m in plan.moves)
         assert plan_product(plan.moves) == sigma.inverse()
 
     def test_rejects_odd_sigma_on_odd_machine(self):
@@ -204,11 +204,11 @@ class TestSolveMMachine:
             plan = solve_m_machine(sigma, m)
             assert len(plan.outsiders) == d
             assert plan_product(plan.moves) == sigma.inverse()
-            assert all(mv.size == m for mv in plan.moves)
+            assert all(len(mv) == m for mv in plan.moves)
             assert not duplicate_supports(plan.moves)
-            used = {s for mv in plan.moves for s in mv.seats if s.is_outsider}
+            used = {s for mv in plan.moves for s in mv if s.is_outsider}
             assert used <= set(plan.outsiders)
-            assert all(mv.has_outsider() for mv in plan.moves)
+            assert all(any(s.is_outsider for s in mv) for mv in plan.moves)
 
 
 class TestConjugationClosure:

@@ -227,6 +227,53 @@ class TestNaturalDifferential:
         assert _natural(text) == isdigit_natural(text)
 
 
+def dataclass_move_seats(seats) -> tuple:
+    """The seat rule of the dataclass move it replaced: at least 2 seats, no
+    repeats, rotated so the least seat leads."""
+    seats = tuple(seats)
+    if len(seats) < 2:
+        raise ValueError("a machine move needs at least 2 seats")
+    if len(set(seats)) != len(seats):
+        raise ValueError(f"repeated seat in move ({' '.join(map(str, seats))})")
+    lead = seats.index(min(seats))
+    return seats[lead:] + seats[:lead]
+
+
+def move_outcome(build, seats):
+    try:
+        return build(seats)
+    except ValueError as err:
+        return str(err)
+
+
+SEATS = [insider(1), insider(2), insider(3), insider(4), outsider(1), outsider(2)]
+
+
+class TestMoveDifferential:
+    """MachineMove, a tuple, against the dataclass seat rule it replaced."""
+
+    @given(st.lists(st.sampled_from(SEATS), max_size=6))
+    @example([])
+    @example([insider(1)])
+    @example([insider(2), outsider(1), insider(2)])
+    @example([insider(1), outsider(1), insider(2)])
+    def test_same_seats_or_same_error(self, seats):
+        expected = move_outcome(dataclass_move_seats, seats)
+        actual = move_outcome(MachineMove, seats)
+        assert actual == expected
+        assert type(actual) is (str if isinstance(expected, str) else MachineMove)
+
+
+class TestMoveType:
+    def test_a_move_is_its_seat_tuple(self):
+        move = MachineMove((outsider(1), insider(2), insider(1)))
+        assert isinstance(move, tuple)
+        assert not hasattr(move, "__dict__")
+        assert move == (insider(1), outsider(1), insider(2))
+        assert str(move) == "(a1 x1 a2)"
+        assert repr(move) == "MachineMove(a1 x1 a2)"
+
+
 class TestParseCounts:
     """Each distinct element token is parsed once per text."""
 
@@ -253,7 +300,7 @@ class TestParseCounts:
         text = plandoc.dumps(solve_three_machine_optimal(cyc(*range(1, 10))))
         parsed.clear()
         doc = plandoc.loads(text)
-        distinct = {str(s) for move in doc.moves for s in move.seats}
+        distinct = {str(s) for move in doc.moves for s in move}
         assert distinct == {f"a{i}" for i in range(1, 10)} | {"x1"}
         assert sorted(parsed) == sorted(distinct)
 
@@ -395,12 +442,18 @@ class TestElementOrdering:
     def test_pickle_round_trip(self, protocol):
         e = pickle.loads(pickle.dumps(outsider(7), protocol))
         assert type(e) is Element and e == outsider(7)
+        move = MachineMove((outsider(1), insider(2), insider(1)))
+        back = pickle.loads(pickle.dumps(move, protocol))
+        assert type(back) is MachineMove and back == move
 
     def test_copy_round_trip(self):
         for e in (copy.copy(insider(5)), copy.deepcopy(insider(5))):
             assert type(e) is Element and e == insider(5)
         moved = copy.deepcopy(MachineMove((outsider(1), insider(2))))
-        assert all(type(s) is Element for s in moved.seats)
+        assert all(type(s) is Element for s in moved)
+        move = MachineMove((outsider(1), insider(2), insider(1)))
+        for back in (copy.copy(move), copy.deepcopy(move)):
+            assert type(back) is MachineMove and back == move
 
     def test_bad_index(self):
         with pytest.raises(ValueError, match=r"^element index must be a positive integer, got 0$"):
