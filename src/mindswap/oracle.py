@@ -11,18 +11,27 @@ then the sorted outsiders, is numbered 0..N-1, so index order is element
 order.  The search state is the residual R = goal∘state⁻¹, held as the
 tuple of its image indices: the state is the product of the moves so far,
 the goal is the target's inverse, and a plan is complete when R is the
-identity tuple.  A move g turns R into R∘g⁻¹, so each catalog move is
-precomputed once as an itemgetter over g's preimage tuple, next to its
-support id and seat bitmask, and a dict maps g's own image tuple to its
-catalog index.  Support ids rank the legal supports in
-itertools.combinations order, which is sorted-tuple order.  Spent
-supports are an int bitset over those ids.  MachineMove objects are
+identity tuple.  A move g turns R into R∘g⁻¹.  The catalog is the list of
+legal supports, each held as its support id, its seat bitmask and its
+(m - 1)! orderings; each ordering g is precomputed once as an itemgetter
+over g's preimage tuple, next to its seats.  A dict maps each move's own
+image tuple to its index k in the flat catalog (the supports' orderings
+in turn), its support id, its bitmask and its seats.  Support ids rank
+the legal supports in itertools.combinations order, which is sorted-tuple
+order.  Spent supports are an int bitset over those ids, and R's moved
+points an int bitmask over the ground indices.  MachineMove objects are
 built only for the plan that is returned.
 
 Nodes.  The search counts one node per catalog move it tries, at every
 position that passed the bounds below; a pruned position and a skipped
 limit cost none.  The node budget caps that count, so the tighter the
-bounds, the further a search gets on the same budget.
+bounds, the further a search gets on the same budget.  A support that a
+position skips whole (see Search order) counts all (m - 1)! of its
+orderings at once, and the budget is checked after adding them.  That
+count is exact: trying the orderings in turn adds the same nodes, rejects
+each one by the same test and descends into none, so nothing but the
+count happens between them, and the search raises OracleBudgetError
+under exactly the budgets it would while trying each ordering.
 
 Pruning.  Each rule cuts only subtrees that hold no plan, so the DFS meets
 the same first plan, in the same catalog order, as a search without it.
@@ -30,6 +39,12 @@ With d moves left:
 
 - Displacement: |supp(R)| <= m·d.  R∘g⁻¹ differs from R only on the m
   seats of g, so one move fixes at most m of the points R moves.
+- Displacement by support: a support S whose seats miss more than m·d of
+  R's moved points yields no child that passes, where d counts the moves
+  left after it.  For x outside S, g⁻¹(x) = x for every ordering g of S,
+  so (R∘g⁻¹)(x) = R(x): each point of supp(R) ∖ S stays moved, and
+  |supp(R∘g⁻¹)| >= |supp(R) ∖ S|.  As bitmasks that is
+  (moved & ~mask).bit_count() > m·d, one test for all (m - 1)! orderings.
 - Cayley: N - cycles(R) <= (m - 1)·d.  N - cycles(R) is the least number
   of transpositions whose product is R.  An m-cycle is a product of
   m - 1 transpositions, and each transposition changes the cycle count by
@@ -50,16 +65,21 @@ With d moves left:
   explored only with the lower support id first, since swapping them
   changes neither the product nor the spent supports.
 
-Search order.  A position applies the bounds to each child R∘g⁻¹ before
-descending, so it enters only children that pass them; the root is
-bounded once per limit.  With one move left, R∘g⁻¹ is the identity
-exactly when g = R, and each m-cycle appears once in the catalog, so the
-last move is found by one dict lookup on R's image tuple, then checked
-for a spent support and the normal form.  That position still counts
-k + 1 nodes when catalog move k completes the plan, and the whole catalog
-when none does, which is what trying each move in turn counted; the
-budget is checked after adding them, so a search raises OracleBudgetError
-under exactly the budgets it would while trying each move.
+Search order.  A position computes R's moved-point bitmask once, then
+skips whole each support that is spent, breaks the normal form against
+the previous move, or fails displacement by support.  Each ordering of a
+support it keeps is bounded as a child R∘g⁻¹, by displacement and
+Cayley, before descending, so the position enters only children that
+pass them; the root is bounded once per limit.  With one move left,
+R∘g⁻¹ is the identity exactly when g = R, and each m-cycle appears once
+in the catalog, so the last move is found by one dict lookup on R's
+image tuple, then checked for a spent support and the normal form.  That
+position still counts k + 1 nodes when catalog move k completes the
+plan, and the whole catalog when none does, which is what trying each
+move in turn counted; the budget is checked after adding them, so a
+search raises OracleBudgetError under exactly the budgets it would while
+trying each move.  With no legal move at all (a ground set smaller than
+m) only the empty plan exists, so the search stops after limit 0.
 
 Inputs.  The rule pool must hold outsiders only (RuleSet raises
 ValueError otherwise, and PlanDocument checks its pool through RuleSet),
@@ -157,39 +177,47 @@ def verify_plan(
 
 def _move_catalog(
     n: int, first_outsider: int, rules: RuleSet
-) -> tuple[list[tuple[int, int, itemgetter, tuple[int, ...]]], dict[tuple[int, ...], int]]:
-    """All legal moves on ground indices 0..n-1, in canonical deterministic order.
+) -> tuple[
+    list[tuple[int, int, tuple[tuple[itemgetter, tuple[int, ...]], ...]]],
+    dict[tuple[int, ...], tuple[int, int, int, tuple[int, ...]]],
+]:
+    """All legal moves on ground indices 0..n-1, grouped by support.
 
-    Each move is (support id, seat bitmask, action on the residual, seats).
-    Supports come in itertools.combinations order, and a support holds an
-    outsider when its greatest index does.  Each support lists its
-    orderings with the least seat leading, so every legal m-cycle appears
-    once; the returned dict maps each move's own image tuple to its index.
-    Raises ValueError, before building any move, for a catalog of more
-    than CATALOG_CAP moves: each legal support has (m - 1)! orderings.
+    Each support is (support id, seat bitmask, orderings), and each
+    ordering is (action on the residual, seats).  Supports come in
+    itertools.combinations order, and a support holds an outsider when its
+    greatest index does.  Each support lists its (m - 1)! orderings with
+    the least seat leading, so every legal m-cycle appears once; the
+    returned dict maps each move's own image tuple to (k, support id, seat
+    bitmask, seats), where k is the move's index in the flat catalog that
+    lists the supports' orderings in turn.  Raises ValueError, before
+    building any move, for a catalog of more than CATALOG_CAP moves.
     """
     m = rules.m
-    supports = [
+    combos = [
         combo
         for combo in itertools.combinations(range(n), m)
         if not rules.require_outsider_per_move or combo[-1] >= first_outsider
     ]
-    size = len(supports) * math.factorial(m - 1)
+    orders = math.factorial(m - 1)
+    size = len(combos) * orders
     if size > CATALOG_CAP:
         raise ValueError(f"catalog of {size} moves is too large to search")
-    catalog = []
+    supports = []
     last_move = {}
-    for sid, combo in enumerate(supports):
+    for sid, combo in enumerate(combos):
         mask = sum(1 << i for i in combo)
         lead, rest = combo[0], combo[1:]
-        for ordering in itertools.permutations(rest):
+        orderings = []
+        for j, ordering in enumerate(itertools.permutations(rest)):
             seats = (lead,) + ordering
             image, preimage = list(range(n)), list(range(n))
             for a, b in zip(seats, seats[1:] + seats[:1]):
                 image[a], preimage[b] = b, a
-            last_move[tuple(image)] = len(catalog)
-            catalog.append((sid, mask, itemgetter(*preimage), seats))
-    return catalog, last_move
+            last_move[tuple(image)] = (sid * orders + j, sid, mask, seats)
+            orderings.append((itemgetter(*preimage), seats))
+        supports.append((sid, mask, tuple(orderings)))
+    return supports, last_move
 
 
 def _cayley_distance(r: tuple[int, ...]) -> int:
@@ -233,10 +261,11 @@ def search_min_plan(
     m, parity = rules.m, target.parity()
     if m % 2 and parity:
         return None  # odd-length cycles multiply to even permutations only
-    catalog, last_move = _move_catalog(n, len(insiders), rules)
-    size = len(catalog)
+    supports, last_move = _move_catalog(n, len(insiders), rules)
+    orders, size = math.factorial(m - 1), len(last_move)  # each m-cycle once
     distinct = rules.require_distinct_supports
     identity = tuple(range(n))
+    bits = [1 << i for i in range(n)]
     nodes = 0
 
     def dfs(
@@ -250,46 +279,53 @@ def search_min_plan(
         """Complete r, which passed the bounds for depth_left >= 1, onto path."""
         nonlocal nodes
         if depth_left == 1:  # R∘g⁻¹ is the identity exactly when g = R
-            k = last_move.get(r)
-            if k is not None:
-                sid, mask, _, seats = catalog[k]
+            hit = last_move.get(r)
+            if hit is not None:
+                k, sid, mask, seats = hit
                 if (distinct and spent >> sid & 1) or (not mask & prev_mask and sid < prev_sid):
-                    k = None
-            nodes += size if k is None else k + 1
+                    hit = None
+            nodes += size if hit is None else k + 1
             if nodes > node_budget:
                 raise OracleBudgetError(f"node budget of {node_budget} exceeded")
-            if k is None:
+            if hit is None:
                 return False
             path.append(seats)
             return True
         d = depth_left - 1
         reach, distance = m * d, (m - 1) * d
-        for sid, mask, act, seats in catalog:
-            nodes += 1
-            if nodes > node_budget:
-                raise OracleBudgetError(f"node budget of {node_budget} exceeded")
-            if distinct and spent >> sid & 1:
+        moved = sum(itertools.compress(bits, map(ne, r, identity)))  # R's moved points
+        for sid, mask, orderings in supports:
+            if (
+                (distinct and spent >> sid & 1)
+                or (not mask & prev_mask and sid < prev_sid)
+                or (moved & ~mask).bit_count() > reach  # displacement, every ordering
+            ):
+                nodes += orders  # each ordering counts, as when tried in turn
+                if nodes > node_budget:
+                    raise OracleBudgetError(f"node budget of {node_budget} exceeded")
                 continue
-            if not mask & prev_mask and sid < prev_sid:
-                continue
-            child = act(r)
-            if sum(map(ne, child, identity)) > reach:
-                continue  # displacement bound
-            if d > 2 and _cayley_distance(child) > distance:
-                continue  # Cayley bound; with d <= 2 left it never cuts
-            path.append(seats)
-            if dfs(child, d, spent | 1 << sid, sid, mask, path):
-                return True
-            path.pop()
+            for act, seats in orderings:
+                nodes += 1
+                if nodes > node_budget:
+                    raise OracleBudgetError(f"node budget of {node_budget} exceeded")
+                child = act(r)
+                if sum(map(ne, child, identity)) > reach:
+                    continue  # displacement bound
+                if d > 2 and _cayley_distance(child) > distance:
+                    continue  # Cayley bound; with d <= 2 left it never cuts
+                path.append(seats)
+                if dfs(child, d, spent | 1 << sid, sid, mask, path):
+                    return True
+                path.pop()
         return False
 
     goal = target.inverse()
     start = tuple(ground.index(goal(e)) for e in ground)  # R before any move
-    moved, distance = sum(map(ne, start, identity)), _cayley_distance(start)
-    for limit in range(max_steps + 1):
+    displaced, distance = sum(map(ne, start, identity)), _cayley_distance(start)
+    for limit in range(max_steps + 1 if supports else 1):  # no move: only limit 0
         if m % 2 == 0 and limit % 2 != parity:
             continue  # the parity bound fails at the root, so at every node
-        if moved > m * limit or distance > (m - 1) * limit:
+        if displaced > m * limit or distance > (m - 1) * limit:
             continue  # displacement and Cayley bounds at the root
         path: list[tuple[int, ...]] = []
         if limit == 0 or dfs(start, limit, 0, -1, 0, path):

@@ -240,6 +240,15 @@ class TestOracle:
         assert code == 4
         assert "budget exceeded" in err
 
+    def test_empty_catalog_is_refuted_at_once(self, capsys):
+        # no 5-seat move fits on (1 2 3) and one outsider: only limit 0 is tried
+        code, _, err = run(
+            capsys, "oracle", "--target", "(1 2 3)", "--m", "5", "--d", "1",
+            "--max-steps", "1000000000", "--node-budget", "10",
+        )
+        assert code == 3
+        assert "no plan within 1000000000 steps" in err
+
     def test_oversized_catalog_is_refused_at_once(self, capsys):
         # one support of 11! orderings: refused before any move is built
         target = "(" + " ".join(map(str, range(1, 12))) + ")"

@@ -1,4 +1,5 @@
 import itertools
+import time
 from operator import itemgetter, ne
 
 import pytest
@@ -166,6 +167,14 @@ class TestSearchMinPlan:
             found = search_min_plan(target, RuleSet(m=3, outsiders=pool(1)), 5)
             assert found is not None and len(found) == built.steps
 
+    def test_empty_catalog_stops_after_limit_zero(self):
+        # four ground elements seat no 5-machine move, so no limit above 0
+        # can succeed; trying each of 10**9 limits in turn would take minutes
+        start = time.perf_counter()
+        target, rules = parse_cycles("(1 2 3)"), RuleSet(m=5, outsiders=pool(1))
+        assert search_min_plan(target, rules, 10**9, node_budget=0) is None
+        assert time.perf_counter() - start < 1.0
+
     def test_oversized_catalog_rejected_before_building(self):
         # 9 supports times 8! orderings: 362,880 moves, far above the cap
         nine = Permutation.from_cycle([insider(i) for i in range(1, 10)])
@@ -178,11 +187,32 @@ class TestSearchMinPlan:
     )
     def test_catalog_cap_counts_every_move(self, monkeypatch, n, first_outsider, m, outsider_rule):
         rules = RuleSet(m=m, outsiders=pool(1), require_outsider_per_move=outsider_rule)
-        catalog, last_move = oracle._move_catalog(n, first_outsider, rules)
-        assert len(last_move) == len(catalog)
-        monkeypatch.setattr(oracle, "CATALOG_CAP", len(catalog) - 1)
-        with pytest.raises(ValueError, match=f"catalog of {len(catalog)} moves"):
+        supports, last_move = oracle._move_catalog(n, first_outsider, rules)
+        size = sum(len(orderings) for _, _, orderings in supports)
+        assert len(last_move) == size
+        monkeypatch.setattr(oracle, "CATALOG_CAP", size - 1)
+        with pytest.raises(ValueError, match=f"catalog of {size} moves"):
             oracle._move_catalog(n, first_outsider, rules)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(0, 8),
+        m=st.integers(2, 5),
+        outsider_rule=st.booleans(),
+    )
+    def test_moved_points_off_the_seats_stay_moved(self, data, n, m, outsider_rule):
+        # R∘g⁻¹ agrees with R off g's seats, which the support-wide
+        # displacement bound in search_min_plan relies on
+        r = tuple(data.draw(st.permutations(range(n))))
+        first_outsider = data.draw(st.integers(0, n))
+        rules = RuleSet(m=m, outsiders=pool(1), require_outsider_per_move=outsider_rule)
+        moved = sum(1 << i for i, j in enumerate(r) if i != j)
+        supports, _ = oracle._move_catalog(n, first_outsider, rules)
+        for _, mask, orderings in supports:
+            for act, _ in orderings:
+                displacement = sum(map(ne, act(r), range(n)))
+                assert displacement >= (moved & ~mask).bit_count()
 
 
 class TestBudgetEdges:
@@ -201,8 +231,20 @@ class TestBudgetEdges:
                 "(1 2 3)", RuleSet(m=3, outsiders=(), require_outsider_per_move=False), 4, 2,
                 ["(a1 a3 a2)"],
             ),
+            (
+                "(1 2 3 4 5 6)(7 8)", RuleSet(m=4, outsiders=pool(1)), 4, 30_446,
+                ["(a1 a2 a3 x1)", "(a2 a6 a5 x1)", "(a3 a7 x1 a4)", "(a1 x1 a8 a7)"],
+            ),
+            (
+                "(1 2 3)(4 5 6)", RuleSet(m=5, outsiders=pool(1)), 3, 247,
+                ["(a1 a3 a2 a4 x1)", "(a1 x1 a6 a5 a4)"],
+            ),
+            (
+                "(1 2 3 4)(5 6)",
+                RuleSet(m=4, outsiders=pool(2), require_distinct_supports=False), 3, 330, None,
+            ),
         ],
-        ids=["keeler-pair", "refutation", "limit-1"],
+        ids=["keeler-pair", "refutation", "limit-1", "m4-pair", "m5-pair", "m4-repeats"],
     )
     def test_exact_budget(self, text, rules, max_steps, nodes, plan):
         target = parse_cycles(text)
