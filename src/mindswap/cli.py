@@ -3,7 +3,7 @@
     mindswap solve    --target "(a1 a2)" --m 2
     mindswap verify   --plan plan.txt
     mindswap oracle   --target "(a1 a2)(a3 a4)" --m 3 --d 1
-    mindswap infinite shift3 | star --k 2 | finitary2 --sigma "(a1 a2)(a3 a4 a5)"
+    mindswap infinite shift3 | finitary2 --sigma "(a1 a2)(a3 a4 a5)"
 
 Plan documents go to stdout; summaries and diagnostics go to stderr.  Exit
 codes: 0 ok, 1 verification failed, 2 parse error, 3 unsolvable, 4 node
@@ -25,7 +25,6 @@ from .perm import (
     ParseError,
     Permutation,
     format_cycles,
-    insider,
     insiders_only,
     outsider,
     parse_cycles,
@@ -174,17 +173,11 @@ def _cmd_infinite(args: argparse.Namespace) -> int:
         swaps = infinite.invert_shift_three_step()
         expected = infinite.inverse_shift_map()
     else:
-        if args.mode == "star":
-            if args.k < 2:
-                print("error: --k must be at least 2", file=sys.stderr)
-                return EXIT_PARSE
-            sigma = Permutation.from_cycle([insider(i) for i in range(1, args.k + 1)])
-        else:
-            try:
-                sigma = _parse_target(args.sigma)
-            except (ParseError, ValueError) as err:
-                print(f"parse error: {err}", file=sys.stderr)
-                return EXIT_PARSE
+        try:
+            sigma = _parse_target(args.sigma)
+        except (ParseError, ValueError) as err:
+            print(f"parse error: {err}", file=sys.stderr)
+            return EXIT_PARSE
         swaps = infinite.invert_finitary_two_step(sigma)
         if not swaps:
             print("identity target: empty plan")
@@ -222,9 +215,8 @@ def main(argv: list[str] | None = None) -> int:
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_inf = sub.add_parser("infinite", help="infinite-machine demonstrations")
-    p_inf.add_argument("mode", choices=["shift3", "star", "finitary2"])
+    p_inf.add_argument("mode", choices=["shift3", "finitary2"])
     p_inf.add_argument("--sigma", default="", help="finitary target for finitary2")
-    p_inf.add_argument("--k", type=int, default=2, help="cycle length for star")
     p_inf.add_argument("--horizon", type=int, default=4, help="tail rows before the ellipsis")
     p_inf.set_defaults(func=_cmd_infinite)
 

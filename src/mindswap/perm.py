@@ -17,6 +17,7 @@ first.
 from __future__ import annotations
 
 import re
+import sys
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -66,7 +67,9 @@ def outsider(index: int) -> Element:
     return Element(OUTSIDER, index)
 
 
-_INDEX = "[1-9][0-9]*"  # ASCII digits, no sign, no leading zero
+_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # int()'s digit cap, 0 for none
+# ASCII digits, no sign, no leading zero, and no more of them than int() reads
+_INDEX = f"[1-9][0-9]{{0,{_DIGITS - 1}}}" if _DIGITS else "[1-9][0-9]*"
 _NATURAL = re.compile(f"0|{_INDEX}")
 _ELEMENT = re.compile(rf"([{INSIDER}{OUTSIDER}]?)({_INDEX})")
 
@@ -79,7 +82,7 @@ def _natural(text: str) -> int | None:
 def parse_element(token: str) -> Element:
     """Parse "a3", "x2" or a bare integer (bare integers are insiders).
 
-    Every index is ASCII digits with no leading zero, and not 0.
+    Every index is ASCII digits with no leading zero, not 0, and no longer than int() reads.
     """
     match = _ELEMENT.fullmatch(token)
     if match is None:

@@ -42,7 +42,8 @@ class PlanDocument:
     ``target`` is canonical cycle text (``format_cycles`` output); it is
     only re-parsed by ``loads``, where text enters from outside.  Solvers
     fill every field except ``lower_bound``, which only optimal3 sets.
-    The machine size and the pool are checked by ``RuleSet``.
+    The machine size and the pool are checked by ``RuleSet``; ``target``
+    and ``solver`` must be one line with no outer whitespace, as read back.
     """
 
     m: int
@@ -57,6 +58,9 @@ class PlanDocument:
             RuleSet(self.m, self.outsiders, require_outsider_per_move=False)
         except ValueError as err:
             raise PlanFormatError(str(err)) from err
+        for key, text in (("target", self.target), ("solver", self.solver or "")):
+            if text != text.strip() or len(text.splitlines()) > 1:
+                raise PlanFormatError(f"{key} {text!r} is not one line without outer whitespace")
         if self.lower_bound is not None and self.lower_bound > self.steps:
             raise PlanFormatError(
                 f"lower bound {self.lower_bound} exceeds the plan's {self.steps} steps"

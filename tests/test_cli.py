@@ -6,7 +6,7 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mindswap.cli import SOLVERS, main
 from mindswap.moves import plan_product
@@ -259,6 +259,38 @@ class TestOracle:
         assert "error: catalog of 39916800 moves is too large to search" in err
 
 
+# an index one digit longer than int() reads from text
+LONG_INDEX = "1" * (sys.get_int_max_str_digits() + 1)
+
+
+class TestIndexDigitLimit:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--target", f"(a{LONG_INDEX} a2)", "--m", "2"],
+            ["oracle", "--target", f"(a{LONG_INDEX} a2)", "--m", "3"],
+            ["infinite", "finitary2", "--sigma", f"(a{LONG_INDEX} a2)"],
+        ],
+        ids=["solve", "oracle", "finitary2"],
+    )
+    def test_long_index_is_a_parse_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: malformed element token ")
+        assert "int_max_str_digits" not in err
+
+    def test_long_index_in_a_move_is_a_parse_error(self, capsys, tmp_path):
+        plan_file = tmp_path / "plan.txt"
+        plan_file.write_text(
+            "mindswap-plan v1\nmachine-size: 2\ntarget: (a1 a2)\noutsiders: x1\n"
+            f"moves:\n  a1 x{LONG_INDEX}\n"
+        )
+        code, out, err = run(capsys, "verify", "--plan", str(plan_file))
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: malformed element token ")
+        assert "int_max_str_digits" not in err
+
+
 class TestInfinite:
     def test_shift3(self, capsys):
         code, out, _ = run(capsys, "infinite", "shift3")
@@ -267,20 +299,22 @@ class TestInfinite:
         assert "a2 -> a1" in out
         assert "composition check: ok" in out
 
-    def test_star(self, capsys):
-        code, out, _ = run(capsys, "infinite", "star", "--k", "2")
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_finitary2_single_cycle(self, capsys, k):
+        cycle = "(" + " ".join(f"a{i}" for i in range(1, k + 1)) + ")"
+        code, out, _ = run(capsys, "infinite", "finitary2", "--sigma", cycle)
         assert code == 0
         assert "step 1 (forgetful):" in out
-        assert "a2 -> z" in out
-        assert "composition check: ok" in out
+        assert "step 2 (retentive):" in out
+        assert out.endswith("composition check: ok (target inverse, canonical form)\n")
+        if k == 2:
+            assert "a2 -> z" in out
 
-    @pytest.mark.parametrize("k", range(2, 7))
-    def test_star_is_finitary2_on_one_cycle(self, capsys, k):
-        cycle = "(" + " ".join(f"a{i}" for i in range(1, k + 1)) + ")"
-        star = run(capsys, "infinite", "star", "--k", str(k))
-        assert star == run(capsys, "infinite", "finitary2", "--sigma", cycle)
-        assert star[0] == 0
-        assert star[1].endswith("composition check: ok (target inverse, canonical form)\n")
+    def test_star_mode_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["infinite", "star", "--k", "2"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'star'" in capsys.readouterr().err
 
     def test_finitary2(self, capsys):
         code, out, _ = run(
@@ -353,6 +387,9 @@ POOL_RULE_CASES = [
 ]
 
 
+KEELER_DOC = SOLVERS["keeler2"][1](parse_cycles("(1 2)"), 2)
+
+
 class TestPlanDocFormat:
     @pytest.mark.parametrize("m, pool, message", POOL_RULE_CASES, ids=["m1", "repeat", "insider"])
     def test_pool_rule_has_one_message(self, m, pool, message):
@@ -365,6 +402,32 @@ class TestPlanDocFormat:
         with pytest.raises(plandoc.PlanFormatError) as loads_err:
             plandoc.loads(text)
         assert str(rules_err.value) == str(record_err.value) == str(loads_err.value) == message
+
+    @given(
+        st.none() | st.text(),
+        st.permutations(range(1, 7)).map(
+            lambda images: format_cycles(permutation_from_images(list(images)))
+        ),
+    )
+    @example("keeler2\nlower-bound: 0", "(a1 a2)")
+    @example(" keeler2", "")
+    def test_record_text_reads_back_or_is_refused(self, solver, target):
+        try:
+            doc = dataclasses.replace(KEELER_DOC, solver=solver, target=target)
+        except plandoc.PlanFormatError:
+            return
+        assert plandoc.loads(plandoc.dumps(doc)) == doc
+
+    @pytest.mark.parametrize(
+        "field, text",
+        [("solver", "keeler2\nlower-bound: 0"), ("target", "(a1 a2)\nsolver: x"),
+         ("solver", "keeler2\x85"), ("target", " (a1 a2)")],
+        ids=["solver-newline", "target-newline", "solver-next-line", "target-leading-space"],
+    )
+    def test_text_that_would_not_read_back_is_refused(self, field, text):
+        with pytest.raises(plandoc.PlanFormatError) as err:
+            dataclasses.replace(KEELER_DOC, **{field: text})
+        assert str(err.value) == f"{field} {text!r} is not one line without outer whitespace"
 
     def test_dumps_loads_round_trip_is_byte_exact(self, capsys):
         _, out, _ = run(capsys, "solve", "--target", "(1 2 3)", "--m", "3")
@@ -453,10 +516,13 @@ class TestPlanDocFormat:
             ("machine-size: \u0663", "malformed machine-size '\u0663'"),
             ("steps: 0_2", "malformed steps '0_2'"),
             ("lower-bound: +2", r"malformed lower-bound '\+2'"),
+            (f"machine-size: {LONG_INDEX}", f"malformed machine-size '{LONG_INDEX}'"),
+            (f"steps: {LONG_INDEX}", f"malformed steps '{LONG_INDEX}'"),
+            (f"lower-bound: {LONG_INDEX}", f"malformed lower-bound '{LONG_INDEX}'"),
         ],
         ids=["insider-in-pool", "lower-bound-above-steps", "negative-lower-bound", "repeated-size",
              "repeated-target", "unknown-key", "non-ascii-size", "underscored-steps",
-             "signed-lower-bound"],
+             "signed-lower-bound", "long-size", "long-steps", "long-lower-bound"],
     )
     def test_strict_fields_rejected(self, field, message):
         key, _, value = field.partition(": ")

@@ -135,9 +135,6 @@ CASES: dict[str, tuple[list[str], str]] = {
         "",
     ),
     "infinite-shift3": (["infinite", "shift3"], ""),
-    "infinite-star-k3": (["infinite", "star", "--k", "3"], ""),
-    "infinite-star-k2": (["infinite", "star", "--k", "2"], ""),
-    "infinite-star-k1": (["infinite", "star", "--k", "1"], ""),
     "infinite-shift3-horizon1": (["infinite", "shift3", "--horizon", "1"], ""),
     "infinite-finitary2-gaps": (
         ["infinite", "finitary2", "--sigma", "(a2 a5)(a7 a9 a8)", "--horizon", "2"],

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import sys
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -59,6 +60,13 @@ class TestParse:
         for text in ["(0 1)", "(\u00b2 a1)", "(a\u0663 a1)", "(01 2)"]:
             with pytest.raises(ParseError):
                 parse_cycles(text)
+
+    def test_index_digits_stop_at_the_int_limit(self):
+        limit = sys.get_int_max_str_digits()
+        index = int("9" * limit)
+        assert parse_cycles(f"(a{'9' * limit} a2)") == cyc(index, 2)
+        with pytest.raises(ParseError, match="^malformed element token 'a1"):
+            parse_cycles(f"(a1{'0' * limit} a2)")
 
     @given(
         st.one_of(
