@@ -20,7 +20,7 @@ from . import infinite, plandoc
 from .keeler import solve_two_machine
 from .machine import solve_m_machine
 from .optimal3 import lower_bound, solve_three_machine_optimal
-from .oracle import OracleBudgetError, RuleSet, search_min_plan, verify_plan
+from .oracle import OracleBudgetError, RuleSet, _refuse_ground, search_min_plan, verify_plan
 from .perm import (
     ParseError,
     Permutation,
@@ -128,8 +128,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     except ValueError as err:
         print(f"unsolvable: {err}", file=sys.stderr)
         return EXIT_UNSOLVABLE
-    pool = tuple(outsider(i) for i in range(1, args.d + 1))
     try:
+        if args.d > 0 and args.m >= 2 and args.max_steps >= 0 and args.node_budget >= 0:
+            # refuse before building a pool that no search takes; RuleSet's and
+            # search_min_plan's own refusals keep their precedence over this one
+            _refuse_ground(len(target.support()) + args.d)
+        pool = tuple(outsider(i) for i in range(1, args.d + 1))
         rules = RuleSet(m=args.m, outsiders=pool)
         plan = search_min_plan(target, rules, args.max_steps, node_budget=args.node_budget)
     except OracleBudgetError as err:

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .perm import INSIDER, Element, Permutation, insider, insiders_only
+from .perm import INSIDER, Element, Permutation, _element, insider, insiders_only
 
 STREAM = INSIDER
 FORGETFUL = "forgetful"
@@ -123,17 +123,19 @@ class TailMap:
                 raise TypeError("exceptions must map carrier points to carrier points")
         if tail is not None:
             t, d = tail.threshold, tail.delta
-            # exceptions inside the tail's region must agree with it; absorb them
+            # exceptions inside the tail's region must agree with it; absorb them.
+            # These sites only compare, and the plain (kind, index) tuple equals
+            # and hashes as the Element, so they build no point.
             for k in list(exc):
                 if isinstance(k, Element) and k.index >= t:
-                    if exc[k] == insider(k.index + d):
+                    if exc[k] == (STREAM, k.index + d):
                         del exc[k]
                     else:
                         raise ValueError(f"exception at {k} conflicts with its stream tail")
             # minimal threshold: pull agreeing exceptions into the tail
             floor = 2 if d == -1 else 1
-            while t > floor and exc.get(insider(t - 1)) == insider(t - 1 + d):
-                del exc[insider(t - 1)]
+            while t > floor and exc.get((STREAM, t - 1)) == (STREAM, t - 1 + d):
+                del exc[(STREAM, t - 1)]
                 t -= 1
             if t != tail.threshold:
                 tail = TailRule(t, d)
@@ -161,7 +163,8 @@ class TailMap:
             return self._exceptions[e]
         rule = self._tail
         if rule is not None and _on_stream(e) and e.index >= rule.threshold:
-            return insider(e.index + rule.delta)
+            # e.index >= threshold >= 2 when delta is -1 (TailRule's floor), so the index is >= 1
+            return _element((STREAM, e.index + rule.delta))
         return None
 
     __call__ = apply
@@ -251,7 +254,7 @@ def compose(f: TailMap, g: TailMap) -> TailMap:
 
     candidates: set[CarrierPoint] = set(g._exceptions) | set(f._exceptions)
     if tail is not None:
-        candidates.update(map(insider, range(1, tail.threshold)))
+        candidates.update(_element((STREAM, n)) for n in range(1, tail.threshold))  # n >= 1
 
     exceptions: dict[CarrierPoint, CarrierPoint] = {}
     for e in sorted(candidates, key=_point_key):  # order free of string hashing
@@ -314,8 +317,9 @@ def invert_finitary_two_step(sigma: Permutation) -> list[TailMap]:
     first, *rest = sigma.cycles
     support = sigma.support()
     top = max(e.index for e in support)
-    untouched = [e for e in map(insider, range(1, top)) if e not in support]
-    beyond = insider(top + 1)
+    # indices count up from 1, so each is positive
+    untouched = [_element((STREAM, n)) for n in range(1, top) if (STREAM, n) not in support]
+    beyond = _element((STREAM, top + 1))
 
     nodes = [first[0], *reversed(first[1:]), HELPER]
     for c in rest:
@@ -334,7 +338,8 @@ def finitary_extension(p: Permutation) -> TailMap:
     insiders_only(p)
     top = max((e.index for e in p.support()), default=0)
     exceptions: dict[CarrierPoint, CarrierPoint] = {HELPER: HELPER}
-    for e in map(insider, range(1, top + 1)):
+    for n in range(1, top + 1):  # indices count up from 1, so each is positive
+        e = _element((STREAM, n))
         exceptions[e] = p.apply(e)
     return TailMap(exceptions, TailRule(top + 1, 0))
 

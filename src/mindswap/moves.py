@@ -13,6 +13,10 @@ from typing import Iterable
 from .perm import Element, Permutation, _compose_cycles
 
 
+def _repeated_seat(move: tuple[Element, ...]) -> ValueError:
+    return ValueError(f"repeated seat in move ({' '.join(map(str, move))})")
+
+
 class MachineMove(tuple):
     """One machine use: the seat tuple, seats[0] -> seats[1] -> ... -> seats[0].
 
@@ -27,9 +31,9 @@ class MachineMove(tuple):
         if len(seats) < 2:
             raise ValueError("a machine move needs at least 2 seats")
         if len(set(seats)) != len(seats):
-            raise ValueError(f"repeated seat in move ({' '.join(map(str, seats))})")
+            raise _repeated_seat(seats)
         lead = seats.index(min(seats))
-        return tuple.__new__(cls, seats[lead:] + seats[:lead])
+        return tuple.__new__(cls, seats[lead:] + seats[:lead] if lead else seats)
 
     def __str__(self) -> str:
         return "(" + " ".join(map(str, self)) + ")"
@@ -39,5 +43,13 @@ class MachineMove(tuple):
 
 
 def plan_product(moves: Iterable[MachineMove]) -> Permutation:
-    """Product of a chronological plan: later moves compose on the left."""
+    """Product of a chronological plan: later moves compose on the left.
+
+    Raises ValueError for a move that seats one element twice, which has
+    no product; MachineMove refuses those, but a plain tuple may hold one.
+    """
+    moves = list(moves)
+    for move in moves:
+        if len(set(move)) != len(move):
+            raise _repeated_seat(move)
     return _compose_cycles(moves)

@@ -83,7 +83,7 @@ m) only the empty plan exists, so the search stops after limit 0.
 
 Inputs.  The rule pool must hold outsiders only (RuleSet raises
 ValueError otherwise, and PlanDocument checks its pool through RuleSet),
-and a search refuses with ValueError a ground set of more than 16
+and a search refuses with ValueError a ground set of more than GROUND_CAP
 elements or a catalog of more than CATALOG_CAP moves, sized from its
 legal supports before any move is built.
 
@@ -102,12 +102,22 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter, ne
 
-from .moves import MachineMove, plan_product
-from .perm import Element, Permutation, insiders_only
+from .moves import MachineMove
+from .perm import OUTSIDER, Element, Permutation, insiders_only
 
 CATALOG_CAP = 100_000
 """Most catalog moves a search builds.  86,400 moves (m = 7 on 10 elements)
 take about 0.5 s and 48 MB to build with CPython 3.11 on a Xeon vCPU."""
+
+
+GROUND_CAP = 16
+"""Most elements a search takes: the target's support plus the pool."""
+
+
+def _refuse_ground(n: int) -> None:
+    """ValueError when a ground set of n elements is too large to search."""
+    if n > GROUND_CAP:
+        raise ValueError(f"ground set of {n} elements is too large to search")
 
 
 class OracleBudgetError(RuntimeError):
@@ -149,29 +159,61 @@ class VerificationReport:
 def verify_plan(
     target: Permutation, plan: list[MachineMove], rules: RuleSet
 ) -> VerificationReport:
-    """Check seat counts, outsider usage, support distinctness and product.
+    """Check seat counts, repeated seats, outsider usage, support
+    distinctness and product.
 
-    All problems are reported with their move index; nothing raises.  The
-    product check compares the chronological right-to-left plan product
-    against the inverse of the target.
+    All problems are reported with their move index; nothing raises.  Each
+    move's own kinds come in move order: seat-count, repeated-seat, then
+    missing-outsider or unknown-outsider.  The duplicate-support entries
+    follow.  A move that seats one element twice has no product, so a
+    plan holding one never has product_ok.  The product check compares
+    the chronological right-to-left plan product against the inverse of
+    the target.
+
+    Each move is read once, into one frozenset that both the outsider rule
+    and the distinct-support rule use, and into the product's fold.
+
+    - Outsiders sort last.  Element order is (kind, index), and INSIDER
+      sorts before OUTSIDER, so a move seats an outsider exactly when its
+      greatest seat is one.  Likewise it seats an outsider outside the
+      pool exactly when the greatest of its seats outside the pool is an
+      outsider.
+    - The fold keeps the inverse of the product P, as a preimage map (see
+      perm._compose_cycles).  P = σ⁻¹ exactly when P⁻¹ = σ, so with fixed
+      points dropped that map is compared with the target's image map,
+      and no permutation is built for either side.
     """
     violations: list[tuple[int, str]] = []
-    pool = set(rules.outsiders)
+    duplicates: list[tuple[int, str]] = []
+    pool = frozenset(rules.outsiders)
+    m, outsider_rule = rules.m, rules.require_outsider_per_move
+    distinct = rules.require_distinct_supports
+    seen: set[frozenset[Element]] = set()
+    preimage: dict[Element, Element] = {}
+    repeated = False
     for i, move in enumerate(plan):
-        if len(move) != rules.m:
+        support = frozenset(move)
+        if len(move) != m:
             violations.append((i, "seat-count"))
-        if rules.require_outsider_per_move and not any(s.is_outsider for s in move):
-            violations.append((i, "missing-outsider"))
-        elif any(s.is_outsider and s not in pool for s in move):
-            violations.append((i, "unknown-outsider"))
-    if rules.require_distinct_supports:
-        seen: set[frozenset[Element]] = set()
-        for i, move in enumerate(plan):
-            support = frozenset(move)
+        if len(support) != len(move):
+            violations.append((i, "repeated-seat"))
+            repeated = True
+        if not move or max(move)[0] != OUTSIDER:
+            if outsider_rule:
+                violations.append((i, "missing-outsider"))
+        else:
+            unknown = support - pool
+            if unknown and max(unknown)[0] == OUTSIDER:
+                violations.append((i, "unknown-outsider"))
+        if distinct:
             if support in seen:
-                violations.append((i, "duplicate-support"))
+                duplicates.append((i, "duplicate-support"))
             seen.add(support)
-    product_ok = plan_product(plan) == target.inverse()
+        if not repeated:  # the fold of perm._compose_cycles, one move at a time
+            sources = [preimage.get(y, y) for y in move]
+            preimage.update(zip(move[1:] + move[:1], sources))
+    violations += duplicates
+    product_ok = not repeated and {y: x for y, x in preimage.items() if x != y} == target._map
     return VerificationReport(product_ok, violations, len(plan))
 
 
@@ -256,8 +298,7 @@ def search_min_plan(
     insiders = sorted(target.support())
     ground = insiders + sorted(rules.outsiders)
     n = len(ground)
-    if n > 16:
-        raise ValueError(f"ground set of {n} elements is too large to search")
+    _refuse_ground(n)
     m, parity = rules.m, target.parity()
     if m % 2 and parity:
         return None  # odd-length cycles multiply to even permutations only

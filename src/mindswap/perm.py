@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 import sys
+from functools import partial
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -67,6 +68,12 @@ def outsider(index: int) -> Element:
     return Element(OUTSIDER, index)
 
 
+_element = partial(tuple.__new__, Element)
+"""_element((kind, index)) is Element(kind, index) unchecked: the caller
+guarantees a known kind and a positive int index, which Element() would
+verify.  A partial of tuple.__new__ costs no Python frame."""
+
+
 _DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # int()'s digit cap, 0 for none
 # ASCII digits, no sign, no leading zero, and no more of them than int() reads
 _INDEX = f"[1-9][0-9]{{0,{_DIGITS - 1}}}" if _DIGITS else "[1-9][0-9]*"
@@ -88,7 +95,7 @@ def parse_element(token: str) -> Element:
     if match is None:
         raise ParseError(f"malformed element token {token!r}")
     kind, digits = match.groups()
-    return Element(kind or INSIDER, int(digits))
+    return _element((kind or INSIDER, int(digits)))  # _ELEMENT admits no other kind, and no 0
 
 
 class ElementTokens(dict):
@@ -161,7 +168,7 @@ class Permutation:
         return _compose_cycles(other.cycles + self.cycles)
 
     def inverse(self) -> "Permutation":
-        return Permutation({v: k for k, v in self._map.items()})
+        return _trusted({v: k for k, v in self._map.items()})
 
     def parity(self) -> int:
         """0 for even, 1 for odd; a k-cycle contributes k - 1 transpositions."""
@@ -186,6 +193,14 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({self})"
+
+
+def _trusted(images: dict[Element, Element]) -> Permutation:
+    """The permutation with these images, unchecked: the caller guarantees
+    a bijection with no fixed points, which Permutation() would verify."""
+    p = Permutation.__new__(Permutation)
+    p._map = images
+    return p
 
 
 def insiders_only(p: Permutation) -> Permutation:
@@ -244,12 +259,17 @@ def _compose_cycles(cycles: Iterable[Sequence[Element]]) -> Permutation:
 
     A cycle sends y to its successor, so the running product's inverse
     changes only at the cycle's own elements: the cost is the total length.
+    Each repeat-free cycle is a bijection, so preimage stays the inverse
+    of a bijection on the points it holds, and the product is built
+    unchecked.  Every caller passes repeat-free cycles: parse_cycles and
+    from_cycle check theirs, __mul__ passes canonical cycles, and
+    plan_product checks its moves.
     """
     preimage: dict[Element, Element] = {}
     for cycle in cycles:
         sources = [preimage.get(y, y) for y in cycle]
         preimage.update(zip(cycle[1:] + cycle[:1], sources))
-    return Permutation({x: y for y, x in preimage.items()})
+    return _trusted({x: y for y, x in preimage.items() if x != y})
 
 
 def format_cycles(p: Permutation) -> str:

@@ -1,9 +1,10 @@
 import random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from mindswap.infinite import TailMap, TailRule
-from mindswap.oracle import RuleSet, verify_plan
-from mindswap.perm import Permutation, insider, outsider
+from mindswap.moves import MachineMove
+from mindswap.oracle import RuleSet, VerificationReport, verify_plan
+from mindswap.perm import Element, Permutation, insider, outsider
 
 
 def permutation_from_images(images: list[int]) -> Permutation:
@@ -85,3 +86,39 @@ def cycle_as_two_swaps(order: Sequence[int]) -> list[TailMap]:
     bump = TailMap(cycle, TailRule(n + 1, +1))
     pull_back = TailMap({}, TailRule(n + 2, -1))
     return [bump, pull_back]
+
+
+def checked_compose_cycles(cycles: Iterable[Sequence[Element]]) -> Permutation:
+    """The product of cycles in acting order, built through Permutation's
+    bijection check, which raises ValueError when the fold is not one."""
+    preimage: dict[Element, Element] = {}
+    for cycle in cycles:
+        sources = [preimage.get(y, y) for y in cycle]
+        preimage.update(zip(cycle[1:] + cycle[:1], sources))
+    return Permutation({x: y for y, x in preimage.items()})
+
+
+def reference_verify_plan(
+    target: Permutation, plan: list[MachineMove], rules: RuleSet, product=checked_compose_cycles
+) -> VerificationReport:
+    """The verifier that re-read each move per rule and built both sides of
+    the product check as permutations.  product is its plan product; it
+    has none for a move that seats one element twice."""
+    violations: list[tuple[int, str]] = []
+    pool = set(rules.outsiders)
+    for i, move in enumerate(plan):
+        if len(move) != rules.m:
+            violations.append((i, "seat-count"))
+        if rules.require_outsider_per_move and not any(s.is_outsider for s in move):
+            violations.append((i, "missing-outsider"))
+        elif any(s.is_outsider and s not in pool for s in move):
+            violations.append((i, "unknown-outsider"))
+    if rules.require_distinct_supports:
+        seen: set[frozenset[Element]] = set()
+        for i, move in enumerate(plan):
+            support = frozenset(move)
+            if support in seen:
+                violations.append((i, "duplicate-support"))
+            seen.add(support)
+    product_ok = product(plan) == target.inverse()
+    return VerificationReport(product_ok, violations, len(plan))

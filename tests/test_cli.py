@@ -8,6 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mindswap import cli
 from mindswap.cli import SOLVERS, main
 from mindswap.moves import plan_product
 from mindswap.optimal3 import lower_bound
@@ -248,6 +249,25 @@ class TestOracle:
         )
         assert code == 3
         assert "no plan within 1000000000 steps" in err
+
+    def test_oversized_ground_set_is_refused_before_its_pool(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "outsider", lambda i: built.append(i))
+        code, out, err = run(capsys, "oracle", "--target", "(1 2)", "--m", "3", "--d", "100000")
+        assert (code, out, built) == (2, "", [])
+        assert err == "error: ground set of 100002 elements is too large to search\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--m", "1"], "machine size must be at least 2, got 1"),
+            (["--m", "3", "--max-steps", "-1"], "max_steps must be nonnegative"),
+            (["--m", "3", "--node-budget", "-1"], "node_budget must be nonnegative"),
+        ],
+    )
+    def test_other_refusals_come_before_the_ground_set(self, capsys, flags, message):
+        code, _, err = run(capsys, "oracle", "--target", "(1 2)", "--d", "20", *flags)
+        assert (code, err) == (2, f"error: {message}\n")
 
     def test_oversized_catalog_is_refused_at_once(self, capsys):
         # one support of 11! orderings: refused before any move is built

@@ -60,6 +60,17 @@ moves:
   a2 a4 x1
 """
 
+NO_OUTSIDER_PLAN = """\
+mindswap-plan v1
+machine-size: 3
+target: (a1 a2 a3)
+outsiders: x1
+moves:
+  a1 a3 a2
+"""
+
+UNKNOWN_OUTSIDER_PLAN = CLEAN_PLAN.replace("x1", "x2").replace("outsiders: x2", "outsiders: x1")
+
 # name -> (argv, stdin)
 CASES: dict[str, tuple[list[str], str]] = {
     "solve-keeler2-transposition": (["solve", "--target", "(1 2)", "--m", "2"], ""),
@@ -117,6 +128,9 @@ CASES: dict[str, tuple[list[str], str]] = {
         ["verify", "--plan", "-", "--no-distinct-rule"],
         REPEATED_MOVE_PLAN,
     ),
+    "verify-missing-outsider": (["verify", "--plan", "-"], NO_OUTSIDER_PLAN),
+    "verify-no-outsider-rule": (["verify", "--plan", "-", "--no-outsider-rule"], NO_OUTSIDER_PLAN),
+    "verify-unknown-outsider": (["verify", "--plan", "-"], UNKNOWN_OUTSIDER_PLAN),
     "verify-target-override": (
         ["verify", "--plan", "-", "--target", "(1 2)(3 5)"],
         CLEAN_PLAN,

@@ -22,7 +22,7 @@ from mindswap.infinite import (
     inverse_shift_map,
     step_table,
 )
-from mindswap.perm import Permutation, insider, outsider, parse_cycles
+from mindswap.perm import Element, Permutation, insider, outsider, parse_cycles
 
 from conftest import (
     cycle_as_two_swaps,
@@ -401,3 +401,39 @@ class TestRendering:
         expected = render()
         with mock.patch("mindswap.infinite.insider", side_effect=AssertionError("point built")):
             assert render() == expected
+
+    def test_composition_checks_no_points(self, monkeypatch):
+        # every stream point compose and apply make derives from valid ones,
+        # so none of them goes through Element's checks again
+        sigma = parse_cycles("(a2 a5)(a7 a9 a8)")
+        swaps = [*invert_shift_three_step(), *invert_finitary_two_step(sigma)]
+        points = [insider(n) for n in range(1, 14)] + [Z]
+
+        def composite(f, g):
+            try:
+                return compose(f, g)
+            except ValueError:  # clashing tails, or two minds riding into one body
+                return None
+
+        def run():
+            composites = [compose_all(swaps[:3]), compose_all(swaps[3:])]
+            composites += [composite(f, g) for f in swaps for g in swaps]
+            composites = [f for f in composites if f is not None]
+            images = [f.apply(p) for f in swaps + composites for p in points]
+            return composites, images, finitary_extension(sigma.inverse())
+
+        expected = run()
+        built = []
+        checked_new = Element.__new__
+
+        def counting_new(cls, kind, index):
+            built.append((kind, index))
+            return checked_new(cls, kind, index)
+
+        monkeypatch.setattr(Element, "__new__", staticmethod(counting_new))
+        composites, images, extension = run()
+        assert built == []
+        assert (composites, images, extension) == expected
+        for f in [*composites, extension]:
+            assert all(type(k) is Element for k in f.exceptions if not isinstance(k, str))
+        assert all(type(e) is Element for e in images if e is not None and not isinstance(e, str))

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from mindswap import oracle
 from mindswap.keeler import solve_two_machine
+from mindswap.machine import solve_m_machine
 from mindswap.moves import MachineMove, plan_product
 from mindswap.optimal3 import odd_cycle_moves, solve_three_machine_optimal
 from mindswap.oracle import (
@@ -16,6 +17,8 @@ from mindswap.oracle import (
     verify_plan,
 )
 from mindswap.perm import Permutation, insider, insiders_only, outsider, parse_cycles
+
+from conftest import permutation_from_images, reference_verify_plan
 
 
 def pool(d):
@@ -85,6 +88,33 @@ class TestVerifyPlan:
         report = verify_plan(parse_cycles("(1 2 3)"), plan, RuleSet(m=3, outsiders=pool(1)))
         assert not report.product_ok
         assert not report.clean
+
+    def test_repeated_seat_flagged(self):
+        # a plain tuple may seat one person twice; such a plan is never clean
+        target = parse_cycles("(1 2 3)")
+        plan = [*solve_three_machine_optimal(target).moves, (insider(5), outsider(1), insider(5))]
+        report = verify_plan(target, plan, RuleSet(m=3, outsiders=pool(1)))
+        assert report.rule_violations == [(2, "repeated-seat")]
+        assert not report.product_ok
+        assert report.step_count == 3
+        assert not report.clean
+
+    def test_short_moves_are_reported_not_raised(self):
+        plan = [(), (insider(1),), (insider(2), insider(2))]
+        report = verify_plan(Permutation.identity(), plan, RuleSet(m=2, outsiders=pool(1)))
+        assert report.rule_violations == [
+            (0, "seat-count"),
+            (0, "missing-outsider"),
+            (1, "seat-count"),
+            (1, "missing-outsider"),
+            (2, "repeated-seat"),
+            (2, "missing-outsider"),
+        ]
+        assert not report.product_ok
+
+    def test_plan_product_refuses_a_repeated_seat(self):
+        with pytest.raises(ValueError, match=r"^repeated seat in move \(a1 a2 a1\)$"):
+            plan_product([(insider(1), insider(2), insider(1))])
 
 
 class TestSearchMinPlan:
@@ -392,3 +422,123 @@ class TestSearchDifferential:
         assert search_outcome(
             search_min_plan, target, rules, max_steps, node_budget
         ) == search_outcome(reference_search_min_plan, target, rules, max_steps, node_budget)
+
+
+# the bench's four solvers: name -> (machine size, solve)
+PLAN_SOLVERS = {
+    "keeler2": (2, solve_two_machine),
+    "optimal3": (3, solve_three_machine_optimal),
+    "general_m4": (4, lambda target: solve_m_machine(target, 4)),
+    "general_m5": (5, lambda target: solve_m_machine(target, 5)),
+}
+MUTATIONS = ("drop", "repeat", "swap", "stranger", "insider", "tuple")
+
+
+@st.composite
+def mutated_plans(draw):
+    """(target, plan, machine size, pool): a solver's plan with up to three
+    mutations, which may leave plain-tuple moves of any size in it."""
+    m, solve = PLAN_SOLVERS[draw(st.sampled_from(sorted(PLAN_SOLVERS)))]
+    n = draw(st.integers(0, 7))
+    target = permutation_from_images(list(draw(st.permutations(range(1, n + 1)))))
+    if m % 2 and target.parity():
+        target = target * Permutation.from_cycle((insider(1), insider(2)))
+    doc = solve(target)
+    plan = list(doc.moves)
+    strangers = [outsider(len(doc.outsiders) + 1), outsider(len(doc.outsiders) + 2)]
+    insiders = [insider(i) for i in range(1, n + 2)]
+    seats = insiders + list(doc.outsiders) + strangers
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
+        if kind == "tuple":
+            size = draw(st.integers(0, m + 1))
+            seated = draw(st.lists(st.sampled_from(seats), min_size=size, max_size=size))
+            plan.insert(draw(st.integers(0, len(plan))), tuple(seated))
+            continue
+        if not plan:
+            continue
+        i = draw(st.integers(0, len(plan) - 1))
+        if kind == "drop":
+            del plan[i]
+        elif kind == "repeat":
+            plan.insert(draw(st.integers(0, len(plan))), plan[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(plan) - 1))
+            plan[i], plan[j] = plan[j], plan[i]
+        else:
+            # a stranger in any seat, or an insider in an outsider's seat
+            spots = [k for k, e in enumerate(plan[i]) if kind == "stranger" or e.is_outsider]
+            if spots:
+                seated = list(plan[i])
+                seated[draw(st.sampled_from(spots))] = draw(
+                    st.sampled_from(strangers if kind == "stranger" else insiders)
+                )
+                plan[i] = tuple(seated)
+    return target, plan, m, doc.outsiders
+
+
+RANK = {"seat-count": 0, "repeated-seat": 1}
+
+
+class TestVerifyDifferential:
+    """verify_plan against the verifier that read each move once per rule and
+    built the product and the target's inverse as permutations.
+
+    The reports are equal, except that a move seating one element twice is
+    reported as repeated-seat, after its seat-count and before its outsider
+    kind, and leaves product_ok false: the reference's product of such a move
+    raises or comes out as some other permutation.
+    """
+
+    @pytest.mark.parametrize(
+        "outsider_rule, distinct_rule", [(True, True), (False, True), (True, False), (False, False)]
+    )
+    @settings(max_examples=150, deadline=None)
+    @given(case=mutated_plans())
+    def test_same_report(self, outsider_rule, distinct_rule, case):
+        target, plan, m, outsiders = case
+        rules = RuleSet(m, outsiders, outsider_rule, distinct_rule)
+        got = verify_plan(target, plan, rules)
+        repeated = [i for i, move in enumerate(plan) if len(set(move)) != len(move)]
+        if not repeated:
+            want = reference_verify_plan(target, plan, rules)
+            assert (got.product_ok, got.rule_violations, got.step_count) == (
+                want.product_ok,
+                want.rule_violations,
+                want.step_count,
+            )
+            return
+        want = reference_verify_plan(target, plan, rules, product=lambda moves: None)
+        per_move = [v for v in want.rule_violations if v[1] != "duplicate-support"]
+        per_move += [(i, "repeated-seat") for i in repeated]
+        per_move.sort(key=lambda v: (v[0], RANK.get(v[1], 2)))
+        duplicates = [v for v in want.rule_violations if v[1] == "duplicate-support"]
+        assert got.rule_violations == per_move + duplicates
+        assert not got.product_ok
+        assert got.step_count == len(plan)
+
+    def test_mutations_reach_every_verdict(self):
+        # the strategy is not vacuous: clean plans, wrong products and each
+        # violation kind all occur among its draws
+        seen = set()
+
+        @settings(max_examples=300, deadline=None, database=None)
+        @given(case=mutated_plans())
+        def collect(case):
+            target, plan, m, outsiders = case
+            report = verify_plan(target, plan, RuleSet(m, outsiders))
+            if report.clean:
+                seen.add("clean")
+            if not report.product_ok:
+                seen.add("wrong product")
+            seen.update(kind for _, kind in report.rule_violations)
+
+        collect()
+        assert {
+            "clean",
+            "wrong product",
+            "seat-count",
+            "repeated-seat",
+            "missing-outsider",
+            "unknown-outsider",
+            "duplicate-support",
+        } <= seen

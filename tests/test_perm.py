@@ -27,7 +27,7 @@ from mindswap.perm import (
     parse_element,
 )
 
-from conftest import permutation_from_images
+from conftest import checked_compose_cycles, permutation_from_images
 
 
 def cyc(*indices):
@@ -564,3 +564,50 @@ class TestLinearFold:
         q = pairwise_product(groups)
         assert hash(p) == hash(q)
         assert len({p, q, p.inverse().inverse()}) == 1
+
+
+class TestTrustedBuilds:
+    """The unchecked builders give exactly what the checked ones would."""
+
+    @given(cycle_lists)
+    def test_compose_cycles_equals_the_checked_build(self, groups):
+        p = _compose_cycles(groups)
+        assert p._map == Permutation(p._map)._map  # a bijection, no fixed points
+        assert p == checked_compose_cycles(groups)
+        inverse = p.inverse()
+        assert inverse._map == Permutation(inverse._map)._map
+        assert inverse == Permutation({v: k for k, v in p._map.items()})
+
+    def test_checked_constructor_still_refuses_a_non_bijection(self):
+        with pytest.raises(ValueError, match="^mapping is not a finite-support bijection$"):
+            Permutation({insider(1): insider(2)})
+
+    @given(st.lists(st.lists(st.sampled_from(SEATS), max_size=5), max_size=5))
+    @example([[insider(1), insider(2), insider(1)]])
+    def test_plan_product_is_a_bijection_or_refused(self, seatings):
+        moves = [tuple(seats) for seats in seatings]
+        if any(len(set(move)) != len(move) for move in moves):
+            with pytest.raises(ValueError, match="^repeated seat in move"):
+                plan_product(moves)
+        else:
+            p = plan_product(moves)
+            assert p._map == Permutation(p._map)._map
+            assert p == checked_compose_cycles(moves)
+
+    @given(st.text(alphabet="ax0123456789 (", max_size=6))
+    @example("a17")
+    @example("x2")
+    @example("9")
+    @example("a0")
+    @example("x")
+    def test_parse_element_equals_the_checked_element(self, token):
+        kind = token[:1] if token[:1] in (INSIDER, OUTSIDER) else ""
+        digits = token[len(kind):]
+        if not digits.isdigit() or digits.startswith("0"):
+            with pytest.raises(ParseError, match="^malformed element token"):
+                parse_element(token)
+            return
+        element = parse_element(token)
+        assert type(element) is Element
+        assert element == Element(kind or INSIDER, int(digits))
+        assert repr(element) == repr(Element(kind or INSIDER, int(digits)))
