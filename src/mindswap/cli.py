@@ -182,7 +182,11 @@ def _cmd_infinite(args: argparse.Namespace) -> int:
         except (ParseError, ValueError) as err:
             print(f"parse error: {err}", file=sys.stderr)
             return EXIT_PARSE
-        swaps = infinite.invert_finitary_two_step(sigma)
+        try:
+            swaps = infinite.invert_finitary_two_step(sigma)
+        except ValueError as err:  # an index above infinite.INDEX_CAP
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_PARSE
         if not swaps:
             print("identity target: empty plan")
             return EXIT_OK

@@ -48,6 +48,11 @@ class IncompatibleTailsError(ValueError):
 CarrierPoint = Element | str
 HELPER = "z"
 
+INDEX_CAP = 10**5
+"""Largest stream index the finitary constructions take.  Their work and the
+rendered swaps grow with the largest index, not with the target; at the cap a
+two-point target renders in about two seconds and five megabytes."""
+
 
 def _on_stream(p: object) -> bool:
     return isinstance(p, Element) and p.kind == STREAM
@@ -110,7 +115,7 @@ class PointSet:
 class TailMap:
     """Finite exceptions plus at most one eventual shift; canonical on build."""
 
-    __slots__ = ("_exceptions", "_tail")
+    __slots__ = ("_exceptions", "_tail", "_walked")  # _walked: _chains(self), built once
 
     def __init__(
         self,
@@ -121,33 +126,7 @@ class TailMap:
         for p in (*exc, *exc.values()):
             if not (isinstance(p, str) or _on_stream(p)):
                 raise TypeError("exceptions must map carrier points to carrier points")
-        if tail is not None:
-            t, d = tail.threshold, tail.delta
-            # exceptions inside the tail's region must agree with it; absorb them.
-            # These sites only compare, and the plain (kind, index) tuple equals
-            # and hashes as the Element, so they build no point.
-            for k in list(exc):
-                if isinstance(k, Element) and k.index >= t:
-                    if exc[k] == (STREAM, k.index + d):
-                        del exc[k]
-                    else:
-                        raise ValueError(f"exception at {k} conflicts with its stream tail")
-            # minimal threshold: pull agreeing exceptions into the tail
-            floor = 2 if d == -1 else 1
-            while t > floor and exc.get((STREAM, t - 1)) == (STREAM, t - 1 + d):
-                del exc[(STREAM, t - 1)]
-                t -= 1
-            if t != tail.threshold:
-                tail = TailRule(t, d)
-        values = list(exc.values())
-        if len(set(values)) != len(values):
-            raise ValueError("map is not injective: repeated image")
-        if tail is not None:
-            for v in values:
-                if isinstance(v, Element) and v.index >= tail.threshold + tail.delta:
-                    raise ValueError(f"image {v} collides with the {STREAM}-stream tail")
-        self._exceptions = exc
-        self._tail = tail
+        _canonical(exc, tail, self)
 
     @property
     def exceptions(self) -> dict[CarrierPoint, CarrierPoint]:
@@ -215,12 +194,47 @@ class TailMap:
         )
 
 
+def _canonical(exc: dict, tail: TailRule | None, f: TailMap | None = None) -> TailMap:
+    """exc plus tail in canonical form, in f or a new TailMap: every check but the point types."""
+    f = TailMap.__new__(TailMap) if f is None else f
+    if tail is not None:
+        t, d = tail.threshold, tail.delta
+        # exceptions inside the tail's region must agree with it; absorb them.
+        # These sites only compare, and the plain (kind, index) tuple equals
+        # and hashes as the Element, so they build no point.
+        for k in list(exc):
+            if isinstance(k, Element) and k.index >= t:
+                if exc[k] == (STREAM, k.index + d):
+                    del exc[k]
+                else:
+                    raise ValueError(f"exception at {k} conflicts with its stream tail")
+        # minimal threshold: pull agreeing exceptions into the tail
+        floor = 2 if d == -1 else 1
+        while t > floor and exc.get((STREAM, t - 1)) == (STREAM, t - 1 + d):
+            del exc[(STREAM, t - 1)]
+            t -= 1
+        if t != tail.threshold:
+            tail = TailRule(t, d)
+    values = list(exc.values())
+    if len(set(values)) != len(values):
+        raise ValueError("map is not injective: repeated image")
+    if tail is not None:
+        for v in values:
+            if isinstance(v, Element) and v.index >= tail.threshold + tail.delta:
+                raise ValueError(f"image {v} collides with the {STREAM}-stream tail")
+    f._exceptions, f._tail, f._walked = exc, tail, None
+    return f
+
+
 def classify(f: TailMap) -> str:
     """Forgetful, retentive, or neither; see the module docstring."""
-    p = f.participants()
-    if f.img() == p:
+    dom, img = f.dom(), f.img()
+    # img == dom | img iff dom <= img, and dom == dom | img iff img <= dom.  With a tail both
+    # slices are cofinite: one lies in the other iff it leaves out every index the other does.
+    a, b = (img.indices, dom.indices) if f._tail else (dom.indices, img.indices)
+    if dom.named <= img.named and a <= b:
         return RETENTIVE
-    if f.dom() == p:
+    if img.named <= dom.named and b <= a:
         return FORGETFUL
     return NEITHER
 
@@ -258,23 +272,17 @@ def compose(f: TailMap, g: TailMap) -> TailMap:
 
     exceptions: dict[CarrierPoint, CarrierPoint] = {}
     for e in sorted(candidates, key=_point_key):  # order free of string hashing
-        mid = g.apply(e)
-        parked_g = mid is None
-        if parked_g:
-            mid = e
-        out = f.apply(mid)
-        if out is None:
-            if parked_g:
-                continue
-            out = mid
-        exceptions[e] = out
-    return TailMap(exceptions, tail)
+        mid = g.apply(e)  # None: g leaves e's mind parked in e
+        out = f.apply(e if mid is None else mid)  # None: f parks it in turn
+        if out is not None or mid is not None:  # parked by both, e is outside the domain
+            exceptions[e] = mid if out is None else out
+    return _canonical(exceptions, tail)
 
 
 def compose_all(maps: Sequence[TailMap]) -> TailMap:
     """Chronological composite: maps[0] acts first.  Empty list -> empty map."""
-    acc = TailMap()
-    for m in maps:
+    acc, *rest = maps or [TailMap()]  # compose(m, TailMap()) == m: fold from maps[0]
+    for m in rest or [TailMap()]:  # a lone map still goes through compose, to sort its keys
         acc = compose(m, acc)
     return acc
 
@@ -301,6 +309,14 @@ def invert_shift_three_step() -> list[TailMap]:
     return [step1, step2, step3]
 
 
+def _top_index(p: Permutation) -> int:
+    """p's largest moved index, 0 for the identity; refused above INDEX_CAP."""
+    top = max((e.index for e in insiders_only(p).support()), default=0)
+    if top > INDEX_CAP:
+        raise ValueError(f"stream index {top} is above the cap of {INDEX_CAP}")
+    return top
+
+
 def invert_finitary_two_step(sigma: Permutation) -> list[TailMap]:
     """Invert any finitary stream permutation in exactly two swaps.
 
@@ -311,12 +327,11 @@ def invert_finitary_two_step(sigma: Permutation) -> list[TailMap]:
     finitary_extension(sigma.inverse()).  The identity yields an empty
     plan.
     """
-    insiders_only(sigma)
-    if sigma.is_identity():
+    top = _top_index(sigma)
+    if top == 0:  # the identity
         return []
     first, *rest = sigma.cycles
     support = sigma.support()
-    top = max(e.index for e in support)
     # indices count up from 1, so each is positive
     untouched = [_element((STREAM, n)) for n in range(1, top) if (STREAM, n) not in support]
     beyond = _element((STREAM, top + 1))
@@ -325,29 +340,34 @@ def invert_finitary_two_step(sigma: Permutation) -> list[TailMap]:
     for c in rest:
         nodes += reversed(c)
     nodes += [*untouched, beyond]
-    scatter = TailMap(dict(zip(nodes, nodes[1:])), TailRule(top + 1, +1))
+    scatter = _canonical(dict(zip(nodes, nodes[1:])), TailRule(top + 1, +1))
 
     nodes = [beyond, *reversed(untouched), *(c[-1] for c in reversed(rest))]
     nodes += [HELPER, first[0]]
-    gather = TailMap(dict(zip(nodes, nodes[1:])), TailRule(top + 2, -1))
+    gather = _canonical(dict(zip(nodes, nodes[1:])), TailRule(top + 2, -1))
     return [scatter, gather]
 
 
 def finitary_extension(p: Permutation) -> TailMap:
     """p as a total tail map on the stream, fixing z and all untouched points."""
-    insiders_only(p)
-    top = max((e.index for e in p.support()), default=0)
+    top = _top_index(p)
     exceptions: dict[CarrierPoint, CarrierPoint] = {HELPER: HELPER}
     for n in range(1, top + 1):  # indices count up from 1, so each is positive
         e = _element((STREAM, n))
         exceptions[e] = p.apply(e)
-    return TailMap(exceptions, TailRule(top + 1, 0))
+    return _canonical(exceptions, TailRule(top + 1, 0))
 
 
 # -- rendering ---------------------------------------------------------------
 
 
 def _chains(f: TailMap) -> list[list[tuple[CarrierPoint, CarrierPoint]]]:
+    if f._walked is None:  # walked once per map; callers only read the list
+        f._walked = _walk(f)
+    return f._walked
+
+
+def _walk(f: TailMap) -> list[list[tuple[CarrierPoint, CarrierPoint]]]:
     """Exception entries grouped into flow-ordered chains and closed cycles."""
     exc = f._exceptions
     values = set(exc.values())

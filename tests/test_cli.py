@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mindswap import cli
+from mindswap import cli, infinite
 from mindswap.cli import SOLVERS, main
 from mindswap.moves import plan_product
 from mindswap.optimal3 import lower_bound
@@ -353,6 +353,13 @@ class TestInfinite:
     def test_finitary2_parse_error(self, capsys):
         code, _, err = run(capsys, "infinite", "finitary2", "--sigma", "(1 2")
         assert code == 2
+
+    def test_index_above_the_cap_is_refused_before_any_point(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(infinite, "_element", lambda data: built.append(data))
+        code, out, err = run(capsys, "infinite", "finitary2", "--sigma", "(a1 a1000000000000)")
+        assert (code, out, built) == (2, "", [])
+        assert err == "error: stream index 1000000000000 is above the cap of 100000\n"
 
     def test_negative_horizon_rejected(self, capsys):
         code, out, err = run(capsys, "infinite", "shift3", "--horizon", "-3")

@@ -156,6 +156,10 @@ CASES: dict[str, tuple[list[str], str]] = {
     ),
     "infinite-finitary2": (["infinite", "finitary2", "--sigma", "(a1 a2)(a3 a4 a5)"], ""),
     "infinite-finitary2-empty": (["infinite", "finitary2", "--sigma", ""], ""),
+    "infinite-finitary2-index-above-cap": (
+        ["infinite", "finitary2", "--sigma", "(a1 a100001)"],
+        "",
+    ),
 }
 
 

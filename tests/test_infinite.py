@@ -1,11 +1,14 @@
 import random
+import re
 from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from mindswap import infinite
 from mindswap.infinite import (
     FORGETFUL,
+    INDEX_CAP,
     NEITHER,
     RETENTIVE,
     IncompatibleTailsError,
@@ -270,8 +273,55 @@ class TestCompose:
     def test_ride_through_collision_rejected(self):
         g = TailMap({a(2): a(1)})
         f = TailMap({a(1): a(5)})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^map is not injective: repeated image$"):
             compose(f, g)
+
+    @pytest.mark.parametrize("shift", [forward_shift, inverse_shift_map], ids=["+2", "-2"])
+    def test_net_shift_of_two_rejected(self, shift):
+        with pytest.raises(IncompatibleTailsError, match=r"^net shift [+-]2 on stream a "):
+            compose(shift(), shift())
+
+    @given(tail_maps())
+    def test_unchecked_builds_match_the_checked_build(self, f):
+        # compose and the constructions skip only TailMap()'s point-type test
+        rebuilt = TailMap(f.exceptions, f.tail)
+        assert rebuilt == f
+        assert list(rebuilt.exceptions) == list(f.exceptions)
+
+
+def fold_from_empty(maps):
+    acc = TailMap()
+    for m in maps:
+        acc = compose(m, acc)
+    return acc
+
+
+class TestComposeAll:
+    @given(st.lists(tail_maps(), max_size=4))
+    def test_matches_the_fold_from_the_empty_map(self, maps):
+        try:
+            expected = fold_from_empty(maps)
+        except ValueError as err:
+            with pytest.raises(type(err), match=f"^{re.escape(str(err))}$"):
+                compose_all(maps)
+            return
+        result = compose_all(maps)
+        assert result == expected
+        assert list(result.exceptions) == list(expected.exceptions)
+
+    def test_lone_map_lists_its_keys_in_point_order(self):
+        scatter, _ = invert_finitary_two_step(parse_cycles("(a2 a5)(a7 a9 a8)"))
+        result = compose_all([scatter])
+        assert result == scatter
+        assert list(result.exceptions) == list(fold_from_empty([scatter]).exceptions)
+        assert list(result.exceptions) != list(scatter.exceptions)
+
+    def test_two_swaps_compose_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(infinite, "compose", lambda f, g: calls.append(f) or compose(f, g))
+        swaps = invert_finitary_two_step(parse_cycles("(a1 a2)(a3 a4 a5)"))
+        assert compose_all(swaps) == finitary_extension(parse_cycles("(a1 a2)(a3 a4 a5)").inverse())
+        assert calls == [swaps[1]]
 
 
 class TestInvertShiftThreeStep:
@@ -347,6 +397,21 @@ class TestInvertFinitaryTwoStep:
             TailRule(9, -1),
         )
         assert invert_finitary_two_step(parse_cycles("(2 4 7)")) == [step1, step2]
+
+    def test_index_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(infinite, "INDEX_CAP", 9)
+        assert len(invert_finitary_two_step(star(1, 9))) == 2
+        assert finitary_extension(star(1, 9)).tail == TailRule(10, 0)
+        for build in (invert_finitary_two_step, finitary_extension):
+            with pytest.raises(ValueError, match="^stream index 10 is above the cap of 9$"):
+                build(star(1, 10))
+
+    def test_index_above_the_cap_is_refused_before_any_point(self, monkeypatch):
+        monkeypatch.setattr(infinite, "_element", mock.Mock(side_effect=AssertionError("built")))
+        sigma = star(3, INDEX_CAP + 1)
+        for build in (invert_finitary_two_step, finitary_extension):
+            with pytest.raises(ValueError, match=f"^stream index {INDEX_CAP + 1} is above the cap"):
+                build(sigma)
 
     def test_identity_gives_empty_plan(self):
         assert invert_finitary_two_step(Permutation.identity()) == []

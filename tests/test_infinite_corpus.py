@@ -31,6 +31,7 @@ import json
 import random
 from pathlib import Path
 
+from mindswap import infinite
 from mindswap.infinite import (
     TailMap,
     TailRule,
@@ -183,6 +184,18 @@ def test_finitary_targets_reproduce():
         if finitary_record(entry["images"]) != {k: v for k, v in entry.items() if k != "images"}
     ]
     assert differ == []
+
+
+def test_each_described_map_walks_its_chains_once(monkeypatch):
+    # describe() reads classify, step_table and cycle_string at three horizons
+    walked = []
+    walk = infinite._walk
+    monkeypatch.setattr(infinite, "_walk", lambda f: walked.append(f) or walk(f))
+    entries = load()["finitary"]
+    for entry in entries:
+        assert finitary_record(entry["images"]) == {k: v for k, v in entry.items() if k != "images"}
+    assert len(walked) == 4 * len(entries)  # two swaps, their composite, the extension
+    assert len({id(f) for f in walked}) == len(walked)
 
 
 def test_shift_swaps_reproduce():
