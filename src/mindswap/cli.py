@@ -111,7 +111,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             require_outsider_per_move=not args.no_outsider_rule,
             require_distinct_supports=not args.no_distinct_rule,
         )
-    except (OSError, ParseError, plandoc.PlanFormatError, ValueError) as err:
+    except (OSError, ValueError) as err:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_PARSE
     clean = _verify(target, doc, rules, sys.stdout)
@@ -173,13 +173,16 @@ def _cmd_infinite(args: argparse.Namespace) -> int:
     if horizon < 0:
         print("error: --horizon must be at least 0", file=sys.stderr)
         return EXIT_PARSE
+    if horizon > infinite.INDEX_CAP:
+        print(f"error: --horizon must be at most {infinite.INDEX_CAP}", file=sys.stderr)
+        return EXIT_PARSE
     if args.mode == "shift3":
         swaps = infinite.invert_shift_three_step()
         expected = infinite.inverse_shift_map()
     else:
         try:
             sigma = _parse_target(args.sigma)
-        except (ParseError, ValueError) as err:
+        except ValueError as err:
             print(f"parse error: {err}", file=sys.stderr)
             return EXIT_PARSE
         try:

@@ -208,9 +208,8 @@ def _canonical(exc: dict, tail: TailRule | None, f: TailMap | None = None) -> Ta
                     del exc[k]
                 else:
                     raise ValueError(f"exception at {k} conflicts with its stream tail")
-        # minimal threshold: pull agreeing exceptions into the tail
-        floor = 2 if d == -1 else 1
-        while t > floor and exc.get((STREAM, t - 1)) == (STREAM, t - 1 + d):
+        # minimal threshold: pull agreeing exceptions in (no image is a0, so d = -1 stops at 2)
+        while t > 1 and exc.get((STREAM, t - 1)) == (STREAM, t - 1 + d):
             del exc[(STREAM, t - 1)]
             t -= 1
         if t != tail.threshold:

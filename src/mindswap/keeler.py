@@ -47,16 +47,14 @@ def solve_two_machine(sigma: Permutation) -> PlanDocument:
     """
     insiders_only(sigma)
     x, y = outsider(1), outsider(2)
-    factors: list[MachineMove] = []
     cycles = sigma.cycles
+    moves = [mv for cycle in cycles for mv in reversed(cycle_gadget(cycle, x, y))]  # acting order
     if len(cycles) % 2 == 1:
-        factors.append(MachineMove((x, y)))
-    for cycle in reversed(cycles):
-        factors.extend(cycle_gadget(cycle, x, y))
+        moves.append(MachineMove((x, y)))
     return PlanDocument(
         m=2,
         target=format_cycles(sigma),
         outsiders=(x, y),
-        moves=tuple(reversed(factors)),
+        moves=tuple(moves),
         solver="keeler2",
     )

@@ -25,10 +25,16 @@ from .perm import Cycle, Element, Permutation, format_cycles, insiders_only, out
 from .plandoc import PlanDocument
 
 
+MACHINE_CAP = 10**5
+"""Largest machine size outsider_budget takes: a pool of at most 149,997 outsiders."""
+
+
 def outsider_budget(m: int) -> int:
-    """Pool size d: m - 2 when m is odd, 3 * (m/2 - 1) when m is even."""
+    """Pool size d: m - 2 when m is odd, 3 * (m/2 - 1) when m is even; refused above MACHINE_CAP."""
     if m < 3:
         raise ValueError("machine size must be at least 3")
+    if m > MACHINE_CAP:
+        raise ValueError(f"machine size {m} is above the cap of {MACHINE_CAP}")
     return m - 2 if m % 2 else 3 * (m // 2 - 1)
 
 

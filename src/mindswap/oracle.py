@@ -26,8 +26,8 @@ Nodes.  The search counts one node per catalog move it tries, at every
 position that passed the bounds below; a pruned position and a skipped
 limit cost none.  The node budget caps that count, so the tighter the
 bounds, the further a search gets on the same budget.  A support that a
-position skips whole (see Search order) counts all (m - 1)! of its
-orderings at once, and the budget is checked after adding them.  That
+position skips whole (see Search order) counts its own orderings at
+once, and the budget is checked after adding them.  That
 count is exact: trying the orderings in turn adds the same nodes, rejects
 each one by the same test and descends into none, so nothing but the
 count happens between them, and the search raises OracleBudgetError
@@ -231,9 +231,9 @@ def _move_catalog(
     greatest index does.  Each support lists its (m - 1)! orderings with
     the least seat leading, so every legal m-cycle appears once; the
     returned dict maps each move's own image tuple to (k, support id, seat
-    bitmask, seats), where k is the move's index in the flat catalog that
-    lists the supports' orderings in turn.  Raises ValueError, before
-    building any move, for a catalog of more than CATALOG_CAP moves.
+    bitmask, seats), where k is its insertion position: the move's index in
+    the flat catalog of the supports' orderings in turn.  Raises ValueError,
+    before building any move, for more than CATALOG_CAP moves.
     """
     m = rules.m
     combos = [
@@ -241,8 +241,7 @@ def _move_catalog(
         for combo in itertools.combinations(range(n), m)
         if not rules.require_outsider_per_move or combo[-1] >= first_outsider
     ]
-    orders = math.factorial(m - 1)
-    size = len(combos) * orders
+    size = len(combos) * math.factorial(m - 1) if combos else 0
     if size > CATALOG_CAP:
         raise ValueError(f"catalog of {size} moves is too large to search")
     supports = []
@@ -251,12 +250,12 @@ def _move_catalog(
         mask = sum(1 << i for i in combo)
         lead, rest = combo[0], combo[1:]
         orderings = []
-        for j, ordering in enumerate(itertools.permutations(rest)):
+        for ordering in itertools.permutations(rest):
             seats = (lead,) + ordering
             image, preimage = list(range(n)), list(range(n))
             for a, b in zip(seats, seats[1:] + seats[:1]):
                 image[a], preimage[b] = b, a
-            last_move[tuple(image)] = (sid * orders + j, sid, mask, seats)
+            last_move[tuple(image)] = (len(last_move), sid, mask, seats)
             orderings.append((itemgetter(*preimage), seats))
         supports.append((sid, mask, tuple(orderings)))
     return supports, last_move
@@ -303,7 +302,7 @@ def search_min_plan(
     if m % 2 and parity:
         return None  # odd-length cycles multiply to even permutations only
     supports, last_move = _move_catalog(n, len(insiders), rules)
-    orders, size = math.factorial(m - 1), len(last_move)  # each m-cycle once
+    size = len(last_move)  # each m-cycle once
     distinct = rules.require_distinct_supports
     identity = tuple(range(n))
     bits = [1 << i for i in range(n)]
@@ -341,7 +340,7 @@ def search_min_plan(
                 or (not mask & prev_mask and sid < prev_sid)
                 or (moved & ~mask).bit_count() > reach  # displacement, every ordering
             ):
-                nodes += orders  # each ordering counts, as when tried in turn
+                nodes += len(orderings)  # each ordering counts, as when tried in turn
                 if nodes > node_budget:
                     raise OracleBudgetError(f"node budget of {node_budget} exceeded")
                 continue

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .moves import MachineMove
 from .oracle import RuleSet
-from .perm import Element, ElementTokens, ParseError, Permutation, _natural, _parse_cycles
+from .perm import Element, ElementTokens, Permutation, _natural, _parse_cycles
 
 HEADER = "mindswap-plan v1"
 _FIELDS = ("machine-size", "target", "outsiders", "solver", "steps", "lower-bound")
@@ -147,7 +147,7 @@ def _read(text: str) -> tuple[PlanDocument, Permutation]:
             lower_bound=_number(fields, "lower-bound") if "lower-bound" in fields else None,
         )
         steps = _number(fields, "steps") if "steps" in fields else doc.steps
-    except (ParseError, ValueError) as err:
+    except ValueError as err:
         raise PlanFormatError(str(err)) from err
     if steps != doc.steps:
         raise PlanFormatError(

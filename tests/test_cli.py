@@ -367,6 +367,13 @@ class TestInfinite:
         code, out, _ = run(capsys, "infinite", "shift3", "--horizon", "0")
         assert code == 0 and "composition check: ok" in out
 
+    def test_horizon_above_the_cap_rejected(self, capsys, monkeypatch):
+        monkeypatch.setattr(infinite, "INDEX_CAP", 3)
+        code, out, err = run(capsys, "infinite", "shift3", "--horizon", "4")
+        assert (code, out, err) == (2, "", "error: --horizon must be at most 3\n")
+        code, out, _ = run(capsys, "infinite", "shift3", "--horizon", "3")
+        assert code == 0 and "composition check: ok" in out
+
 
 BASE_DOCUMENTS = [
     plandoc.dumps(solve(parse_cycles(target), m))

@@ -120,6 +120,10 @@ CASES: dict[str, tuple[list[str], str]] = {
         "",
     ),
     "solve-machine-size-1": (["solve", "--target", "(1 2)", "--m", "1"], ""),
+    "solve-general_m-machine-size-above-cap": (
+        ["solve", "--target", "(1 2)", "--m", "1000000000"],
+        "",
+    ),
     "solve-parse-error": (["solve", "--target", "(1 2", "--m", "2"], ""),
     "verify-clean": (["verify", "--plan", "-"], CLEAN_PLAN),
     "verify-dropped-move": (["verify", "--plan", "-"], DROPPED_MOVE_PLAN),
@@ -150,6 +154,10 @@ CASES: dict[str, tuple[list[str], str]] = {
     ),
     "infinite-shift3": (["infinite", "shift3"], ""),
     "infinite-shift3-horizon1": (["infinite", "shift3", "--horizon", "1"], ""),
+    "infinite-shift3-horizon-above-cap": (
+        ["infinite", "shift3", "--horizon", "1000000000"],
+        "",
+    ),
     "infinite-finitary2-gaps": (
         ["infinite", "finitary2", "--sigma", "(a2 a5)(a7 a9 a8)", "--horizon", "2"],
         "",

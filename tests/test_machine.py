@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mindswap import machine
 from mindswap.machine import (
     in_machine_group,
     invert_even_pair_odd_m,
@@ -191,6 +192,20 @@ class TestSolveMMachine:
     def test_rejects_outsider_support(self):
         with pytest.raises(ValueError):
             solve_m_machine(Permutation.from_cycle((insider(1), outsider(1))), 4)
+
+    def test_oversized_machine_refused_before_its_pool(self, monkeypatch):
+        def refuse(i):
+            raise AssertionError("pool built for a machine above the cap")
+
+        monkeypatch.setattr(machine, "outsider", refuse)
+        with pytest.raises(ValueError, match="machine size 1000000000 is above the cap of 100000"):
+            solve_m_machine(parse_cycles("(1 2)"), 10**9)
+
+    def test_machine_cap_is_inclusive(self):
+        cap = machine.MACHINE_CAP
+        assert outsider_budget(cap) == 3 * (cap // 2 - 1)
+        with pytest.raises(ValueError, match="above the cap"):
+            outsider_budget(cap + 1)
 
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
     def test_random_targets(self, m):

@@ -205,6 +205,16 @@ class TestSearchMinPlan:
         assert search_min_plan(target, rules, 10**9, node_budget=0) is None
         assert time.perf_counter() - start < 1.0
 
+    def test_empty_catalog_computes_no_factorial(self, monkeypatch):
+        # four ground elements seat no 5-machine move, so there is no
+        # ordering to count; (m - 1)! of a huge m would take seconds
+        def refuse(k):
+            raise AssertionError("factorial computed for an empty catalog")
+
+        monkeypatch.setattr(oracle.math, "factorial", refuse)
+        target, rules = parse_cycles("(1 2 3)"), RuleSet(m=5, outsiders=pool(1))
+        assert search_min_plan(target, rules, 8) is None
+
     def test_oversized_catalog_rejected_before_building(self):
         # 9 supports times 8! orderings: 362,880 moves, far above the cap
         nine = Permutation.from_cycle([insider(i) for i in range(1, 10)])
