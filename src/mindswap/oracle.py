@@ -11,16 +11,24 @@ then the sorted outsiders, is numbered 0..N-1, so index order is element
 order.  The search state is the residual R = goal∘state⁻¹, held as the
 tuple of its image indices: the state is the product of the moves so far,
 the goal is the target's inverse, and a plan is complete when R is the
-identity tuple.  A move g turns R into R∘g⁻¹.  The catalog is the list of
-legal supports, each held as its support id, its seat bitmask and its
-(m - 1)! orderings; each ordering g is precomputed once as an itemgetter
-over g's preimage tuple, next to its seats.  A dict maps each move's own
-image tuple to its index k in the flat catalog (the supports' orderings
-in turn), its support id, its bitmask and its seats.  Support ids rank
-the legal supports in itertools.combinations order, which is sorted-tuple
-order.  Spent supports are an int bitset over those ids, and R's moved
-points an int bitmask over the ground indices.  MachineMove objects are
-built only for the plan that is returned.
+identity tuple.  A move g turns R into R∘g⁻¹.  The catalog is the tuple
+of legal supports, each held as its support id, its seat bitmask, its
+inner arrow mask and its (m - 1)! orderings; each ordering g is
+precomputed once as an itemgetter over g's preimage tuple, next to its
+arrow mask and its seats.  An arrow y → z is bit y·N + z of an int over
+N² bits: an ordering's mask holds its m arrows y → g(y), and a support's
+inner mask every arrow a → b between two distinct seats.  A table of the
+single-arrow bits, 0 where y = z, turns R into its own arrow mask with one
+sum per position.  A dict maps each move's own image tuple to its index k
+in the flat catalog (the supports' orderings in turn), its support id,
+its bitmask and its seats.  Support ids rank the legal supports in
+itertools.combinations order, which is sorted-tuple order.  Spent
+supports are an int bitset over those ids, and R's moved points an int
+bitmask over the ground indices.  The catalog depends on nothing but N,
+the first outsider's index, m and the outsider rule, so it is built once
+per such key and cached for the last 8 keys; searches share it and never
+change it.  MachineMove objects are built only for the plan that is
+returned.
 
 Nodes.  The search counts one node per catalog move it tries, at every
 position that passed the bounds below; a pruned position and a skipped
@@ -39,12 +47,22 @@ With d moves left:
 
 - Displacement: |supp(R)| <= m·d.  R∘g⁻¹ differs from R only on the m
   seats of g, so one move fixes at most m of the points R moves.
-- Displacement by support: a support S whose seats miss more than m·d of
-  R's moved points yields no child that passes, where d counts the moves
-  left after it.  For x outside S, g⁻¹(x) = x for every ordering g of S,
-  so (R∘g⁻¹)(x) = R(x): each point of supp(R) ∖ S stays moved, and
-  |supp(R∘g⁻¹)| >= |supp(R) ∖ S|.  As bitmasks that is
-  (moved & ~mask).bit_count() > m·d, one test for all (m - 1)! orderings.
+- Displacement from arrows: a child's displacement is read off R's
+  arrows, arrows(f) = {y → f(y) : f(y) ≠ y}, without building the child.
+  Let g be an ordering of the support S and off = |supp(R) ∖ S|.  Then
+  |supp(R∘g⁻¹)| = off + m - |arrows(g) ∩ arrows(R)|.  For x outside S,
+  g⁻¹(x) = x, so (R∘g⁻¹)(x) = R(x) and x is moved exactly when R moves
+  it: that gives off.  A seat s is fixed exactly when R(y) = g(y) for
+  y = g⁻¹(s); there is one such y per seat, and g moves it, so R moves it
+  too and y → g(y) is an arrow of both maps.  With d moves left after g,
+  the child passes displacement exactly when g shares at least
+  need = off + m - m·d of R's arrows: one AND and one popcount.
+- Displacement by support: every arrow of an ordering of S joins two of
+  its seats, so no ordering shares more of R's arrows than the support's
+  inner mask holds, and a support with |arrows(R) ∩ inner(S)| < need
+  yields no child that passes: one test for all (m - 1)! orderings.  R
+  has at most one arrow out of each seat, so that count is at most m, and
+  the test covers off > m·d, which makes need exceed m.
 - Cayley: N - cycles(R) <= (m - 1)·d.  N - cycles(R) is the least number
   of transpositions whose product is R.  An m-cycle is a product of
   m - 1 transpositions, and each transposition changes the cycle count by
@@ -64,13 +82,20 @@ With d moves left:
 - Commuting normal form: two consecutive moves with disjoint seat sets are
   explored only with the lower support id first, since swapping them
   changes neither the product nor the spent supports.
+- Longest plan: under the distinct-seat-set rule a plan seats each legal
+  support at most once, so no plan has more moves than there are legal
+  supports, and no limit above that count is tried.  With no legal move
+  at all (a ground set smaller than m) only the empty plan exists, so
+  under either rule the search stops after limit 0.
 
-Search order.  A position computes R's moved-point bitmask once, then
-skips whole each support that is spent, breaks the normal form against
-the previous move, or fails displacement by support.  Each ordering of a
-support it keeps is bounded as a child R∘g⁻¹, by displacement and
-Cayley, before descending, so the position enters only children that
-pass them; the root is bounded once per limit.  With one move left,
+Search order.  A position computes R's moved-point bitmask and arrow
+mask once, then skips whole each support that is spent, breaks the normal
+form against the previous move, or fails displacement by support.  Each
+ordering of a support it keeps is tested for displacement on its arrow
+mask; only an ordering that passes builds its child R∘g⁻¹, which is
+bounded by Cayley before descending, so the position builds only
+children that pass displacement and enters only those that pass both;
+the root is bounded once per limit.  With one move left,
 R∘g⁻¹ is the identity exactly when g = R, and each m-cycle appears once
 in the catalog, so the last move is found by one dict lookup on R's
 image tuple, then checked for a spent support and the normal form.  That
@@ -78,8 +103,7 @@ position still counts k + 1 nodes when catalog move k completes the
 plan, and the whole catalog when none does, which is what trying each
 move in turn counted; the budget is checked after adding them, so a
 search raises OracleBudgetError under exactly the budgets it would while
-trying each move.  With no legal move at all (a ground set smaller than
-m) only the empty plan exists, so the search stops after limit 0.
+trying each move.
 
 Inputs.  The rule pool must hold outsiders only (RuleSet raises
 ValueError otherwise, and PlanDocument checks its pool through RuleSet),
@@ -97,6 +121,7 @@ previous support as well, so its interaction needs its own proof.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -107,7 +132,8 @@ from .perm import OUTSIDER, Element, Permutation, insiders_only
 
 CATALOG_CAP = 100_000
 """Most catalog moves a search builds.  86,400 moves (m = 7 on 10 elements)
-take about 0.5 s and 48 MB to build with CPython 3.11 on a Xeon vCPU."""
+take about 0.6 s and 56 MB to build with CPython 3.11 on a Xeon vCPU, and
+the cache keeps up to 8 catalogs alive."""
 
 
 GROUND_CAP = 16
@@ -217,37 +243,49 @@ def verify_plan(
     return VerificationReport(product_ok, violations, len(plan))
 
 
+@functools.lru_cache(maxsize=8)
 def _move_catalog(
-    n: int, first_outsider: int, rules: RuleSet
+    n: int, first_outsider: int, m: int, outsider_rule: bool
 ) -> tuple[
-    list[tuple[int, int, tuple[tuple[itemgetter, tuple[int, ...]], ...]]],
+    tuple[tuple[int, int, int, tuple[tuple[itemgetter, int, tuple[int, ...]], ...]], ...],
     dict[tuple[int, ...], tuple[int, int, int, tuple[int, ...]]],
+    tuple[tuple[int, ...], ...],
 ]:
     """All legal moves on ground indices 0..n-1, grouped by support.
 
-    Each support is (support id, seat bitmask, orderings), and each
-    ordering is (action on the residual, seats).  Supports come in
-    itertools.combinations order, and a support holds an outsider when its
-    greatest index does.  Each support lists its (m - 1)! orderings with
-    the least seat leading, so every legal m-cycle appears once; the
-    returned dict maps each move's own image tuple to (k, support id, seat
-    bitmask, seats), where k is its insertion position: the move's index in
-    the flat catalog of the supports' orderings in turn.  Raises ValueError,
-    before building any move, for more than CATALOG_CAP moves.
+    Each support is (support id, seat bitmask, inner arrow mask,
+    orderings), and each ordering is (action on the residual, arrow mask,
+    seats).  Arrow y → z is bit y·n + z; a support's inner mask holds every
+    arrow a → b with a ≠ b between its seats, and an ordering's arrow mask
+    its own m arrows y → g(y).  Supports come in itertools.combinations
+    order, and under the outsider rule a support holds an outsider when
+    its greatest index is first_outsider or above.  Each support lists its
+    (m - 1)! orderings with the least seat leading, so every legal m-cycle
+    appears once; the returned dict maps each move's own image tuple to
+    (k, support id, seat bitmask, seats), where k is its insertion
+    position: the move's index in the flat catalog of the supports'
+    orderings in turn.  The last value holds arrow y → z's bit at
+    [y][z], and 0 for y = z, so a residual's arrow mask is one sum over
+    it.  Raises ValueError, before building any move, for more than
+    CATALOG_CAP moves.  The result is cached and shared by every search
+    on the same key, so no caller may change it.
     """
-    m = rules.m
     combos = [
         combo
         for combo in itertools.combinations(range(n), m)
-        if not rules.require_outsider_per_move or combo[-1] >= first_outsider
+        if not outsider_rule or combo[-1] >= first_outsider
     ]
     size = len(combos) * math.factorial(m - 1) if combos else 0
     if size > CATALOG_CAP:
         raise ValueError(f"catalog of {size} moves is too large to search")
+    arrow_rows = tuple(
+        tuple(0 if y == z else 1 << (y * n + z) for z in range(n)) for y in range(n)
+    )
     supports = []
     last_move = {}
     for sid, combo in enumerate(combos):
         mask = sum(1 << i for i in combo)
+        inner = sum(arrow_rows[a][b] for a in combo for b in combo)
         lead, rest = combo[0], combo[1:]
         orderings = []
         for ordering in itertools.permutations(rest):
@@ -256,9 +294,10 @@ def _move_catalog(
             for a, b in zip(seats, seats[1:] + seats[:1]):
                 image[a], preimage[b] = b, a
             last_move[tuple(image)] = (len(last_move), sid, mask, seats)
-            orderings.append((itemgetter(*preimage), seats))
-        supports.append((sid, mask, tuple(orderings)))
-    return supports, last_move
+            arrows = sum(arrow_rows[a][image[a]] for a in seats)
+            orderings.append((itemgetter(*preimage), arrows, seats))
+        supports.append((sid, mask, inner, tuple(orderings)))
+    return tuple(supports), last_move, arrow_rows
 
 
 def _cayley_distance(r: tuple[int, ...]) -> int:
@@ -301,7 +340,9 @@ def search_min_plan(
     m, parity = rules.m, target.parity()
     if m % 2 and parity:
         return None  # odd-length cycles multiply to even permutations only
-    supports, last_move = _move_catalog(n, len(insiders), rules)
+    supports, last_move, arrow_rows = _move_catalog(
+        n, len(insiders), m, rules.require_outsider_per_move
+    )
     size = len(last_move)  # each m-cycle once
     distinct = rules.require_distinct_supports
     identity = tuple(range(n))
@@ -334,23 +375,26 @@ def search_min_plan(
         d = depth_left - 1
         reach, distance = m * d, (m - 1) * d
         moved = sum(itertools.compress(bits, map(ne, r, identity)))  # R's moved points
-        for sid, mask, orderings in supports:
+        arrows_r = sum(map(tuple.__getitem__, arrow_rows, r))  # R's arrows y → R(y)
+        for sid, mask, inner, orderings in supports:
             if (
                 (distinct and spent >> sid & 1)
                 or (not mask & prev_mask and sid < prev_sid)
-                or (moved & ~mask).bit_count() > reach  # displacement, every ordering
+                # a child passes displacement exactly when it shares `need` of R's arrows
+                or (arrows_r & inner).bit_count()
+                < (need := (moved & ~mask).bit_count() + m - reach)
             ):
                 nodes += len(orderings)  # each ordering counts, as when tried in turn
                 if nodes > node_budget:
                     raise OracleBudgetError(f"node budget of {node_budget} exceeded")
                 continue
-            for act, seats in orderings:
+            for act, arrows, seats in orderings:
                 nodes += 1
                 if nodes > node_budget:
                     raise OracleBudgetError(f"node budget of {node_budget} exceeded")
+                if (arrows & arrows_r).bit_count() < need:
+                    continue  # displacement bound, read off the shared arrows
                 child = act(r)
-                if sum(map(ne, child, identity)) > reach:
-                    continue  # displacement bound
                 if d > 2 and _cayley_distance(child) > distance:
                     continue  # Cayley bound; with d <= 2 left it never cuts
                 path.append(seats)
@@ -362,7 +406,10 @@ def search_min_plan(
     goal = target.inverse()
     start = tuple(ground.index(goal(e)) for e in ground)  # R before any move
     displaced, distance = sum(map(ne, start, identity)), _cayley_distance(start)
-    for limit in range(max_steps + 1 if supports else 1):  # no move: only limit 0
+    # a plan seats each support at most once under the distinct rule, and
+    # with no legal move only the empty plan exists
+    longest = min(max_steps, len(supports)) if distinct or not supports else max_steps
+    for limit in range(longest + 1):
         if m % 2 == 0 and limit % 2 != parity:
             continue  # the parity bound fails at the root, so at every node
         if displaced > m * limit or distance > (m - 1) * limit:

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import itertools
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -249,6 +250,17 @@ class TestOracle:
         )
         assert code == 3
         assert "no plan within 1000000000 steps" in err
+
+    def test_search_stops_at_the_support_count(self, capsys):
+        # one legal support on (1 2 3) and one outsider, so no plan has more
+        # than one move and no deeper limit is tried
+        start = time.perf_counter()
+        code, _, err = run(
+            capsys, "oracle", "--target", "(1 2 3)", "--m", "4", "--d", "1",
+            "--max-steps", "10000000",
+        )
+        assert (code, err) == (3, "no plan within 10000000 steps\n")
+        assert time.perf_counter() - start < 1.0
 
     def test_oversized_ground_set_is_refused_before_its_pool(self, capsys, monkeypatch):
         built = []

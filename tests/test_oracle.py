@@ -212,6 +212,7 @@ class TestSearchMinPlan:
             raise AssertionError("factorial computed for an empty catalog")
 
         monkeypatch.setattr(oracle.math, "factorial", refuse)
+        oracle._move_catalog.cache_clear()  # a cached catalog would skip the count
         target, rules = parse_cycles("(1 2 3)"), RuleSet(m=5, outsiders=pool(1))
         assert search_min_plan(target, rules, 8) is None
 
@@ -226,13 +227,13 @@ class TestSearchMinPlan:
         [(5, 4, 2, True), (6, 3, 3, True), (8, 5, 5, True), (6, 6, 4, False), (7, 5, 7, True)],
     )
     def test_catalog_cap_counts_every_move(self, monkeypatch, n, first_outsider, m, outsider_rule):
-        rules = RuleSet(m=m, outsiders=pool(1), require_outsider_per_move=outsider_rule)
-        supports, last_move = oracle._move_catalog(n, first_outsider, rules)
-        size = sum(len(orderings) for _, _, orderings in supports)
+        supports, last_move, _ = oracle._move_catalog(n, first_outsider, m, outsider_rule)
+        size = sum(len(orderings) for *_, orderings in supports)
         assert len(last_move) == size
         monkeypatch.setattr(oracle, "CATALOG_CAP", size - 1)
+        oracle._move_catalog.cache_clear()  # the cached catalog would hide the cap
         with pytest.raises(ValueError, match=f"catalog of {size} moves"):
-            oracle._move_catalog(n, first_outsider, rules)
+            oracle._move_catalog(n, first_outsider, m, outsider_rule)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -246,13 +247,51 @@ class TestSearchMinPlan:
         # displacement bound in search_min_plan relies on
         r = tuple(data.draw(st.permutations(range(n))))
         first_outsider = data.draw(st.integers(0, n))
-        rules = RuleSet(m=m, outsiders=pool(1), require_outsider_per_move=outsider_rule)
         moved = sum(1 << i for i, j in enumerate(r) if i != j)
-        supports, _ = oracle._move_catalog(n, first_outsider, rules)
-        for _, mask, orderings in supports:
-            for act, _ in orderings:
+        supports, _, _ = oracle._move_catalog(n, first_outsider, m, outsider_rule)
+        for _, mask, _, orderings in supports:
+            for act, _, _ in orderings:
                 displacement = sum(map(ne, act(r), range(n)))
                 assert displacement >= (moved & ~mask).bit_count()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(0, 8),
+        m=st.integers(2, 5),
+        outsider_rule=st.booleans(),
+        d=st.integers(0, 3),
+    )
+    def test_shared_arrows_give_each_childs_displacement(self, data, n, m, outsider_rule, d):
+        # |supp(R∘g⁻¹)| = |supp R ∖ S| + m - |arrows(g) ∩ arrows(R)|, and a
+        # support sharing fewer of R's arrows than a passing child needs
+        # has no child that passes displacement with d moves left
+        r = tuple(data.draw(st.permutations(range(n))))
+        first_outsider = data.draw(st.integers(0, n))
+        moved = sum(1 << i for i, j in enumerate(r) if i != j)
+        supports, _, arrow_rows = oracle._move_catalog(n, first_outsider, m, outsider_rule)
+        arrows_r = sum(map(tuple.__getitem__, arrow_rows, r))
+        assert arrows_r == sum(1 << (y * n + z) for y, z in enumerate(r) if y != z)
+        for _, mask, inner, orderings in supports:
+            off = (moved & ~mask).bit_count()
+            displacements = [sum(map(ne, act(r), range(n))) for act, _, _ in orderings]
+            shared = [(arrows & arrows_r).bit_count() for _, arrows, _ in orderings]
+            assert displacements == [off + m - k for k in shared]
+            if (arrows_r & inner).bit_count() < off + m - m * d:
+                assert min(displacements) > m * d
+
+    def test_search_leaves_the_cached_catalog_as_it_was(self):
+        oracle._move_catalog.cache_clear()
+        target, rules = parse_cycles("(1 2)(3 4)(5 6 7)"), RuleSet(m=3, outsiders=pool(1))
+        cold = search_min_plan(target, rules, 5)
+        catalog = oracle._move_catalog(8, 7, 3, True)
+        last_move = dict(catalog[1])  # the one mutable part; the rest are tuples
+        hits = oracle._move_catalog.cache_info().hits
+        for max_steps in (4, 5):
+            assert search_min_plan(target, rules, max_steps) == (None if max_steps == 4 else cold)
+        assert oracle._move_catalog.cache_info().hits == hits + 2
+        assert oracle._move_catalog(8, 7, 3, True) is catalog
+        assert catalog[1] == last_move
 
 
 class TestBudgetEdges:
@@ -283,8 +322,16 @@ class TestBudgetEdges:
                 "(1 2 3 4)(5 6)",
                 RuleSet(m=4, outsiders=pool(2), require_distinct_supports=False), 3, 330, None,
             ),
+            ("(1 2)(3 4)(5 6 7)", RuleSet(m=3, outsiders=pool(1)), 4, 11_046, None),
+            (
+                "(1 2)(3 4)(5 6 7)", RuleSet(m=3, outsiders=pool(1)), 5, 11_364,
+                ["(a1 a2 x1)", "(a1 a3 x1)", "(a3 x1 a4)", "(a5 x1 a6)", "(a6 x1 a7)"],
+            ),
         ],
-        ids=["keeler-pair", "refutation", "limit-1", "m4-pair", "m5-pair", "m4-repeats"],
+        ids=[
+            "keeler-pair", "refutation", "limit-1", "m4-pair", "m5-pair", "m4-repeats",
+            "m3-mixed-refuted", "m3-mixed",
+        ],
     )
     def test_exact_budget(self, text, rules, max_steps, nodes, plan):
         target = parse_cycles(text)
@@ -383,7 +430,10 @@ def reference_search_min_plan(
 
     goal = target.inverse()
     start = tuple(ground.index(goal(e)) for e in ground)  # R before any move
-    for limit in range(max_steps + 1):
+    longest = max_steps
+    if distinct:  # a plan seats each support at most once
+        longest = min(max_steps, len({sid for sid, *_ in catalog}))
+    for limit in range(longest + 1):
         if m % 2 == 0 and limit % 2 != parity:
             continue  # the parity bound fails at the root, so at every node
         path: list[tuple[int, ...]] = []
