@@ -25,9 +25,11 @@ its bitmask and its seats.  Support ids rank the legal supports in
 itertools.combinations order, which is sorted-tuple order.  Spent
 supports are an int bitset over those ids, and R's moved points an int
 bitmask over the ground indices.  The catalog depends on nothing but N,
-the first outsider's index, m and the outsider rule, so it is built once
-per such key and cached for the last 8 keys; searches share it and never
-change it.  MachineMove objects are built only for the plan that is
+m, the outsider rule and, under that rule, the first outsider's index, so
+it is built once per such key and cached; searches share it and never
+change it.  The cache holds at most CATALOG_CAP moves in all and drops
+the least recently used catalogs to make room for a new one before
+building it.  MachineMove objects are built only for the plan that is
 returned.
 
 Nodes.  The search counts one node per catalog move it tries, at every
@@ -39,7 +41,9 @@ once, and the budget is checked after adding them.  That
 count is exact: trying the orderings in turn adds the same nodes, rejects
 each one by the same test and descends into none, so nothing but the
 count happens between them, and the search raises OracleBudgetError
-under exactly the budgets it would while trying each ordering.
+under exactly the budgets it would while trying each ordering.  A root
+move that the symmetry cut skips (see Symmetry) counts its one node, and
+its subtree none.
 
 Pruning.  Each rule cuts only subtrees that hold no plan, so the DFS meets
 the same first plan, in the same catalog order, as a search without it.
@@ -95,7 +99,11 @@ ordering of a support it keeps is tested for displacement on its arrow
 mask; only an ordering that passes builds its child R∘g⁻¹, which is
 bounded by Cayley before descending, so the position builds only
 children that pass displacement and enters only those that pass both;
-the root is bounded once per limit.  With one move left,
+the root is bounded once per limit.  At the root of a limit of 3 or
+more an ordering that passes displacement is then kept only when it
+leads its orbit (see Symmetry).  The generators and each orbit are built
+when first needed and kept for the rest of the search, so a search that
+never gets past limit 2 builds none.  With one move left,
 R∘g⁻¹ is the identity exactly when g = R, and each m-cycle appears once
 in the catalog, so the last move is found by one dict lookup on R's
 image tuple, then checked for a spent support and the normal form.  That
@@ -104,6 +112,38 @@ plan, and the whole catalog when none does, which is what trying each
 move in turn counted; the budget is checked after adding them, so a
 search raises OracleBudgetError under exactly the budgets it would while
 trying each move.
+
+Symmetry.  Let G be the centralizer of the root residual R₀ = σ⁻¹ in the
+permutations of the ground indices; with σ's fixed points, the pool,
+counted as 1-cycles, G is C(σ) × Sym(pool).  It is generated by the
+rotation of each cycle of R₀ (R₀ itself on that cycle), by the aligned
+swap a_i ↔ b_i of each two consecutive cycles (a_0 …) and (b_0 …) of
+equal length, with a_(i+1) = R₀(a_i) and b_(i+1) = R₀(b_i), and so, among
+the 1-cycles, by each swap of two adjacent outsiders.  G acts on moves by
+conjugation, g ↦ c g c⁻¹, the m-cycle on seats (c(s_0) … c(s_(m-1))).
+Each c in G commutes with σ and maps insiders to insiders and the pool
+to itself, so it maps a plan P to a plan c P c⁻¹ of the same length: its
+product is c σ⁻¹ c⁻¹ = σ⁻¹, every move still seats an outsider when P's
+did, and distinct supports stay distinct.  At the root of each limit of
+3 or more the search tries a move only when it is the least of its
+G-orbit in catalog order (support id, then ordering), and skips every
+other root move with no subtree.  That keeps the plan it returns.  Let
+P* be the first plan the uncut search finds at some limit, with first
+move g, and suppose some c in G gives c(g) before g in catalog order.  Then c P* c⁻¹ is a
+plan of the same length whose first move is c(g).  Put it into the
+commuting normal form by swapping, while any remain, two consecutive
+disjoint moves whose later one has the lower support id: each swap
+lowers the sequence of support ids, so this ends, and it changes neither
+the product nor the spent supports.  Its first move is then c(g) or a
+move of lower support id than c(g), which is at most g's, so it comes
+before g in catalog order, and the uncut search, which tries plans in
+that order, would have found this plan before P*: a contradiction.  So
+g leads its orbit and the cut keeps P*.  By the same argument a limit
+that holds any plan keeps one, so no None verdict changes either.  The
+argument holds for any set of limits, so the cut is left out where it
+cannot pay: at limit 1 the only candidate is R₀, which G fixes, and at
+limit 2 a root move's subtree is one dict lookup (see Search order),
+which costs less than building its orbit.
 
 Inputs.  The rule pool must hold outsiders only (RuleSet raises
 ValueError otherwise, and PlanDocument checks its pool through RuleSet),
@@ -121,9 +161,9 @@ previous support as well, so its interaction needs its own proof.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from operator import itemgetter, ne
 
@@ -131,9 +171,9 @@ from .moves import MachineMove
 from .perm import OUTSIDER, Element, Permutation, insiders_only
 
 CATALOG_CAP = 100_000
-"""Most catalog moves a search builds.  86,400 moves (m = 7 on 10 elements)
-take about 0.6 s and 56 MB to build with CPython 3.11 on a Xeon vCPU, and
-the cache keeps up to 8 catalogs alive."""
+"""Most catalog moves a search builds, and most the catalog cache holds in
+all.  86,400 moves (m = 7 on 10 elements) take about 0.6 s and 56 MB to
+build with CPython 3.11 on a Xeon vCPU."""
 
 
 GROUND_CAP = 16
@@ -243,14 +283,17 @@ def verify_plan(
     return VerificationReport(product_ok, violations, len(plan))
 
 
-@functools.lru_cache(maxsize=8)
-def _move_catalog(
-    n: int, first_outsider: int, m: int, outsider_rule: bool
-) -> tuple[
+Catalog = tuple[
     tuple[tuple[int, int, int, tuple[tuple[itemgetter, int, tuple[int, ...]], ...]], ...],
     dict[tuple[int, ...], tuple[int, int, int, tuple[int, ...]]],
     tuple[tuple[int, ...], ...],
-]:
+]
+
+_catalogs: OrderedDict[tuple[int, int, int | None], Catalog] = OrderedDict()
+"""_move_catalog's cache, least recently used first."""
+
+
+def _move_catalog(n: int, first_outsider: int, m: int, outsider_rule: bool) -> Catalog:
     """All legal moves on ground indices 0..n-1, grouped by support.
 
     Each support is (support id, seat bitmask, inner arrow mask,
@@ -267,9 +310,22 @@ def _move_catalog(
     orderings in turn.  The last value holds arrow y → z's bit at
     [y][z], and 0 for y = z, so a residual's arrow mask is one sum over
     it.  Raises ValueError, before building any move, for more than
-    CATALOG_CAP moves.  The result is cached and shared by every search
-    on the same key, so no caller may change it.
+    CATALOG_CAP moves.
+
+    The result is cached and shared by every search on the same key, so
+    no caller may change it.  The key is (n, m, first_outsider), with
+    first_outsider left out when the outsider rule is off, since the
+    catalog does not depend on it there.  The cached catalogs hold at most
+    CATALOG_CAP moves together: before a new one is built, the least
+    recently used are dropped until it fits, so two catalogs that do not
+    fit together are never held at once.  A catalog with no move is not
+    cached, since it costs nothing to build.
     """
+    key = (n, m, first_outsider if outsider_rule else None)
+    catalog = _catalogs.get(key)
+    if catalog is not None:
+        _catalogs.move_to_end(key)
+        return catalog
     combos = [
         combo
         for combo in itertools.combinations(range(n), m)
@@ -278,6 +334,9 @@ def _move_catalog(
     size = len(combos) * math.factorial(m - 1) if combos else 0
     if size > CATALOG_CAP:
         raise ValueError(f"catalog of {size} moves is too large to search")
+    held = sum(len(moves) for _, moves, _ in _catalogs.values())
+    while held + size > CATALOG_CAP:
+        held -= len(_catalogs.popitem(last=False)[1][1])
     arrow_rows = tuple(
         tuple(0 if y == z else 1 << (y * n + z) for z in range(n)) for y in range(n)
     )
@@ -297,7 +356,66 @@ def _move_catalog(
             arrows = sum(arrow_rows[a][image[a]] for a in seats)
             orderings.append((itemgetter(*preimage), arrows, seats))
         supports.append((sid, mask, inner, tuple(orderings)))
-    return tuple(supports), last_move, arrow_rows
+    catalog = tuple(supports), last_move, arrow_rows
+    if size:
+        _catalogs[key] = catalog
+    return catalog
+
+
+def _centralizer_generators(r: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Index maps that generate every permutation commuting with r.
+
+    One rotation per cycle of r of length 2 or more, r itself on that
+    cycle, and one aligned swap per two consecutive cycles of equal
+    length, counting fixed points as 1-cycles (see Symmetry).
+    """
+    n = len(r)
+    last_of_length: dict[int, list[int]] = {}
+    generators = []
+    seen = [False] * n
+    for i in range(n):
+        if seen[i]:
+            continue
+        cycle = [i]
+        while (j := r[cycle[-1]]) != i:
+            cycle.append(j)
+        for j in cycle:
+            seen[j] = True
+        if len(cycle) > 1:
+            rotation = list(range(n))
+            for a in cycle:
+                rotation[a] = r[a]
+            generators.append(tuple(rotation))
+        previous = last_of_length.get(len(cycle))
+        if previous is not None:
+            swap = list(range(n))
+            for a, b in zip(previous, cycle):
+                swap[a], swap[b] = b, a
+            generators.append(tuple(swap))
+        last_of_length[len(cycle)] = cycle
+    return generators
+
+
+def _orbit(seats: tuple[int, ...], generators: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """The move on seats and all its conjugates c g c⁻¹ under the group the
+    generators span, each as its seats with the least seat leading."""
+    orbit = {seats}
+    frontier = [seats]
+    while frontier:
+        move = itemgetter(*frontier.pop())
+        for c in generators:
+            image = move(c)  # c g c⁻¹ sends c(s_i) to c(s_(i+1))
+            lead = image.index(min(image))
+            conjugate = image[lead:] + image[:lead]
+            if conjugate not in orbit:
+                orbit.add(conjugate)
+                frontier.append(conjugate)
+    return orbit
+
+
+def _catalog_order(seats: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Sort key of a move in catalog order: its support, then its ordering."""
+    return tuple(sorted(seats)), seats
 
 
 def _cayley_distance(r: tuple[int, ...]) -> int:
@@ -348,6 +466,19 @@ def search_min_plan(
     identity = tuple(range(n))
     bits = [1 << i for i in range(n)]
     nodes = 0
+    generators: list[tuple[int, ...]] | None = None
+    leaders: dict[tuple[int, ...], bool] = {}  # root move -> leads its orbit
+
+    def leads(seats: tuple[int, ...]) -> bool:
+        """Whether seats is the least move of its orbit in catalog order."""
+        nonlocal generators
+        if seats not in leaders:
+            if generators is None:
+                generators = _centralizer_generators(start)
+            orbit = _orbit(seats, generators)
+            leaders.update(dict.fromkeys(orbit, False))
+            leaders[min(orbit, key=_catalog_order)] = True
+        return leaders[seats]
 
     def dfs(
         r: tuple[int, ...],
@@ -374,6 +505,7 @@ def search_min_plan(
             return True
         d = depth_left - 1
         reach, distance = m * d, (m - 1) * d
+        cut = prev_sid < 0 and d > 1  # the root of a limit of 3 or more
         moved = sum(itertools.compress(bits, map(ne, r, identity)))  # R's moved points
         arrows_r = sum(map(tuple.__getitem__, arrow_rows, r))  # R's arrows y → R(y)
         for sid, mask, inner, orderings in supports:
@@ -394,6 +526,8 @@ def search_min_plan(
                     raise OracleBudgetError(f"node budget of {node_budget} exceeded")
                 if (arrows & arrows_r).bit_count() < need:
                     continue  # displacement bound, read off the shared arrows
+                if cut and not leads(seats):
+                    continue  # a conjugate earlier in the catalog stands for it
                 child = act(r)
                 if d > 2 and _cayley_distance(child) > distance:
                     continue  # Cayley bound; with d <= 2 left it never cuts

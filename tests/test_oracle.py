@@ -1,4 +1,6 @@
+import functools
 import itertools
+import sys
 import time
 from operator import itemgetter, ne
 
@@ -179,7 +181,8 @@ class TestSearchMinPlan:
 
     def test_bounds_prune_within_node_budget(self):
         # with the displacement bound alone the search tries 37,922 nodes
-        # here; the Cayley and parity bounds bring that to 5,792
+        # here; the Cayley and parity bounds bring that to 5,792, and the
+        # symmetry cut at the root to 3,344
         plan = search_min_plan(
             parse_cycles("(1 2)(3 4)"), RuleSet(m=2, outsiders=pool(2)), 8, node_budget=10_000
         )
@@ -212,7 +215,6 @@ class TestSearchMinPlan:
             raise AssertionError("factorial computed for an empty catalog")
 
         monkeypatch.setattr(oracle.math, "factorial", refuse)
-        oracle._move_catalog.cache_clear()  # a cached catalog would skip the count
         target, rules = parse_cycles("(1 2 3)"), RuleSet(m=5, outsiders=pool(1))
         assert search_min_plan(target, rules, 8) is None
 
@@ -231,7 +233,7 @@ class TestSearchMinPlan:
         size = sum(len(orderings) for *_, orderings in supports)
         assert len(last_move) == size
         monkeypatch.setattr(oracle, "CATALOG_CAP", size - 1)
-        oracle._move_catalog.cache_clear()  # the cached catalog would hide the cap
+        oracle._catalogs.clear()  # the cached catalog would hide the cap
         with pytest.raises(ValueError, match=f"catalog of {size} moves"):
             oracle._move_catalog(n, first_outsider, m, outsider_rule)
 
@@ -281,31 +283,105 @@ class TestSearchMinPlan:
                 assert min(displacements) > m * d
 
     def test_search_leaves_the_cached_catalog_as_it_was(self):
-        oracle._move_catalog.cache_clear()
+        oracle._catalogs.clear()
         target, rules = parse_cycles("(1 2)(3 4)(5 6 7)"), RuleSet(m=3, outsiders=pool(1))
         cold = search_min_plan(target, rules, 5)
         catalog = oracle._move_catalog(8, 7, 3, True)
         last_move = dict(catalog[1])  # the one mutable part; the rest are tuples
-        hits = oracle._move_catalog.cache_info().hits
         for max_steps in (4, 5):
             assert search_min_plan(target, rules, max_steps) == (None if max_steps == 4 else cold)
-        assert oracle._move_catalog.cache_info().hits == hits + 2
+        assert list(oracle._catalogs.values()) == [catalog]
         assert oracle._move_catalog(8, 7, 3, True) is catalog
         assert catalog[1] == last_move
 
 
+class TestCatalogCache:
+    """The cached catalogs hold at most CATALOG_CAP moves together."""
+
+    # the bench's oracle_certify corpus: (cycle type, m, d)
+    CERTIFY = [
+        ((2, 2, 3), 3, 1), ((3, 3), 3, 1), ((7,), 3, 1), ((2, 2), 2, 2), ((4,), 2, 2),
+        ((5,), 2, 2), ((3,), 4, 3), ((3,), 5, 3),
+    ]
+
+    @staticmethod
+    def shaped(shape):
+        labels = iter(range(1, sum(shape) + 1))
+        return parse_cycles(
+            "".join("(" + " ".join(str(next(labels)) for _ in range(k)) + ")" for k in shape)
+        )
+
+    def test_every_certify_catalog_stays_cached(self):
+        oracle._catalogs.clear()
+        catalogs = []
+        for shape, m, d in self.CERTIFY:
+            search_min_plan(self.shaped(shape), RuleSet(m=m, outsiders=pool(d)), 0)
+            catalogs.append(oracle._move_catalog(sum(shape) + d, sum(shape), m, True))
+        assert len(oracle._catalogs) == 6
+        for (shape, m, d), catalog in zip(self.CERTIFY, catalogs):
+            search_min_plan(self.shaped(shape), RuleSet(m=m, outsiders=pool(d)), 0)
+            assert oracle._move_catalog(sum(shape) + d, sum(shape), m, True) is catalog
+        assert len(oracle._catalogs) == 6
+
+    def test_two_catalogs_over_the_cap_are_never_held_together(self, monkeypatch):
+        # 180 and 210 moves under a cap of 300: the first goes before the
+        # second is built, and comes back only when the second goes
+        oracle._catalogs.clear()
+        monkeypatch.setattr(oracle, "CATALOG_CAP", 300)
+        first = oracle._move_catalog(7, 5, 4, True)
+        assert len(first[1]) == 180
+        references = sys.getrefcount(first[1])  # from first, and the call's own
+        building = []
+
+        def spy(*items):
+            # neither the cache nor a local of _move_catalog holds first
+            building.append((list(oracle._catalogs), sys.getrefcount(first[1])))
+            return itemgetter(*items)
+
+        monkeypatch.setattr(oracle, "itemgetter", spy)
+        second = oracle._move_catalog(7, 5, 4, False)
+        assert len(second[1]) == 210
+        assert building and all(state == ([], references) for state in building)
+        assert list(oracle._catalogs.values()) == [second]
+        assert oracle._move_catalog(7, 5, 4, True) is not first
+        assert list(oracle._catalogs) == [(7, 4, 5)]
+
+    def test_least_recently_used_goes_first(self, monkeypatch):
+        oracle._catalogs.clear()
+        # 4 + 38 + 180 moves do not fit under a cap of 200, and 4 + 180 do
+        monkeypatch.setattr(oracle, "CATALOG_CAP", 200)
+        small, medium = oracle._move_catalog(5, 4, 2, True), oracle._move_catalog(6, 3, 3, True)
+        assert (len(small[1]), len(medium[1])) == (4, 38)
+        assert oracle._move_catalog(5, 4, 2, True) is small  # now the most recent
+        assert len(oracle._move_catalog(7, 5, 4, True)[1]) == 180
+        assert list(oracle._catalogs) == [(5, 2, 4), (7, 4, 5)]
+
+    def test_rule_off_shares_one_catalog_across_pool_sizes(self):
+        # with the outsider rule off the first outsider does not matter, so
+        # three insiders and two outsiders, and four and one, share a catalog
+        oracle._catalogs.clear()
+        for text, d in [("(1 2 3)", 2), ("(1 2)(3 4)", 1)]:
+            rules = RuleSet(m=3, outsiders=pool(d), require_outsider_per_move=False)
+            assert search_min_plan(parse_cycles(text), rules, 4) is not None
+        assert list(oracle._catalogs) == [(5, 3, None)]
+
+
 class TestBudgetEdges:
-    """Each search succeeds with exactly N nodes and raises with N - 1."""
+    """Each search succeeds with exactly N nodes and raises with N - 1.
+
+    limit-2-uncut pins that the symmetry cut leaves limit 2 alone: cut
+    there too, the same plan would take 106 nodes.
+    """
 
     @pytest.mark.parametrize(
         "text, rules, max_steps, nodes, plan",
         [
             (
-                "(1 2)(3 4)", RuleSet(m=2, outsiders=pool(2)), 8, 5_792,
+                "(1 2)(3 4)", RuleSet(m=2, outsiders=pool(2)), 8, 3_344,
                 ["(a1 x1)", "(a2 x1)", "(a3 x1)", "(a4 x2)", "(a3 x2)", "(a1 x2)", "(a4 x1)",
                  "(x1 x2)"],
             ),
-            ("(1 2)(3 4)(5 6)(7 8)", RuleSet(m=3, outsiders=pool(1)), 5, 377_384, None),
+            ("(1 2)(3 4)(5 6)(7 8)", RuleSet(m=3, outsiders=pool(1)), 5, 21_280, None),
             (
                 "(1 2 3)", RuleSet(m=3, outsiders=(), require_outsider_per_move=False), 4, 2,
                 ["(a1 a3 a2)"],
@@ -322,15 +398,19 @@ class TestBudgetEdges:
                 "(1 2 3 4)(5 6)",
                 RuleSet(m=4, outsiders=pool(2), require_distinct_supports=False), 3, 330, None,
             ),
-            ("(1 2)(3 4)(5 6 7)", RuleSet(m=3, outsiders=pool(1)), 4, 11_046, None),
             (
-                "(1 2)(3 4)(5 6 7)", RuleSet(m=3, outsiders=pool(1)), 5, 11_364,
+                "(1 2 3)", RuleSet(m=4, outsiders=pool(2)), 2, 406,
+                ["(a1 x1 x2 a2)", "(a2 x2 x1 a3)"],
+            ),
+            ("(1 2)(3 4)(5 6 7)", RuleSet(m=3, outsiders=pool(1)), 4, 2_100, None),
+            (
+                "(1 2)(3 4)(5 6 7)", RuleSet(m=3, outsiders=pool(1)), 5, 2_418,
                 ["(a1 a2 x1)", "(a1 a3 x1)", "(a3 x1 a4)", "(a5 x1 a6)", "(a6 x1 a7)"],
             ),
         ],
         ids=[
             "keeler-pair", "refutation", "limit-1", "m4-pair", "m5-pair", "m4-repeats",
-            "m3-mixed-refuted", "m3-mixed",
+            "limit-2-uncut", "m3-mixed-refuted", "m3-mixed",
         ],
     )
     def test_exact_budget(self, text, rules, max_steps, nodes, plan):
@@ -375,11 +455,47 @@ def reference_cayley_distance(r: tuple[int, ...]) -> int:
     return distance
 
 
+def reference_symmetries(r: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every permutation c of 0..n-1 with c∘r = r∘c, written out: c maps the
+    cycles of r of each length onto one another in any order, each at any
+    offset, counting fixed points as 1-cycles."""
+    by_length: dict[int, list[list[int]]] = {}
+    seen: set[int] = set()
+    for i in range(len(r)):
+        if i not in seen:
+            cycle = [i]
+            while r[cycle[-1]] != i:
+                cycle.append(r[cycle[-1]])
+            seen.update(cycle)
+            by_length.setdefault(len(cycle), []).append(cycle)
+    per_length = [
+        [
+            [
+                (a, image[(j + shift) % length])
+                for cycle, image, shift in zip(cycles, order, shifts)
+                for j, a in enumerate(cycle)
+            ]
+            for order in itertools.permutations(cycles)
+            for shifts in itertools.product(range(length), repeat=len(cycles))
+        ]
+        for length, cycles in by_length.items()
+    ]
+    symmetries = []
+    for parts in itertools.product(*per_length):
+        c = list(range(len(r)))
+        for part in parts:
+            for a, b in part:
+                c[a] = b
+        symmetries.append(tuple(c))
+    return symmetries
+
+
 def reference_search_min_plan(
     target: Permutation,
     rules: RuleSet,
     max_steps: int,
     node_budget: int = 10**8,
+    cut_root: bool = True,
 ) -> list[MachineMove] | None:
     insiders_only(target)
     if max_steps < 0:
@@ -398,6 +514,22 @@ def reference_search_min_plan(
     distinct = rules.require_distinct_supports
     identity = tuple(range(n))
     nodes = 0
+    position = {seats: k for k, (*_, seats) in enumerate(catalog)}
+    symmetries: list[tuple[int, ...]] = []
+    leaders: dict[int, bool] = {}
+
+    def leads(k: int) -> bool:
+        """Whether no conjugate of catalog move k comes before it."""
+        if k not in leaders:
+            if not symmetries:
+                symmetries.extend(reference_symmetries(start))
+            conjugates = []
+            for c in symmetries:
+                image = [c[s] for s in catalog[k][3]]
+                lead = image.index(min(image))
+                conjugates.append(position[tuple(image[lead:] + image[:lead])])
+            leaders[k] = min(conjugates) == k
+        return leaders[k]
 
     def dfs(
         r: tuple[int, ...],
@@ -414,7 +546,7 @@ def reference_search_min_plan(
             return False  # displacement bound
         if reference_cayley_distance(r) > (m - 1) * depth_left:
             return False  # Cayley bound
-        for sid, mask, act, seats in catalog:
+        for k, (sid, mask, act, seats) in enumerate(catalog):
             nodes += 1
             if nodes > node_budget:
                 raise OracleBudgetError(f"node budget of {node_budget} exceeded")
@@ -422,6 +554,8 @@ def reference_search_min_plan(
                 continue
             if not mask & prev_mask and sid < prev_sid:
                 continue
+            if cut_root and not path and depth_left >= 3 and not leads(k):
+                continue  # a conjugate earlier in the catalog stands for it
             path.append(seats)
             if dfs(act(r), depth_left - 1, spent | 1 << sid, sid, mask, path):
                 return True
@@ -456,7 +590,9 @@ def search_outcome(search, target, rules, max_steps, node_budget):
 
 class TestSearchDifferential:
     """search_min_plan against the search that entered every child before
-    bounding it and tried the last move by a loop over the catalog.
+    bounding it, tried the last move by a loop over the catalog, and cut
+    the root of each limit of 3 or more by comparing each move with its
+    conjugates under every symmetry of the target, written out.
 
     The same plan, or a budget error from both, under every budget pins
     the node count as well as the plans.
@@ -482,6 +618,67 @@ class TestSearchDifferential:
         assert search_outcome(
             search_min_plan, target, rules, max_steps, node_budget
         ) == search_outcome(reference_search_min_plan, target, rules, max_steps, node_budget)
+
+
+class TestSymmetryCut:
+    """The root cut keeps every plan and verdict of the search without it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        swaps=st.lists(st.lists(st.integers(1, 5), min_size=2, max_size=2, unique=True), max_size=6),
+        m=st.integers(2, 5),
+        d=st.integers(1, 3),
+        outsider_rule=st.booleans(),
+        distinct_rule=st.booleans(),
+        max_steps=st.integers(0, 6),
+        node_budget=st.integers(0, 3000),
+    )
+    def test_same_result_as_the_uncut_search(
+        self, swaps, m, d, outsider_rule, distinct_rule, max_steps, node_budget
+    ):
+        target = transposition_product(swaps)
+        rules = RuleSet(m, pool(d), outsider_rule, distinct_rule)
+        uncut = functools.partial(reference_search_min_plan, cut_root=False)
+        assert search_min_plan(target, rules, max_steps) == uncut(target, rules, max_steps)
+        want = search_outcome(uncut, target, rules, max_steps, node_budget)
+        if want != "budget exceeded":
+            assert search_min_plan(target, rules, max_steps, node_budget) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        swaps=st.lists(st.lists(st.integers(1, 6), min_size=2, max_size=2, unique=True), max_size=6),
+        d=st.integers(0, 3),
+    )
+    def test_generators_commute_with_the_target_and_keep_the_pool(self, swaps, d):
+        target = transposition_product(swaps)
+        ground = sorted(target.support()) + list(pool(d))
+        n = len(ground)
+        sigma = [ground.index(target(e)) for e in ground]
+        start = tuple(ground.index(target.inverse()(e)) for e in ground)
+        outsiders = set(range(n - d, n))
+        for c in oracle._centralizer_generators(start):
+            assert sorted(c) == list(range(n))
+            assert [c[sigma[i]] for i in range(n)] == [sigma[c[i]] for i in range(n)]
+            assert {c[i] for i in outsiders} == outsiders
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 6))
+    def test_generators_and_written_out_symmetries_give_the_centralizer(self, data, n):
+        r = tuple(data.draw(st.permutations(range(n))))
+        commuting = {
+            c for c in itertools.permutations(range(n)) if all(c[r[i]] == r[c[i]] for i in range(n))
+        }
+        written = reference_symmetries(r)
+        assert len(written) == len(commuting) and set(written) == commuting
+        generators = oracle._centralizer_generators(r)
+        spanned, frontier = {tuple(range(n))}, [tuple(range(n))]
+        while frontier:
+            c = frontier.pop()
+            for g in generators:
+                if (product := tuple(g[i] for i in c)) not in spanned:
+                    spanned.add(product)
+                    frontier.append(product)
+        assert spanned == commuting
 
 
 # the bench's four solvers: name -> (machine size, solve)
