@@ -129,11 +129,15 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         print(f"unsolvable: {err}", file=sys.stderr)
         return EXIT_UNSOLVABLE
     try:
-        if args.d > 0 and args.m >= 2 and args.max_steps >= 0 and args.node_budget >= 0:
-            # refuse before building a pool that no search takes; RuleSet's and
-            # search_min_plan's own refusals keep their precedence over this one
-            _refuse_ground(len(target.support()) + args.d)
-        pool = tuple(outsider(i) for i in range(1, args.d + 1))
+        # refuse before building a pool that no search takes; RuleSet's and
+        # search_min_plan's own refusals keep their precedence over this one,
+        # and one outsider gives them the same message as the whole pool
+        d = args.d
+        if args.m < 2 or args.max_steps < 0 or args.node_budget < 0:
+            d = min(d, 1)
+        elif d > 0:
+            _refuse_ground(len(target.support()) + d)
+        pool = tuple(outsider(i) for i in range(1, d + 1))
         rules = RuleSet(m=args.m, outsiders=pool)
         plan = search_min_plan(target, rules, args.max_steps, node_budget=args.node_budget)
     except OracleBudgetError as err:

@@ -12,8 +12,11 @@ an outsider pool x1..xe (e = m - 2),
 
 Odd cycles invert by chaining overlapping 3-cycles through it (a 1-cycle
 needs none), and even-length cycles by splitting off their final
-transposition, which is fixed either by pairing with another even cycle
-(odd m) or by a dedicated three-move gadget over pools w, y, z (even m).
+transposition.  One path serves every m: those transpositions are fixed
+two at a time as pairs of 3-cycles, and only an odd target's leftover,
+which only an even machine reaches, takes a three-move gadget over pools
+w, y, z.  A plan has n - r_odd + parity(sigma) moves, for n moved insiders
+and r_odd odd cycles of length 3 or more.
 """
 
 from __future__ import annotations
@@ -46,11 +49,10 @@ def in_machine_group(sigma: Permutation, m: int) -> bool:
     return m % 2 == 0 or sigma.parity() == 0
 
 
-def _check_pool(pool: Sequence[Element], size: int, *cycles: Cycle) -> None:
+def _check_pool(pool: Sequence[Element], size: int, tau: Cycle) -> None:
     if len(pool) != size or len(set(pool)) != size:
         raise ValueError(f"need exactly {size} distinct pool outsiders, got {len(pool)}")
-    touched = {e for c in cycles for e in c}
-    if touched & set(pool):
+    if set(tau) & set(pool):
         raise ValueError("outsider pool overlaps the cycle support")
 
 
@@ -77,34 +79,6 @@ def invert_odd_cycle(tau: Cycle, pool: Sequence[Element], m: int) -> list[Machin
     moves: list[MachineMove] = []
     for i in range(0, len(tau) - 2, 2):
         moves += three_cycle_moves(tau[i], tau[i + 2], tau[i + 1], pool)
-    return moves
-
-
-def invert_even_pair_odd_m(
-    tau_i: Cycle, tau_j: Cycle, pool: Sequence[Element], m: int
-) -> list[MachineMove]:
-    """Invert a product of two even-length cycles on an odd machine.
-
-    Each cycle splits as (odd prefix)(final transposition), rightmost
-    first.  The prefixes invert through the odd-cycle path and the two
-    leftover transpositions cancel jointly via
-
-        ((a' a)(b' b))^-1 = (a b b')(a' b' a)
-
-    with each 3-cycle expanded into two m-cycle moves.
-    """
-    if len(tau_i) % 2 or len(tau_j) % 2:
-        raise ValueError("both cycles must have even length")
-    if m % 2 == 0:
-        raise ValueError("machine size must be odd here")
-    if set(tau_i) & set(tau_j):
-        raise ValueError("cycles must have disjoint supports")
-    _check_pool(pool, m - 2, tau_i, tau_j)
-    moves = invert_odd_cycle(tau_i[:-1], pool, m) + invert_odd_cycle(tau_j[:-1], pool, m)
-    a_prev, a_last = tau_i[-2], tau_i[-1]
-    b_prev, b_last = tau_j[-2], tau_j[-1]
-    moves += three_cycle_moves(a_prev, b_prev, a_last, pool)
-    moves += three_cycle_moves(a_last, b_last, b_prev, pool)
     return moves
 
 
@@ -142,35 +116,34 @@ def invert_transposition_even_m(
 def solve_m_machine(sigma: Permutation, m: int) -> PlanDocument:
     """Invert sigma with m-cycle moves on pairwise distinct seat sets.
 
-    The plan is chronological; its product equals sigma's inverse, every
-    move has exactly m seats including at least one outsider, and the pool
-    has exactly outsider_budget(m) members.
+    One path for every m: odd cycles and the odd prefixes of even cycles
+    chain first; then the even cycles' final transpositions are fixed in
+    pairs via ((a' a)(b' b))^-1 = (a b b')(a' b' a), and an odd target's
+    leftover, on an even machine, alone takes the gadget.  The plan is
+    chronological, has n - r_odd + parity(sigma) moves, and its product is
+    sigma's inverse; every move has exactly m seats including at least one
+    outsider, and the pool has exactly outsider_budget(m) members.
     """
     insiders_only(sigma)
     if not in_machine_group(sigma, m):
         raise ValueError(f"odd permutation is not a product of {m}-cycles")
     d = outsider_budget(m)
     pool = tuple(outsider(i) for i in range(1, d + 1))
+    chain_pool = pool[: m - 2]
     moves: list[MachineMove] = []
-    if m % 2:
-        cycles = sigma.cycles
-        odd_cycles = [c for c in cycles if len(c) % 2 == 1]
-        even_cycles = [c for c in cycles if len(c) % 2 == 0]
-        assert len(even_cycles) % 2 == 0
-        for tau in odd_cycles:
-            moves += invert_odd_cycle(tau, pool, m)
-        for i in range(0, len(even_cycles), 2):
-            moves += invert_even_pair_odd_m(even_cycles[i], even_cycles[i + 1], pool, m)
-    else:
-        chain_pool = pool[: m - 2]
+    ends: list[Cycle] = []
+    for tau in sigma.cycles:
+        if len(tau) % 2:
+            moves += invert_odd_cycle(tau, chain_pool, m)
+        else:
+            moves += invert_odd_cycle(tau[:-1], chain_pool, m)
+            ends.append(tau[-2:])
+    for (a_prev, a_last), (b_prev, b_last) in zip(ends[::2], ends[1::2]):
+        moves += three_cycle_moves(a_prev, b_prev, a_last, chain_pool)
+        moves += three_cycle_moves(a_last, b_last, b_prev, chain_pool)
+    if len(ends) % 2:
         h = m // 2 - 1
-        w, y, z = pool[:h], pool[h : 2 * h], pool[2 * h :]
-        for tau in sigma.cycles:
-            if len(tau) % 2 == 1:
-                moves += invert_odd_cycle(tau, chain_pool, m)
-            else:
-                moves += invert_odd_cycle(tau[:-1], chain_pool, m)
-                moves += invert_transposition_even_m((tau[-2], tau[-1]), w, y, z, m)
+        moves += invert_transposition_even_m(ends[-1], pool[:h], pool[h : 2 * h], pool[2 * h :], m)
     return PlanDocument(
         m=m,
         target=format_cycles(sigma),

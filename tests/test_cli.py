@@ -14,7 +14,7 @@ from mindswap.cli import SOLVERS, main
 from mindswap.moves import plan_product
 from mindswap.optimal3 import lower_bound
 from mindswap.oracle import RuleSet, verify_plan
-from mindswap.perm import format_cycles, parse_cycles, parse_element
+from mindswap.perm import format_cycles, outsider, parse_cycles, parse_element
 from mindswap import plandoc
 
 from conftest import permutation_from_images
@@ -280,6 +280,26 @@ class TestOracle:
     def test_other_refusals_come_before_the_ground_set(self, capsys, flags, message):
         code, _, err = run(capsys, "oracle", "--target", "(1 2)", "--d", "20", *flags)
         assert (code, err) == (2, f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--m", "0"], "machine size must be at least 2, got 0"),
+            (["--m", "3", "--max-steps", "-1"], "max_steps must be nonnegative"),
+            (["--m", "3", "--node-budget", "-1"], "node_budget must be nonnegative"),
+        ],
+    )
+    def test_other_refusals_build_at_most_one_outsider(self, capsys, monkeypatch, flags, message):
+        built = []
+
+        def counting_outsider(i):
+            built.append(i)
+            return outsider(i)
+
+        monkeypatch.setattr(cli, "outsider", counting_outsider)
+        code, out, err = run(capsys, "oracle", "--target", "(1 2 3)", "--d", "100000", *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert len(built) <= 1
 
     def test_oversized_catalog_is_refused_at_once(self, capsys):
         # one support of 11! orderings: refused before any move is built

@@ -101,6 +101,10 @@ CASES: dict[str, tuple[list[str], str]] = {
         ["solve", "--target", "(1 2 3 4 5)(6 7 8 9)(10 11)", "--m", "6"],
         "",
     ),
+    "solve-general_m-m4-odd-pair-and-leftover": (
+        ["solve", "--target", "(1 2)(3 4)(5 6)", "--m", "4"],
+        "",
+    ),
     "solve-general_m-m7-mixed": (
         ["solve", "--target", "(1 2 3)(4 5)(6 7)(8 9 10 11 12)", "--m", "7"],
         "",

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,16 +6,22 @@ import pytest
 from mindswap import machine
 from mindswap.machine import (
     in_machine_group,
-    invert_even_pair_odd_m,
     invert_odd_cycle,
     invert_transposition_even_m,
     outsider_budget,
     solve_m_machine,
 )
 from mindswap.moves import MachineMove, plan_product
+from mindswap.oracle import RuleSet, verify_plan
 from mindswap.perm import Permutation, insider, outsider, parse_cycles
 
-from conftest import duplicate_supports, generator_identity_check, random_cycle, random_permutation
+from conftest import (
+    duplicate_supports,
+    generator_identity_check,
+    permutation_from_images,
+    random_cycle,
+    random_permutation,
+)
 
 
 def pool(*indices):
@@ -97,35 +104,6 @@ class TestInvertOddCycle:
         assert invert_odd_cycle((insider(1),), pool(1), 3) == []
 
 
-class TestInvertEvenPairOddM:
-    def test_two_transpositions_m3(self):
-        moves = invert_even_pair_odd_m(ins(1, 2), ins(3, 4), pool(1), 3)
-        assert len(moves) == 4
-        assert plan_product(moves) == parse_cycles("(1 2)(3 4)")
-        assert not duplicate_supports(moves)
-
-    def test_four_and_two_m3(self):
-        moves = invert_even_pair_odd_m(ins(1, 2, 3, 4), ins(5, 6), pool(1), 3)
-        assert len(moves) == 6
-        assert plan_product(moves) == parse_cycles("(1 2 3 4)(5 6)").inverse()
-        assert not duplicate_supports(moves)
-
-    def test_two_transpositions_m5(self):
-        moves = invert_even_pair_odd_m(ins(1, 2), ins(3, 4), pool(1, 2, 3), 5)
-        assert len(moves) == 4
-        assert all(len(m) == 5 for m in moves)
-        assert plan_product(moves) == parse_cycles("(1 2)(3 4)")
-        assert not duplicate_supports(moves)
-
-    def test_rejects_odd_cycle(self):
-        with pytest.raises(ValueError):
-            invert_even_pair_odd_m(ins(1, 2, 3), ins(4, 5), pool(1), 3)
-
-    def test_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            invert_even_pair_odd_m(ins(1, 2), ins(2, 3), pool(1), 3)
-
-
 class TestInvertTranspositionEvenM:
     def test_m4_exact_moves(self):
         a1, a2 = insider(1), insider(2)
@@ -179,11 +157,33 @@ class TestSolveMMachine:
         for m in (3, 4, 5, 6):
             assert solve_m_machine(Permutation.identity(), m).moves == ()
 
+    def test_two_transpositions_m3(self):
+        plan = solve_m_machine(parse_cycles("(1 2)(3 4)"), 3)
+        assert len(plan.moves) == 4
+        assert plan_product(plan.moves) == parse_cycles("(1 2)(3 4)")
+        assert not duplicate_supports(plan.moves)
+
+    def test_four_and_two_m3(self):
+        sigma = parse_cycles("(1 2 3 4)(5 6)")
+        plan = solve_m_machine(sigma, 3)
+        assert len(plan.moves) == 6
+        assert plan_product(plan.moves) == sigma.inverse()
+        assert not duplicate_supports(plan.moves)
+
     def test_two_transpositions_m5(self):
         sigma = parse_cycles("(1 2)(3 4)")
         plan = solve_m_machine(sigma, 5)
+        assert len(plan.moves) == 4
         assert all(len(m) == 5 for m in plan.moves)
         assert plan_product(plan.moves) == sigma.inverse()
+        assert not duplicate_supports(plan.moves)
+
+    def test_two_transpositions_pair_on_an_even_machine(self):
+        # one 3-cycle pair for both transpositions, not a gadget for each
+        sigma = parse_cycles("(1 2)(3 4)")
+        plan = solve_m_machine(sigma, 4)
+        assert len(plan.moves) == 4
+        assert verify_plan(sigma, list(plan.moves), RuleSet(4, plan.outsiders)).clean
 
     def test_rejects_odd_sigma_on_odd_machine(self):
         with pytest.raises(ValueError):
@@ -224,6 +224,37 @@ class TestSolveMMachine:
             used = {s for mv in plan.moves for s in mv if s.is_outsider}
             assert used <= set(plan.outsiders)
             assert all(any(s.is_outsider for s in mv) for mv in plan.moves)
+
+
+def one_path_length(sigma: Permutation) -> int:
+    """n - r_odd + parity(sigma): moved insiders, less the odd cycles of
+    length 3 or more, plus one for an odd target."""
+    cycles = [c for c in sigma.cycles if len(c) > 1]
+    return sum(len(c) for c in cycles) - sum(len(c) % 2 for c in cycles) + sigma.parity()
+
+
+class TestOnePath:
+    """Every machine size takes the same path, so every plan has the same length."""
+
+    def check(self, sigma, m):
+        plan = solve_m_machine(sigma, m)
+        assert len(plan.moves) == one_path_length(sigma)
+        assert verify_plan(sigma, list(plan.moves), RuleSet(m, plan.outsiders)).clean
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_every_target_on_at_most_six_insiders(self, m):
+        for images in itertools.permutations(range(1, 7)):
+            sigma = permutation_from_images(list(images))
+            if in_machine_group(sigma, m):
+                self.check(sigma, m)
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_random_targets_up_to_sixty_insiders(self, m):
+        rng = random.Random(2200 + m)
+        for _ in range(60):
+            sigma = random_permutation(rng, rng.randint(7, 60))
+            if in_machine_group(sigma, m):
+                self.check(sigma, m)
 
 
 class TestConjugationClosure:

@@ -496,7 +496,11 @@ def reference_search_min_plan(
     max_steps: int,
     node_budget: int = 10**8,
     cut_root: bool = True,
+    counted: list[int] | None = None,
 ) -> list[MachineMove] | None:
+    """The reference search.  When given, counted[0] gets its node count,
+    also when the budget runs out; a target ruled out by parity counts no
+    node and leaves it as it was."""
     insiders_only(target)
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
@@ -567,13 +571,17 @@ def reference_search_min_plan(
     longest = max_steps
     if distinct:  # a plan seats each support at most once
         longest = min(max_steps, len({sid for sid, *_ in catalog}))
-    for limit in range(longest + 1):
-        if m % 2 == 0 and limit % 2 != parity:
-            continue  # the parity bound fails at the root, so at every node
-        path: list[tuple[int, ...]] = []
-        if dfs(start, limit, 0, -1, 0, path):
-            return [MachineMove(tuple(ground[i] for i in seats)) for seats in path]
-    return None
+    try:
+        for limit in range(longest + 1):
+            if m % 2 == 0 and limit % 2 != parity:
+                continue  # the parity bound fails at the root, so at every node
+            path: list[tuple[int, ...]] = []
+            if dfs(start, limit, 0, -1, 0, path):
+                return [MachineMove(tuple(ground[i] for i in seats)) for seats in path]
+        return None
+    finally:
+        if counted is not None:
+            counted[0] = nodes
 
 
 def transposition_product(swaps: list[list[int]]) -> Permutation:
@@ -595,7 +603,10 @@ class TestSearchDifferential:
     conjugates under every symmetry of the target, written out.
 
     The same plan, or a budget error from both, under every budget pins
-    the node count as well as the plans.
+    the node count as well as the plans.  A random budget seldom falls
+    between two differing counts, so the search is also run at exactly
+    the reference's count, where it must finish, and at one below it,
+    where it must run out.
     """
 
     @settings(max_examples=300, deadline=None)
@@ -618,6 +629,30 @@ class TestSearchDifferential:
         assert search_outcome(
             search_min_plan, target, rules, max_steps, node_budget
         ) == search_outcome(reference_search_min_plan, target, rules, max_steps, node_budget)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        swaps=st.lists(st.lists(st.integers(1, 5), min_size=2, max_size=2, unique=True), max_size=6),
+        m=st.integers(2, 5),
+        d=st.integers(0, 3),
+        outsider_rule=st.booleans(),
+        distinct_rule=st.booleans(),
+        max_steps=st.integers(0, 6),
+    )
+    def test_same_result_at_the_references_exact_need(
+        self, swaps, m, d, outsider_rule, distinct_rule, max_steps
+    ):
+        if outsider_rule and d == 0:
+            d = 1
+        target = transposition_product(swaps)
+        rules = RuleSet(m, pool(d), outsider_rule, distinct_rule)
+        counted = [0]
+        want = reference_search_min_plan(target, rules, max_steps, counted=counted)
+        need = counted[0]
+        assert search_min_plan(target, rules, max_steps, need) == want
+        if need:
+            with pytest.raises(OracleBudgetError):
+                search_min_plan(target, rules, max_steps, need - 1)
 
 
 class TestSymmetryCut:
