@@ -173,9 +173,12 @@ class TestSolveMMachine:
     def test_two_transpositions_m5(self):
         sigma = parse_cycles("(1 2)(3 4)")
         plan = solve_m_machine(sigma, 5)
-        assert len(plan.moves) == 4
         assert all(len(m) == 5 for m in plan.moves)
         assert plan_product(plan.moves) == sigma.inverse()
+
+    def test_two_transpositions_pair_m5(self):
+        plan = solve_m_machine(parse_cycles("(1 2)(3 4)"), 5)
+        assert len(plan.moves) == 4
         assert not duplicate_supports(plan.moves)
 
     def test_two_transpositions_pair_on_an_even_machine(self):
