@@ -17,8 +17,8 @@ from .perm import (
 )
 from .moves import MachineMove, plan_product
 from .keeler import solve_two_machine
-from .machine import in_machine_group, outsider_budget, solve_m_machine
-from .optimal3 import lower_bound, solve_three_machine_optimal
+from .machine import lower_bound, solve_m_machine
+from .optimal3 import solve_three_machine_optimal
 from .oracle import (
     OracleBudgetError,
     RuleSet,
@@ -36,11 +36,9 @@ __all__ = [
     "RuleSet",
     "VerificationReport",
     "format_cycles",
-    "in_machine_group",
     "insider",
     "lower_bound",
     "outsider",
-    "outsider_budget",
     "parse_cycles",
     "plan_product",
     "search_min_plan",

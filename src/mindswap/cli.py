@@ -18,8 +18,8 @@ from typing import TextIO
 
 from . import infinite, plandoc
 from .keeler import solve_two_machine
-from .machine import solve_m_machine
-from .optimal3 import lower_bound, solve_three_machine_optimal
+from .machine import lower_bound, solve_m_machine
+from .optimal3 import solve_three_machine_optimal
 from .oracle import OracleBudgetError, RuleSet, _refuse_ground, search_min_plan, verify_plan
 from .perm import (
     ParseError,
@@ -47,14 +47,14 @@ def _verify(
     """Verify the document against target, print the report to out, and
     return whether it is clean.
 
-    On a 3-machine a claimed lower bound must equal optimal3's proven bound
-    for target; an odd target has none to claim.
+    A claimed lower bound must equal lower_bound(target, m); an odd target
+    on an odd machine has none to claim.
     """
     report = verify_plan(target, list(doc.moves), rules)
     violations = [f"index={index} kind={kind}" for index, kind in report.rule_violations]
-    if rules.m == 3 and doc.lower_bound is not None:
+    if doc.lower_bound is not None:
         try:
-            bound = lower_bound(target)
+            bound = lower_bound(target, rules.m)
         except ValueError:
             bound = "none"
         if doc.lower_bound != bound:

@@ -31,7 +31,7 @@ receives a mind (img equals the participants).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Container, Iterable, Mapping, Sequence
 
 from .perm import INSIDER, Element, Permutation, _element, insider, insiders_only
 
@@ -226,16 +226,33 @@ def _canonical(exc: dict, tail: TailRule | None, f: TailMap | None = None) -> Ta
 
 
 def classify(f: TailMap) -> str:
-    """Forgetful, retentive, or neither; see the module docstring."""
-    dom, img = f.dom(), f.img()
-    # img == dom | img iff dom <= img, and dom == dom | img iff img <= dom.  With a tail both
-    # slices are cofinite: one lies in the other iff it leaves out every index the other does.
-    a, b = (img.indices, dom.indices) if f._tail else (dom.indices, img.indices)
-    if dom.named <= img.named and a <= b:
+    """Forgetful, retentive, or neither; see the module docstring.
+
+    img == dom | img iff dom <= img, and dom == dom | img iff img <= dom.
+    dom is the exception keys plus, with a tail (t, d), the stream from t;
+    img is the values plus the stream from t + d.  So each inclusion reads
+    off the table and the at most one index between t and t + d: the cost
+    is the table's size, not the threshold's.
+    """
+    rule, keys = f._tail, f._exceptions
+    values = set(keys.values())
+    dom_from, img_from = (rule.threshold, rule.threshold + rule.delta) if rule else (None, None)
+    if _inside(keys, dom_from, values, img_from):
         return RETENTIVE
-    if img.named <= dom.named and b <= a:
+    if _inside(values, img_from, keys, dom_from):
         return FORGETFUL
     return NEITHER
+
+
+def _inside(points: Iterable, start: int | None, other: Container, other_start: int | None) -> bool:
+    """Whether points plus the stream from start lie in other plus the stream
+    from other_start; both starts are None for a map with no tail."""
+    if start is not None and any((STREAM, i) not in other for i in range(start, other_start)):
+        return False
+    return all(
+        p in other or (other_start is not None and _on_stream(p) and p.index >= other_start)
+        for p in points
+    )
 
 
 def _max_key_index(f: TailMap) -> int:

@@ -23,13 +23,9 @@ from mindswap.infinite import (
     TailRule,
 )
 from mindswap.keeler import cycle_gadget, solve_two_machine
-from mindswap.machine import in_machine_group, outsider_budget, solve_m_machine
+from mindswap.machine import lower_bound, solve_m_machine
 from mindswap.moves import MachineMove, plan_product
-from mindswap.machine import invert_transposition_even_m
-from mindswap.optimal3 import (
-    lower_bound,
-    solve_three_machine_optimal,
-)
+from mindswap.optimal3 import solve_three_machine_optimal
 from mindswap.oracle import RuleSet, search_min_plan, verify_plan
 from mindswap.perm import Permutation, insider, outsider, parse_cycles
 
@@ -94,14 +90,14 @@ def test_criterion_4_m_machine_soundness():
     start = time.perf_counter()
     for m in (3, 4, 5, 6):
         rng = random.Random(40 + m)
-        d = outsider_budget(m)
+        cap = m - 2 if m % 2 else 3 * (m // 2 - 1)
         for _ in range(300):
             sigma = random_permutation(rng, rng.randint(0, 8))
-            while not in_machine_group(sigma, m):
+            while m % 2 and sigma.parity():
                 sigma = random_permutation(rng, rng.randint(0, 8))
             plan = solve_m_machine(sigma, m)
-            assert len(plan.outsiders) == d
-            assert d == (m - 2 if m % 2 else 3 * (m // 2 - 1))
+            assert plan.steps == lower_bound(sigma, m)
+            assert len(plan.outsiders) <= cap
             assert plan_product(plan.moves) == sigma.inverse()
             assert all(len(mv) == m for mv in plan.moves)
             assert not duplicate_supports(plan.moves)
@@ -110,19 +106,16 @@ def test_criterion_4_m_machine_soundness():
             assert used <= set(plan.outsiders)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
-    report(4, f"m in 3..6, 300 random targets each: plans sound ({elapsed:.2f} s)")
+    report(4, f"m in 3..6, 300 random targets each: plans sound and at the bound ({elapsed:.2f} s)")
 
 
 def test_criterion_5_even_m_transposition_fix():
     for m in (4, 6, 8):
-        h = m // 2 - 1
-        pool = [outsider(i) for i in range(1, 3 * h + 1)]
-        w, y, z = pool[:h], pool[h : 2 * h], pool[2 * h :]
-        moves = invert_transposition_even_m((insider(1), insider(2)), w, y, z, m)
-        assert len(moves) == 3
-        assert plan_product(moves) == parse_cycles("(1 2)")
-        assert not duplicate_supports(moves)
-    report(5, "three-move transposition fix composes exactly for m in {4, 6, 8}")
+        plan = solve_m_machine(parse_cycles("(1 2)"), m)
+        assert plan.steps == 3
+        assert plan_product(plan.moves) == parse_cycles("(1 2)")
+        assert not duplicate_supports(plan.moves)
+    report(5, "(1 2) takes exactly three moves for m in {4, 6, 8}")
 
 
 def test_criterion_6_generator_identity():

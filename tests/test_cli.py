@@ -26,6 +26,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# clean plans for (1 2 3 4 5), each one move longer than the bound
+FIVE_CYCLE_PLANS = {
+    m: f"mindswap-plan v1\nmachine-size: {m}\ntarget: (a1 a2 a3 a4 a5)\noutsiders: {pool}\nmoves:\n"
+    + "".join(f"  {line}\n" for line in moves)
+    for m, pool, moves in [
+        (3, "x1", ["a2 x1 a3", "a1 a3 x1", "a4 x1 a5", "a3 a5 x1"]),
+        (4, "x1 x2", ["a2 x2 x1 a3", "a1 a3 x1 x2", "a4 x2 x1 a5", "a3 a5 x1 x2"]),
+    ]
+}
+
+
 class TestSolve:
     def test_keeler_base_case(self, capsys):
         code, out, err = run(capsys, "solve", "--target", "(1 2)", "--m", "2")
@@ -179,7 +190,7 @@ class TestVerify:
         "solver, target, claim, override, line",
         [
             ("optimal3", "(1 2 3)(4 5 6)", 1, None, "claimed=1 bound=4"),
-            ("general_m", "(1 2 3 4 5)", 4, None, "claimed=4 bound=3"),
+            (None, "(1 2 3 4 5)", 4, None, "claimed=4 bound=3"),
             ("optimal3", "(1 2 3)(4 5 6)", 4, "(1 2)(3 4 5)", "claimed=4 bound=none"),
         ],
         ids=["below", "above", "odd-target"],
@@ -187,8 +198,13 @@ class TestVerify:
     def test_false_lower_bound_claim_fails(
         self, capsys, tmp_path, solver, target, claim, override, line
     ):
-        _, out, _ = run(capsys, "solve", "--target", target, "--m", "3", "--solver", solver)
-        doc = dataclasses.replace(plandoc.loads(out), lower_bound=claim)
+        if solver is None:
+            # a clean plan one move longer than the bound
+            doc = plandoc.loads(FIVE_CYCLE_PLANS[3])
+        else:
+            _, out, _ = run(capsys, "solve", "--target", target, "--m", "3", "--solver", solver)
+            doc = plandoc.loads(out)
+        doc = dataclasses.replace(doc, lower_bound=claim)
         plan_file = tmp_path / "plan.txt"
         plan_file.write_text(plandoc.dumps(doc))
         argv = ["verify", "--plan", str(plan_file)] + (["--target", override] if override else [])
@@ -196,6 +212,21 @@ class TestVerify:
         assert (code, err) == (1, "")
         assert f"violation: kind=lower-bound {line}\n" in out
         assert out.endswith("verdict: failed\n")
+
+
+    @pytest.mark.parametrize("m, bound", [(3, 3), (4, 2)])
+    def test_lower_bound_claim_is_checked_at_every_machine_size(self, capsys, m, bound):
+        # a clean plan may claim lower_bound(target, m) and nothing else
+        doc = plandoc.loads(FIVE_CYCLE_PLANS[m])
+        for claim in (bound, bound + 1):
+            text = plandoc.dumps(dataclasses.replace(doc, lower_bound=claim))
+            with mock.patch.object(sys, "stdin", io.StringIO(text)):
+                code, out, err = run(capsys, "verify", "--plan", "-")
+            if claim == bound:
+                assert (code, err) == (0, "") and out.endswith("verdict: clean\n")
+            else:
+                assert (code, err) == (1, "")
+                assert f"violation: kind=lower-bound claimed={claim} bound={bound}\n" in out
 
 
 class TestOracle:

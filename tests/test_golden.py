@@ -109,6 +109,11 @@ CASES: dict[str, tuple[list[str], str]] = {
         ["solve", "--target", "(1 2 3)(4 5)(6 7)(8 9 10 11 12)", "--m", "7"],
         "",
     ),
+    "solve-general_m-m6-transposition": (["solve", "--target", "(1 2)", "--m", "6"], ""),
+    "solve-general_m-m9-six-transpositions": (
+        ["solve", "--target", "(1 2)(3 4)(5 6)(7 8)(9 10)(11 12)", "--m", "9"],
+        "",
+    ),
     "solve-keeler2-odd-cycle-count": (
         ["solve", "--target", "(1 2 3 4 5)(6 7)(8 9 10)", "--m", "2"],
         "",

@@ -239,6 +239,21 @@ class TestClassify:
         crooked = TailMap({a(1): a(4)})
         assert classify(crooked) == NEITHER
 
+    @given(st.one_of(tail_maps(), plain_maps()))
+    def test_kinds_come_from_the_table_not_the_point_sets(self, f):
+        # the kind that dom and img give, read without building either: a
+        # threshold of millions would build millions of indices
+        dom, img = f.dom(), f.img()
+        a_, b_ = (img.indices, dom.indices) if f.tail else (dom.indices, img.indices)
+        if dom.named <= img.named and a_ <= b_:
+            want = RETENTIVE
+        elif img.named <= dom.named and b_ <= a_:
+            want = FORGETFUL
+        else:
+            want = NEITHER
+        with mock.patch.object(TailMap, "_point_set", side_effect=AssertionError("point set")):
+            assert classify(f) == want
+
 
 class TestCompose:
     def test_three_step_composes_to_inverse_shift(self):

@@ -2,13 +2,9 @@ import itertools
 
 import pytest
 
+from mindswap import machine
 from mindswap.moves import MachineMove, plan_product
-from mindswap.optimal3 import (
-    even_pair_moves,
-    lower_bound,
-    odd_cycle_moves,
-    solve_three_machine_optimal,
-)
+from mindswap.optimal3 import lower_bound, solve_three_machine_optimal
 from mindswap.perm import Permutation, insider, outsider, parse_cycles
 
 from conftest import duplicate_supports, permutation_from_images
@@ -24,57 +20,63 @@ def move(*elements):
     return MachineMove(elements)
 
 
+def moves_for(tau):
+    """The optimal plan's moves for the single cycle tau."""
+    return solve_three_machine_optimal(Permutation.from_cycle(tau)).moves
+
+
 class TestInsiderOccurrences:
     def test_odd_cycle_plan(self):
-        moves = odd_cycle_moves(ins(1, 2, 3), X)
+        moves = moves_for(ins(1, 2, 3))
         assert sum(not s.is_outsider for mv in moves for s in mv) == 4
 
 
 class TestOddCycleMoves:
     def test_three_cycle(self):
-        moves = odd_cycle_moves(ins(1, 2, 3), X)
-        assert moves == [move(insider(2), insider(1), X), move(insider(3), insider(2), X)]
+        moves = moves_for(ins(1, 2, 3))
+        assert moves == (move(insider(1), insider(3), X), move(insider(1), X, insider(2)))
         assert plan_product(moves) == parse_cycles("(1 3 2)")
 
     def test_five_cycle_count_and_product(self):
         tau = ins(1, 2, 3, 4, 5)
-        moves = odd_cycle_moves(tau, X)
+        moves = moves_for(tau)
         assert len(moves) == 3
         assert plan_product(moves) == Permutation.from_cycle(tau).inverse()
 
     def test_product_cancels_cycle(self):
         tau = ins(1, 2, 3, 4, 5, 6, 7)
-        moves = odd_cycle_moves(tau, X)
+        moves = moves_for(tau)
         assert plan_product(moves) * Permutation.from_cycle(tau) == Permutation.identity()
 
     def test_even_length_rejected(self):
-        with pytest.raises(ValueError):
-            odd_cycle_moves(ins(1, 2, 3, 4), X)
+        with pytest.raises(ValueError, match="^odd permutation is not a product of 3-cycles$"):
+            moves_for(ins(1, 2, 3, 4))
 
 
 class TestEvenPairMoves:
     def test_pair_of_transpositions(self):
-        moves = even_pair_moves(ins(1, 2), ins(3, 4), X)
-        assert moves == [
-            move(insider(4), insider(2), X),
-            move(insider(1), insider(2), X),
-            move(insider(3), insider(4), X),
-        ]
+        moves = solve_three_machine_optimal(parse_cycles("(1 2)(3 4)")).moves
+        assert moves == (
+            move(insider(1), insider(3), X),
+            move(insider(3), X, insider(4)),
+            move(insider(1), X, insider(2)),
+        )
         assert plan_product(moves) == parse_cycles("(1 2)(3 4)")
 
     def test_four_and_two(self):
-        moves = even_pair_moves(ins(1, 2, 3, 4), ins(5, 6), X)
+        moves = solve_three_machine_optimal(parse_cycles("(1 2 3 4)(5 6)")).moves
         assert len(moves) == 4
         assert plan_product(moves) == parse_cycles("(1 2 3 4)(5 6)").inverse()
 
     def test_product_cancels_pair(self):
         target = parse_cycles("(1 2 3 4)(5 6 7 8 9 10)")
-        moves = even_pair_moves(ins(1, 2, 3, 4), ins(5, 6, 7, 8, 9, 10), X)
+        moves = solve_three_machine_optimal(target).moves
         assert plan_product(moves) * target == Permutation.identity()
 
     def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            even_pair_moves(ins(1, 2), ins(2, 3), X)
+        # the hub x1 may not be part of the target
+        with pytest.raises(ValueError, match="^target must move insiders only$"):
+            solve_three_machine_optimal(parse_cycles("(a1 a2)(a3 x1)"))
 
 
 class TestSolve:
@@ -115,6 +117,9 @@ class TestLowerBound:
     def test_odd_parity_rejected(self):
         with pytest.raises(ValueError):
             lower_bound(parse_cycles("(1 2)"))
+
+    def test_is_the_machine_bound(self):
+        assert lower_bound is machine.lower_bound
 
 
 def even_permutations(n):

@@ -11,7 +11,7 @@ from mindswap import oracle
 from mindswap.keeler import solve_two_machine
 from mindswap.machine import solve_m_machine
 from mindswap.moves import MachineMove, plan_product
-from mindswap.optimal3 import odd_cycle_moves, solve_three_machine_optimal
+from mindswap.optimal3 import solve_three_machine_optimal
 from mindswap.oracle import (
     OracleBudgetError,
     RuleSet,
@@ -65,7 +65,7 @@ class TestVerifyPlan:
 
     def test_optimal3_plan_is_clean(self):
         target = parse_cycles("(1 2 3)")
-        moves = odd_cycle_moves(target.cycles[0], outsider(1))
+        moves = list(solve_three_machine_optimal(target).moves)
         report = verify_plan(target, moves, RuleSet(m=3, outsiders=pool(1)))
         assert report.clean
         assert report.step_count == 2
@@ -194,10 +194,21 @@ class TestSearchMinPlan:
             search_min_plan(big, RuleSet(m=3, outsiders=pool(2)), 2)
 
     def test_agrees_with_optimal3_construction(self):
-        for text in ["(1 2 3)", "(1 2)(3 4)", "(1 2 3 4 5)"]:
+        # the search's minimum, with the solver's own pool, is the solver's length
+        for text, m in [
+            ("(1 2 3)", 3),
+            ("(1 2)(3 4)", 3),
+            ("(1 2 3 4 5)", 3),
+            ("(1 2)", 4),
+            ("(1 2)", 6),
+            ("(1 2 3 4)", 4),
+            ("(1 2 3 4)", 6),
+            ("(1 2)(3 4 5)", 6),
+            ("(1 2 3 4 5 6 7)", 5),
+        ]:
             target = parse_cycles(text)
-            built = solve_three_machine_optimal(target)
-            found = search_min_plan(target, RuleSet(m=3, outsiders=pool(1)), 5)
+            built = solve_three_machine_optimal(target) if m == 3 else solve_m_machine(target, m)
+            found = search_min_plan(target, RuleSet(m=m, outsiders=built.outsiders), built.steps)
             assert found is not None and len(found) == built.steps
 
     def test_empty_catalog_stops_after_limit_zero(self):
