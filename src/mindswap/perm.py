@@ -98,12 +98,47 @@ def parse_element(token: str) -> Element:
     return _element((kind or INSIDER, int(digits)))  # _ELEMENT admits no other kind, and no 0
 
 
+TOKEN_CHARS = 2**16
+"""The most token characters TOKENS keeps from one text to the next."""
+
+
 class ElementTokens(dict):
-    """token -> Element for one text: each distinct token is parsed once."""
+    """token -> Element, a memo of parse_element that counts in ``chars``
+    the characters of the tokens it holds.
+
+    The process has one table, TOKENS; sharing it is safe because an
+    Element is an immutable tuple.  A text reads its tokens inside ``with
+    TOKENS:``.  On leaving the ``with``, even by an exception, the table
+    empties itself when ``chars`` is above TOKEN_CHARS; it never empties
+    inside one, so each distinct token of a text is parsed at most once.
+    A plan document reads its target, through parse_cycles, after its
+    other tokens, so the target's own ``with`` cannot empty the table
+    early.  The budget counts characters, not entries, because one entry
+    with a 4300-digit index holds about 6 KB.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.chars = 0
 
     def __missing__(self, token: str) -> Element:
         element = self[token] = parse_element(token)
+        self.chars += len(token)
         return element
+
+    def clear(self) -> None:
+        super().clear()
+        self.chars = 0
+
+    def __enter__(self) -> "ElementTokens":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self.chars > TOKEN_CHARS:
+            self.clear()
+
+
+TOKENS = ElementTokens()
 
 
 Cycle = tuple[Element, ...]
@@ -211,6 +246,8 @@ def insiders_only(p: Permutation) -> Permutation:
     return p
 
 
+# one well-formed cycle: whitespace, "(", anything but a parenthesis, ")"
+_CYCLE = re.compile(r"\s*\(([^()]*)\)")
 # a parenthesis, or a run of everything else up to whitespace or a parenthesis
 _TOKEN = re.compile(r"[()]|[^()\s]+")
 
@@ -223,35 +260,47 @@ def parse_cycles(text: str) -> Permutation:
     multiplied right-to-left, so repeated elements across cycles are fine;
     repeats inside one cycle are an error.  The empty string is the
     identity.
+
+    The text is read one cycle at a time, and its tokens through TOKENS.
+    ``str.split`` and the regex whitespace class share one rule, so a cycle
+    splits into the tokens that _TOKEN finds in it.
     """
-    return _parse_cycles(text, ElementTokens())
-
-
-def _parse_cycles(text: str, tokens: ElementTokens) -> Permutation:
-    """parse_cycles, reading element tokens through the given memo."""
     groups: list[list[Element]] = []
-    current: list[Element] | None = None
-    for token in _TOKEN.findall(text):
-        if token == "(":
-            if current is not None:
-                raise ParseError("nested '(' in cycle notation")
-            current = []
-        elif token == ")":
-            if current is None:
-                raise ParseError("unbalanced ')' in cycle notation")
-            groups.append(current)
-            current = None
-        elif current is None:
-            raise ParseError(f"unexpected character {token[0]!r} outside parentheses")
-        else:
-            current.append(tokens[token])
-    if current is not None:
-        raise ParseError("unbalanced '(' in cycle notation")
-
+    with TOKENS:
+        read = TOKENS.__getitem__
+        cycle = _CYCLE.match
+        pos = 0
+        while found := cycle(text, pos):
+            groups.append(list(map(read, found[1].split())))
+            pos = found.end()
+    _raise_first_problem(text[pos:])
     for group in groups:
         if len(set(group)) != len(group):
             raise ParseError(f"repeated element within cycle ({' '.join(map(str, group))})")
     return _compose_cycles(reversed(groups))
+
+
+def _raise_first_problem(rest: str) -> None:
+    """Raise the first problem, in reading order, of rest: the text after its
+    last well-formed leading cycle.  Rest that is only whitespace has none.
+
+    A ')' here closes nothing: a '(' before it, with only tokens between,
+    would have begun a well-formed cycle.
+    """
+    opened = False
+    for token in _TOKEN.findall(rest):
+        if token == ")":
+            raise ParseError("unbalanced ')' in cycle notation")
+        if token == "(":
+            if opened:
+                raise ParseError("nested '(' in cycle notation")
+            opened = True
+        elif not opened:
+            raise ParseError(f"unexpected character {token[0]!r} outside parentheses")
+        else:
+            parse_element(token)  # raises for a malformed token
+    if opened:
+        raise ParseError("unbalanced '(' in cycle notation")
 
 
 def _compose_cycles(cycles: Iterable[Sequence[Element]]) -> Permutation:
@@ -274,4 +323,4 @@ def _compose_cycles(cycles: Iterable[Sequence[Element]]) -> Permutation:
 
 def format_cycles(p: Permutation) -> str:
     """Serialize to canonical cycle notation; inverse of parse_cycles."""
-    return "".join("(" + " ".join(str(e) for e in cycle) + ")" for cycle in p.cycles)
+    return "".join("(" + " ".join([k + str(i) for k, i in cycle]) + ")" for cycle in p.cycles)
