@@ -98,47 +98,12 @@ def parse_element(token: str) -> Element:
     return _element((kind or INSIDER, int(digits)))  # _ELEMENT admits no other kind, and no 0
 
 
-TOKEN_CHARS = 2**16
-"""The most token characters TOKENS keeps from one text to the next."""
-
-
 class ElementTokens(dict):
-    """token -> Element, a memo of parse_element that counts in ``chars``
-    the characters of the tokens it holds.
-
-    The process has one table, TOKENS; sharing it is safe because an
-    Element is an immutable tuple.  A text reads its tokens inside ``with
-    TOKENS:``.  On leaving the ``with``, even by an exception, the table
-    empties itself when ``chars`` is above TOKEN_CHARS; it never empties
-    inside one, so each distinct token of a text is parsed at most once.
-    A plan document reads its target, through parse_cycles, after its
-    other tokens, so the target's own ``with`` cannot empty the table
-    early.  The budget counts characters, not entries, because one entry
-    with a 4300-digit index holds about 6 KB.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.chars = 0
+    """token -> Element for one text: each distinct token is parsed once."""
 
     def __missing__(self, token: str) -> Element:
         element = self[token] = parse_element(token)
-        self.chars += len(token)
         return element
-
-    def clear(self) -> None:
-        super().clear()
-        self.chars = 0
-
-    def __enter__(self) -> "ElementTokens":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self.chars > TOKEN_CHARS:
-            self.clear()
-
-
-TOKENS = ElementTokens()
 
 
 Cycle = tuple[Element, ...]
@@ -261,22 +226,26 @@ def parse_cycles(text: str) -> Permutation:
     repeats inside one cycle are an error.  The empty string is the
     identity.
 
-    The text is read one cycle at a time, and its tokens through TOKENS.
-    ``str.split`` and the regex whitespace class share one rule, so a cycle
-    splits into the tokens that _TOKEN finds in it.
+    The text is read one cycle at a time.  ``str.split`` and the regex
+    whitespace class share one rule, so a cycle splits into the tokens that
+    _TOKEN finds in it.
     """
+    return _parse_cycles(text, ElementTokens())
+
+
+def _parse_cycles(text: str, tokens: ElementTokens) -> Permutation:
+    """parse_cycles, reading element tokens through the given memo."""
+    read = tokens.__getitem__
+    cycle = _CYCLE.match
     groups: list[list[Element]] = []
-    with TOKENS:
-        read = TOKENS.__getitem__
-        cycle = _CYCLE.match
-        pos = 0
-        while found := cycle(text, pos):
-            groups.append(list(map(read, found[1].split())))
-            pos = found.end()
+    pos = 0
+    while found := cycle(text, pos):
+        groups.append(list(map(read, found[1].split())))
+        pos = found.end()
     _raise_first_problem(text[pos:])
     for group in groups:
         if len(set(group)) != len(group):
-            raise ParseError(f"repeated element within cycle ({' '.join(map(str, group))})")
+            raise ParseError(f"repeated element within cycle ({_labels(group)})")
     return _compose_cycles(reversed(groups))
 
 
@@ -321,6 +290,11 @@ def _compose_cycles(cycles: Iterable[Sequence[Element]]) -> Permutation:
     return _trusted({x: y for y, x in preimage.items() if x != y})
 
 
+def _labels(elements: Iterable[Element]) -> str:
+    """The elements' labels, space-separated: str(e) for each, without a call per element."""
+    return " ".join([kind + str(index) for kind, index in elements])
+
+
 def format_cycles(p: Permutation) -> str:
     """Serialize to canonical cycle notation; inverse of parse_cycles."""
-    return "".join("(" + " ".join([k + str(i) for k, i in cycle]) + ")" for cycle in p.cycles)
+    return "".join("(" + _labels(cycle) + ")" for cycle in p.cycles)

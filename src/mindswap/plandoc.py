@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .moves import MachineMove
 from .oracle import RuleSet
-from .perm import TOKENS, Element, Permutation, _natural, parse_cycles
+from .perm import Element, ElementTokens, Permutation, _labels, _natural, _parse_cycles
 
 HEADER = "mindswap-plan v1"
 _FIELDS = ("machine-size", "target", "outsiders", "solver", "steps", "lower-bound")
@@ -92,7 +92,7 @@ def dumps(doc: PlanDocument) -> str:
         lines.append(f"lower-bound: {doc.lower_bound}")
     lines.append("moves:")
     for move in doc.moves:
-        lines.append("  " + " ".join([k + str(i) for k, i in move]))
+        lines.append("  " + _labels(move))
     return "\n".join(lines) + "\n"
 
 
@@ -132,13 +132,12 @@ def _read(text: str) -> tuple[PlanDocument, Permutation]:
             raise PlanFormatError(f"missing required field {required!r}")
     try:
         m = _number(fields, "machine-size")
-        # One text: the target is read last, because parse_cycles may empty
-        # TOKENS as it ends.
-        with TOKENS:
-            read = TOKENS.__getitem__
-            outsiders = tuple(map(read, fields["outsiders"].split()))
-            moves = tuple(MachineMove(map(read, line.split())) for line in body[cut + 1 :])
-            target = parse_cycles(fields["target"])
+        tokens = ElementTokens()
+        outsiders = tuple(map(tokens.__getitem__, fields["outsiders"].split()))
+        moves = tuple(
+            MachineMove(map(tokens.__getitem__, line.split())) for line in body[cut + 1 :]
+        )
+        target = _parse_cycles(fields["target"], tokens)
         doc = PlanDocument(
             m=m,
             target=fields["target"],

@@ -306,25 +306,21 @@ class TestMoveType:
         assert repr(move) == "MachineMove(a1 x1 a2)"
 
 
-@pytest.fixture
-def parsed(monkeypatch):
-    """The tokens parse_element reads from here on, starting from an empty table."""
-    tokens = []
-
-    def counting_parse_element(token):
-        tokens.append(token)
-        return parse_element(token)
-
-    perm.TOKENS.clear()
-    monkeypatch.setattr(perm, "parse_element", counting_parse_element)
-    # also counted if plandoc ever reads tokens through its own import
-    monkeypatch.setattr(plandoc, "parse_element", counting_parse_element, raising=False)
-    return tokens
-
-
 class TestParseCounts:
-    """Each distinct element token is parsed once per text, starting from an
-    empty table, and not again while the process's table holds it."""
+    """Each distinct element token is parsed once per text."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        tokens = []
+
+        def counting_parse_element(token):
+            tokens.append(token)
+            return parse_element(token)
+
+        monkeypatch.setattr(perm, "parse_element", counting_parse_element)
+        # also counted if plandoc ever reads tokens through its own import
+        monkeypatch.setattr(plandoc, "parse_element", counting_parse_element, raising=False)
+        return tokens
 
     def test_parse_cycles(self, parsed):
         assert parse_cycles("(a1 a2)(a1 a3)(a2 a3)") == Permutation.from_cycle(
@@ -339,56 +335,6 @@ class TestParseCounts:
         distinct = {str(s) for move in doc.moves for s in move}
         assert distinct == {f"a{i}" for i in range(1, 10)} | {"x1"}
         assert sorted(parsed) == sorted(distinct)
-
-    def test_second_text_over_the_same_labels_parses_no_token(self, parsed):
-        parse_cycles("(a1 a2 a3)(x1 4)")
-        parsed.clear()
-        assert parse_cycles("(4 x1)(a3 a2 a1)") == parse_cycles("(a1 a2 a3)(x1 4)").inverse()
-        assert parsed == []
-
-
-class TestTokenBudget:
-    """The process's token table empties between texts once it holds more
-    than TOKEN_CHARS characters, and never in the middle of one."""
-
-    @pytest.fixture(autouse=True)
-    def small_budget(self, monkeypatch):
-        monkeypatch.setattr(perm, "TOKEN_CHARS", 8)
-
-    def test_text_over_budget_parses_each_token_once(self, parsed):
-        text = "(a1 a2 a3 a4)(a4 a3 a2 a1)(a5 a6)(a6 a5)"
-        assert parse_cycles(text) == Permutation.identity()
-        assert sorted(parsed) == [f"a{i}" for i in range(1, 7)]
-        assert not perm.TOKENS and perm.TOKENS.chars == 0
-
-    def test_next_text_starts_with_an_empty_table(self, parsed):
-        parse_cycles("(a1 a2 a3 a4 a5)")
-        parsed.clear()
-        parse_cycles("(a1 a2)")
-        assert sorted(parsed) == ["a1", "a2"]
-        assert dict(perm.TOKENS) == {"a1": insider(1), "a2": insider(2)}
-        assert perm.TOKENS.chars == 4
-
-    def test_table_at_budget_is_kept(self, parsed):
-        parse_cycles("(a1 a2 a3 a4)")
-        parse_cycles("(a4 a3 a2 a1)")
-        assert parsed == ["a1", "a2", "a3", "a4"]
-        assert perm.TOKENS.chars == perm.TOKEN_CHARS
-
-    def test_plan_document_is_one_text(self, parsed):
-        text = plandoc.dumps(solve_three_machine_optimal(cyc(*range(1, 10))))
-        parsed.clear()
-        plandoc.loads(text)
-        # the moves fill the table far past the budget before the target is read
-        assert sorted(parsed) == sorted([f"a{i}" for i in range(1, 10)] + ["x1"])
-
-    def test_failed_text_still_empties_the_table(self, parsed):
-        with pytest.raises(ParseError, match="malformed element token 'a0'"):
-            parse_cycles("(a1 a2 a3 a4 a5)(a0)")
-        assert not perm.TOKENS and perm.TOKENS.chars == 0
-        parsed.clear()
-        assert parse_cycles("(a1 a2)") == cyc(1, 2)
-        assert sorted(parsed) == ["a1", "a2"]
 
 
 class TestInsidersOnly:
