@@ -68,12 +68,12 @@ MACHINE_CAP = 10**5
 
 
 def lower_bound(sigma: Permutation, m: int = 3) -> int:
-    """B(sigma, m): the fewest moves of any plan for sigma on an m-machine, m >= 2.
+    """B(sigma, m): the fewest moves of any plan for sigma on an m-machine.
 
     It is max(2, ceil((n + r) / (m - 1))) for n moved insiders in r cycles,
     raised by one on an even machine when its parity differs from sigma's,
-    and 0 for the identity.  Raises ValueError for an odd sigma on an odd
-    machine, which no plan reaches.  Proof:
+    and 0 for the identity.  Raises ValueError for m < 2, and for an odd
+    sigma on an odd machine, which no plan reaches.  Proof:
 
     - Each move seats at most m - 1 insiders, beside its outsider.
     - Every moved insider sits at least once, and each cycle C of sigma has
@@ -87,6 +87,8 @@ def lower_bound(sigma: Permutation, m: int = 3) -> int:
       parity; when m is odd each move is even, so sigma must be.
     - No single move fixes its outsider, so a nonempty plan has two moves.
     """
+    if m < 2:
+        raise ValueError(f"machine size must be at least 2, got {m}")
     cycles = sigma.cycles
     return _bound(sum(map(len, cycles)), len(cycles), m)
 
@@ -104,11 +106,6 @@ def _bound(n: int, r: int, m: int) -> int:
 
 def solve_m_machine(sigma: Permutation, m: int) -> PlanDocument:
     """Invert sigma in exactly lower_bound(sigma, m) moves through the hub x1."""
-    return hub_plan(sigma, m, "general_m")
-
-
-def hub_plan(sigma: Permutation, m: int, solver: str, claim: bool = False) -> PlanDocument:
-    """The hub-word plan for sigma, recorded under solver; claim records its length as the bound."""
     insiders_only(sigma)
     if m < 3:
         raise ValueError("machine size must be at least 3")
@@ -154,6 +151,5 @@ def hub_plan(sigma: Permutation, m: int, solver: str, claim: bool = False) -> Pl
         target=format_cycles(sigma),
         outsiders=tuple(outsider(i) for i in range(1, used + 2)),
         moves=tuple(MachineMove((*word[i * w : (i + 1) * w], x1)) for i in range(steps)),
-        solver=solver,
-        lower_bound=steps if claim else None,
+        solver="general_m",
     )

@@ -8,18 +8,22 @@ the target forces one insider to appear twice, so any plan seats at least
 n + r insiders.  The bound holds for any number of outsiders d >= 1; it is
 ``machine.lower_bound`` at m = 3, which also proves the repeat.
 
-The plan is ``machine``'s hub word cut into pairs: at m = 3 that word needs
-no padding and no outsider but x.  The paper's plan, odd cycles on their
-own and even cycles in pairs, is one cutting of such a word.  A note on
-published presentations of this construction: factor lists are sometimes
-printed in the reverse of their acting order, so this module treats
-composition checks, not printed order, as ground truth (products here are
-right-to-left, and plans are chronological).
+The plan is ``machine.solve_m_machine``'s at m = 3: the hub word cut into
+pairs, which at m = 3 needs no padding and no outsider but x.  It is
+recorded under solver "optimal3", with its own length as the lower bound.
+The paper's plan, odd cycles on their own and even cycles in pairs, is one
+cutting of such a word.  A note on published presentations of this
+construction: factor lists are sometimes printed in the reverse of their
+acting order, so this module treats composition checks, not printed order,
+as ground truth (products here are right-to-left, and plans are
+chronological).
 """
 
 from __future__ import annotations
 
-from .machine import hub_plan, lower_bound
+from dataclasses import replace
+
+from .machine import lower_bound, solve_m_machine
 from .perm import Permutation
 from .plandoc import PlanDocument
 
@@ -33,4 +37,5 @@ def solve_three_machine_optimal(sigma: Permutation) -> PlanDocument:
     distinct, and the plan seats exactly n + r insiders, meeting the lower
     bound with equality, which the document records.
     """
-    return hub_plan(sigma, 3, "optimal3", claim=True)
+    plan = solve_m_machine(sigma, 3)
+    return replace(plan, solver="optimal3", lower_bound=plan.steps)

@@ -27,10 +27,9 @@ supports are an int bitset over those ids, and R's moved points an int
 bitmask over the ground indices.  The catalog depends on nothing but N,
 m, the outsider rule and, under that rule, the first outsider's index, so
 it is built once per such key and cached; searches share it and never
-change it.  The cache holds at most CATALOG_CAP moves in all and drops
-the least recently used catalogs to make room for a new one before
-building it.  MachineMove objects are built only for the plan that is
-returned.
+change it.  The cache holds at most CATALOG_CAP moves in all, and is
+emptied before a catalog that would not fit beside it is built.
+MachineMove objects are built only for the plan that is returned.
 
 Nodes.  The search counts one node per catalog move it tries, at every
 position that passed the bounds below; a pruned position and a skipped
@@ -163,12 +162,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from operator import itemgetter, ne
 
 from .moves import MachineMove
-from .perm import OUTSIDER, Element, Permutation, insiders_only
+from .perm import OUTSIDER, Element, Permutation, _compose_cycles, insiders_only
 
 CATALOG_CAP = 100_000
 """Most catalog moves a search builds, and most the catalog cache holds in
@@ -236,18 +234,13 @@ def verify_plan(
     the chronological right-to-left plan product against the inverse of
     the target.
 
-    Each move is read once, into one frozenset that both the outsider rule
-    and the distinct-support rule use, and into the product's fold.
-
-    - Outsiders sort last.  Element order is (kind, index), and INSIDER
-      sorts before OUTSIDER, so a move seats an outsider exactly when its
-      greatest seat is one.  Likewise it seats an outsider outside the
-      pool exactly when the greatest of its seats outside the pool is an
-      outsider.
-    - The fold keeps the inverse of the product P, as a preimage map (see
-      perm._compose_cycles).  P = σ⁻¹ exactly when P⁻¹ = σ, so with fixed
-      points dropped that map is compared with the target's image map,
-      and no permutation is built for either side.
+    Each move is read once by the rules, into one frozenset that both the
+    outsider rule and the distinct-support rule use.  Outsiders sort last:
+    element order is (kind, index), and INSIDER sorts before OUTSIDER, so
+    a move seats an outsider exactly when its greatest seat is one.
+    Likewise it seats an outsider outside the pool exactly when the
+    greatest of its seats outside the pool is an outsider.  The product is
+    perm._compose_cycles's fold of the moves.
     """
     violations: list[tuple[int, str]] = []
     duplicates: list[tuple[int, str]] = []
@@ -255,7 +248,6 @@ def verify_plan(
     m, outsider_rule = rules.m, rules.require_outsider_per_move
     distinct = rules.require_distinct_supports
     seen: set[frozenset[Element]] = set()
-    preimage: dict[Element, Element] = {}
     repeated = False
     for i, move in enumerate(plan):
         support = frozenset(move)
@@ -275,11 +267,8 @@ def verify_plan(
             if support in seen:
                 duplicates.append((i, "duplicate-support"))
             seen.add(support)
-        if not repeated:  # the fold of perm._compose_cycles, one move at a time
-            sources = [preimage.get(y, y) for y in move]
-            preimage.update(zip(move[1:] + move[:1], sources))
     violations += duplicates
-    product_ok = not repeated and {y: x for y, x in preimage.items() if x != y} == target._map
+    product_ok = not repeated and _compose_cycles(plan) == target.inverse()
     return VerificationReport(product_ok, violations, len(plan))
 
 
@@ -289,8 +278,8 @@ Catalog = tuple[
     tuple[tuple[int, ...], ...],
 ]
 
-_catalogs: OrderedDict[tuple[int, int, int | None], Catalog] = OrderedDict()
-"""_move_catalog's cache, least recently used first."""
+_catalogs: dict[tuple[int, int, int | None], Catalog] = {}
+"""_move_catalog's cache."""
 
 
 def _move_catalog(n: int, first_outsider: int, m: int, outsider_rule: bool) -> Catalog:
@@ -316,15 +305,14 @@ def _move_catalog(n: int, first_outsider: int, m: int, outsider_rule: bool) -> C
     no caller may change it.  The key is (n, m, first_outsider), with
     first_outsider left out when the outsider rule is off, since the
     catalog does not depend on it there.  The cached catalogs hold at most
-    CATALOG_CAP moves together: before a new one is built, the least
-    recently used are dropped until it fits, so two catalogs that do not
-    fit together are never held at once.  A catalog with no move is not
-    cached, since it costs nothing to build.
+    CATALOG_CAP moves together: before a new one is built, the cache is
+    emptied if the new one would not fit beside it, so two catalogs that
+    do not fit together are never held at once.  A catalog with no move
+    is not cached, since it costs nothing to build.
     """
     key = (n, m, first_outsider if outsider_rule else None)
     catalog = _catalogs.get(key)
     if catalog is not None:
-        _catalogs.move_to_end(key)
         return catalog
     combos = [
         combo
@@ -334,9 +322,8 @@ def _move_catalog(n: int, first_outsider: int, m: int, outsider_rule: bool) -> C
     size = len(combos) * math.factorial(m - 1) if combos else 0
     if size > CATALOG_CAP:
         raise ValueError(f"catalog of {size} moves is too large to search")
-    held = sum(len(moves) for _, moves, _ in _catalogs.values())
-    while held + size > CATALOG_CAP:
-        held -= len(_catalogs.popitem(last=False)[1][1])
+    if sum(len(moves) for _, moves, _ in _catalogs.values()) + size > CATALOG_CAP:
+        _catalogs.clear()
     arrow_rows = tuple(
         tuple(0 if y == z else 1 << (y * n + z) for z in range(n)) for y in range(n)
     )

@@ -281,7 +281,7 @@ def _compose_cycles(cycles: Iterable[Sequence[Element]]) -> Permutation:
     of a bijection on the points it holds, and the product is built
     unchecked.  Every caller passes repeat-free cycles: parse_cycles and
     from_cycle check theirs, __mul__ passes canonical cycles, and
-    plan_product checks its moves.
+    plan_product and oracle.verify_plan check their moves.
     """
     preimage: dict[Element, Element] = {}
     for cycle in cycles:

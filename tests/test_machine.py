@@ -93,6 +93,11 @@ class TestLowerBound:
     def test_default_machine_is_three(self):
         assert lower_bound(parse_cycles("(1 2 3)(4 5 6 7 8)")) == 5
 
+    @pytest.mark.parametrize("m", [1, 0, -3])
+    def test_machine_below_two_refused(self, m):
+        with pytest.raises(ValueError, match=f"^machine size must be at least 2, got {m}$"):
+            lower_bound(parse_cycles("(1 2 3)"), m)
+
 
 class TestInvertThreeCycle:
     def test_m3_exact_moves(self):

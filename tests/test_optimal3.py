@@ -4,6 +4,7 @@ import pytest
 
 from mindswap import machine
 from mindswap.moves import MachineMove, plan_product
+from mindswap.machine import solve_m_machine
 from mindswap.optimal3 import lower_bound, solve_three_machine_optimal
 from mindswap.perm import Permutation, insider, outsider, parse_cycles
 
@@ -141,3 +142,23 @@ class TestBoundIsMetExactly:
             assert (moved + cycles) % 2 == 0
             assert plan_product(plan.moves) == sigma.inverse()
             assert not duplicate_supports(plan.moves)
+
+
+class TestIsGeneralMAtThree:
+    def test_every_even_target_on_six_insiders(self):
+        for sigma in even_permutations(6):
+            plan, general = solve_three_machine_optimal(sigma), solve_m_machine(sigma, 3)
+            assert (plan.target, plan.outsiders, plan.moves) == (
+                general.target, general.outsiders, general.moves
+            )
+            assert plan.solver == "optimal3"
+            assert plan.lower_bound == plan.steps == lower_bound(sigma)
+
+    def test_odd_target_refused_alike(self):
+        sigma = parse_cycles("(1 2)(3 4 5)")
+        errors = []
+        for solve in (solve_three_machine_optimal, lambda s: solve_m_machine(s, 3)):
+            with pytest.raises(ValueError) as caught:
+                solve(sigma)
+            errors.append((type(caught.value), str(caught.value)))
+        assert errors == [(ValueError, "odd permutation is not a product of 3-cycles")] * 2

@@ -357,15 +357,17 @@ class TestCatalogCache:
         assert oracle._move_catalog(7, 5, 4, True) is not first
         assert list(oracle._catalogs) == [(7, 4, 5)]
 
-    def test_least_recently_used_goes_first(self, monkeypatch):
+    def test_a_catalog_that_does_not_fit_empties_the_cache(self, monkeypatch):
         oracle._catalogs.clear()
-        # 4 + 38 + 180 moves do not fit under a cap of 200, and 4 + 180 do
+        # 4 + 38 + 180 moves do not fit under a cap of 200, though 4 + 180 would
         monkeypatch.setattr(oracle, "CATALOG_CAP", 200)
         small, medium = oracle._move_catalog(5, 4, 2, True), oracle._move_catalog(6, 3, 3, True)
         assert (len(small[1]), len(medium[1])) == (4, 38)
-        assert oracle._move_catalog(5, 4, 2, True) is small  # now the most recent
-        assert len(oracle._move_catalog(7, 5, 4, True)[1]) == 180
-        assert list(oracle._catalogs) == [(5, 2, 4), (7, 4, 5)]
+        assert oracle._move_catalog(5, 4, 2, True) is small  # a hit returns the cached one
+        large = oracle._move_catalog(7, 5, 4, True)
+        assert len(large[1]) == 180
+        assert list(oracle._catalogs) == [(7, 4, 5)]
+        assert oracle._move_catalog(7, 5, 4, True) is large
 
     def test_rule_off_shares_one_catalog_across_pool_sizes(self):
         # with the outsider rule off the first outsider does not matter, so
