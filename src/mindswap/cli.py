@@ -37,6 +37,12 @@ EXIT_UNSOLVABLE = 3
 EXIT_BUDGET = 4
 
 
+def _fail(code: int, message: str) -> int:
+    """Print message as the one diagnostic line on stderr and return code."""
+    print(message, file=sys.stderr)
+    return code
+
+
 def _parse_target(text: str) -> Permutation:
     return insiders_only(parse_cycles(text))
 
@@ -82,15 +88,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     try:
         target = _parse_target(args.target)
         if not accepts_m(args.m):
-            print(f"solver {name} is incompatible with machine size {args.m}", file=sys.stderr)
-            return EXIT_PARSE
+            return _fail(EXIT_PARSE, f"solver {name} is incompatible with machine size {args.m}")
         doc = solve(target, args.m)
     except ParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(EXIT_PARSE, f"parse error: {err}")
     except ValueError as err:
-        print(f"unsolvable: {err}", file=sys.stderr)
-        return EXIT_UNSOLVABLE
+        return _fail(EXIT_UNSOLVABLE, f"unsolvable: {err}")
     sys.stdout.write(plandoc.dumps(doc))
     rules = RuleSet(m=doc.m, outsiders=doc.outsiders)
     return EXIT_OK if _verify(target, doc, rules, sys.stderr) else EXIT_VERIFY_FAILED
@@ -112,8 +115,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             require_distinct_supports=not args.no_distinct_rule,
         )
     except (OSError, ValueError) as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(EXIT_PARSE, f"parse error: {err}")
     clean = _verify(target, doc, rules, sys.stdout)
     print(f"verdict: {'clean' if clean else 'failed'}")
     return EXIT_OK if clean else EXIT_VERIFY_FAILED
@@ -123,11 +125,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     try:
         target = _parse_target(args.target)
     except ParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(EXIT_PARSE, f"parse error: {err}")
     except ValueError as err:
-        print(f"unsolvable: {err}", file=sys.stderr)
-        return EXIT_UNSOLVABLE
+        return _fail(EXIT_UNSOLVABLE, f"unsolvable: {err}")
     try:
         # refuse before building a pool that no search takes; RuleSet's and
         # search_min_plan's own refusals keep their precedence over this one,
@@ -141,14 +141,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         rules = RuleSet(m=args.m, outsiders=pool)
         plan = search_min_plan(target, rules, args.max_steps, node_budget=args.node_budget)
     except OracleBudgetError as err:
-        print(f"budget exceeded: {err}", file=sys.stderr)
-        return EXIT_BUDGET
+        return _fail(EXIT_BUDGET, f"budget exceeded: {err}")
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(EXIT_PARSE, f"error: {err}")
     if plan is None:
-        print(f"no plan within {args.max_steps} steps", file=sys.stderr)
-        return EXIT_UNSOLVABLE
+        return _fail(EXIT_UNSOLVABLE, f"no plan within {args.max_steps} steps")
     print(f"minimal-steps: {len(plan)}", file=sys.stderr)
     doc = plandoc.PlanDocument(
         m=args.m,
@@ -175,11 +172,9 @@ def _print_swaps(swaps: list[infinite.TailMap], horizon: int) -> None:
 def _cmd_infinite(args: argparse.Namespace) -> int:
     horizon = args.horizon
     if horizon < 0:
-        print("error: --horizon must be at least 0", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(EXIT_PARSE, "error: --horizon must be at least 0")
     if horizon > infinite.INDEX_CAP:
-        print(f"error: --horizon must be at most {infinite.INDEX_CAP}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(EXIT_PARSE, f"error: --horizon must be at most {infinite.INDEX_CAP}")
     if args.mode == "shift3":
         swaps = infinite.invert_shift_three_step()
         expected = infinite.inverse_shift_map()
@@ -187,13 +182,11 @@ def _cmd_infinite(args: argparse.Namespace) -> int:
         try:
             sigma = _parse_target(args.sigma)
         except ValueError as err:
-            print(f"parse error: {err}", file=sys.stderr)
-            return EXIT_PARSE
+            return _fail(EXIT_PARSE, f"parse error: {err}")
         try:
             swaps = infinite.invert_finitary_two_step(sigma)
         except ValueError as err:  # an index above infinite.INDEX_CAP
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_PARSE
+            return _fail(EXIT_PARSE, f"error: {err}")
         if not swaps:
             print("identity target: empty plan")
             return EXIT_OK

@@ -1,15 +1,9 @@
 """Provably optimal 3-machine solver: one outsider, (n + r) / 2 moves.
 
-For an even target moving n insiders in r disjoint cycles, the inverse
-factors into exactly (n + r) / 2 three-cycles, all containing the single
-outsider x, and no construction can do better: each move seats at most two
-insiders, every moved insider must appear at least once, and each cycle of
-the target forces one insider to appear twice, so any plan seats at least
-n + r insiders.  The bound holds for any number of outsiders d >= 1; it is
-``machine.lower_bound`` at m = 3, which also proves the repeat.
+For n moved insiders in r cycles, no plan is shorter: ``machine.lower_bound``.
 
 The plan is ``machine.solve_m_machine``'s at m = 3: the hub word cut into
-pairs, which at m = 3 needs no padding and no outsider but x.  It is
+pairs, which at m = 3 needs no padding and no outsider but x1.  It is
 recorded under solver "optimal3", with its own length as the lower bound.
 The paper's plan, odd cycles on their own and even cycles in pairs, is one
 cutting of such a word.  A note on published presentations of this

@@ -83,7 +83,7 @@ def dumps(doc: PlanDocument) -> str:
         HEADER,
         f"machine-size: {doc.m}",
         f"target: {doc.target}",
-        "outsiders: " + " ".join(str(e) for e in doc.outsiders),
+        "outsiders: " + _labels(doc.outsiders),
     ]
     if doc.solver is not None:
         lines.append(f"solver: {doc.solver}")

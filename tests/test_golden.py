@@ -148,6 +148,8 @@ CASES: dict[str, tuple[list[str], str]] = {
         ["verify", "--plan", "-", "--target", "(1 2)(3 5)"],
         CLEAN_PLAN,
     ),
+    "verify-missing-header": (["verify", "--plan", "-"], "machine-size: 3\n"),
+    "verify-missing-plan-file": (["verify", "--plan", "/nonexistent/plan.txt"], ""),
     "oracle-found": (["oracle", "--target", "(1 2)(3 4)", "--m", "3", "--d", "1"], ""),
     "oracle-none-within-bound": (
         ["oracle", "--target", "(1 2)", "--m", "3", "--d", "1", "--max-steps", "3"],
@@ -161,8 +163,11 @@ CASES: dict[str, tuple[list[str], str]] = {
         ["oracle", "--target", "(1 2)", "--m", "2", "--d", "2", "--node-budget", "-4"],
         "",
     ),
+    "oracle-parse-error": (["oracle", "--target", "(1 2", "--m", "3"], ""),
+    "oracle-outsider-in-target": (["oracle", "--target", "(a1 x1)", "--m", "3"], ""),
     "infinite-shift3": (["infinite", "shift3"], ""),
     "infinite-shift3-horizon1": (["infinite", "shift3", "--horizon", "1"], ""),
+    "infinite-shift3-negative-horizon": (["infinite", "shift3", "--horizon", "-1"], ""),
     "infinite-shift3-horizon-above-cap": (
         ["infinite", "shift3", "--horizon", "1000000000"],
         "",
@@ -173,6 +178,7 @@ CASES: dict[str, tuple[list[str], str]] = {
     ),
     "infinite-finitary2": (["infinite", "finitary2", "--sigma", "(a1 a2)(a3 a4 a5)"], ""),
     "infinite-finitary2-empty": (["infinite", "finitary2", "--sigma", ""], ""),
+    "infinite-finitary2-parse-error": (["infinite", "finitary2", "--sigma", "(a1 a2"], ""),
     "infinite-finitary2-index-above-cap": (
         ["infinite", "finitary2", "--sigma", "(a1 a100001)"],
         "",

@@ -162,6 +162,10 @@ class TestCanonicalForm:
         assert spelled_out == minimal
         assert hash(spelled_out) == hash(minimal)
 
+    def test_never_equals_a_non_map(self):
+        assert TailMap().__eq__("x") is NotImplemented
+        assert (TailMap() == "x") is False
+
     @given(tail_maps())
     def test_rebuilt_in_reverse_order_hashes_equally(self, f):
         rebuilt = TailMap(dict(reversed(f.exceptions.items())), f.tail)

@@ -222,6 +222,10 @@ class TestSolveMMachine:
         with pytest.raises(ValueError):
             solve_m_machine(parse_cycles("(1 2)"), 3)
 
+    def test_machine_below_three_refused(self):
+        with pytest.raises(ValueError, match="^machine size must be at least 3$"):
+            solve_m_machine(parse_cycles("(1 2 3)"), 2)
+
     def test_rejects_outsider_support(self):
         with pytest.raises(ValueError):
             solve_m_machine(Permutation.from_cycle((insider(1), outsider(1))), 4)

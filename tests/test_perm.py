@@ -414,6 +414,23 @@ class TestParity:
         assert Permutation.identity().parity() == 0
 
 
+class TestDunders:
+    def test_times_a_non_permutation_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            parse_cycles("(1 2)") * 3
+
+    def test_identity_is_falsy(self):
+        assert not Permutation()
+        assert parse_cycles("(1 2)")
+
+    def test_str_is_canonical_cycle_text(self):
+        assert str(Permutation()) == "()"
+        assert str(parse_cycles("(2 1)(3 4)")) == "(a1 a2)(a3 a4)"
+
+    def test_repr(self):
+        assert repr(parse_cycles("(1 2)")) == "Permutation((a1 a2))"
+
+
 class TestSupportAndCycles:
     def test_support(self):
         assert parse_cycles("(1 2)(3 4)").support() == frozenset(
@@ -430,6 +447,10 @@ class TestSupportAndCycles:
 
     def test_decomposition_identity(self):
         assert Permutation.identity().cycles == ()
+
+    def test_from_cycle_refuses_a_repeat(self):
+        with pytest.raises(ValueError, match="^repeated element in cycle$"):
+            Permutation.from_cycle((insider(1), insider(2), insider(1)))
 
     def test_decomposition_merges_overlap(self):
         assert parse_cycles("(1 2)(2 3)").cycles == ((insider(1), insider(2), insider(3)),)
