@@ -176,11 +176,13 @@ def _cmd_infinite(args: argparse.Namespace) -> int:
     if horizon > infinite.INDEX_CAP:
         return _fail(EXIT_PARSE, f"error: --horizon must be at most {infinite.INDEX_CAP}")
     if args.mode == "shift3":
+        if args.sigma is not None:
+            return _fail(EXIT_PARSE, "error: --sigma is for finitary2 only")
         swaps = infinite.invert_shift_three_step()
         expected = infinite.inverse_shift_map()
     else:
         try:
-            sigma = _parse_target(args.sigma)
+            sigma = _parse_target(args.sigma or "")
         except ValueError as err:
             return _fail(EXIT_PARSE, f"parse error: {err}")
         try:
@@ -224,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_inf = sub.add_parser("infinite", help="infinite-machine demonstrations")
     p_inf.add_argument("mode", choices=["shift3", "finitary2"])
-    p_inf.add_argument("--sigma", default="", help="finitary target for finitary2")
+    p_inf.add_argument("--sigma", help="finitary target for finitary2")
     p_inf.add_argument("--horizon", type=int, default=4, help="tail rows before the ellipsis")
     p_inf.set_defaults(func=_cmd_infinite)
 

@@ -68,8 +68,10 @@ MACHINE_CAP = 10**5
 
 
 def lower_bound(sigma: Permutation, m: int = 3) -> int:
-    """B(sigma, m): the fewest moves of any plan for sigma on an m-machine.
+    """B(sigma, m): a lower bound on the moves of any plan for sigma on an
+    m-machine, and the fewest for m >= 3, where solve_m_machine meets it.
 
+    At m = 2 it is short of the fewest: (1 2) has B = 3 and needs 5 swaps.
     It is max(2, ceil((n + r) / (m - 1))) for n moved insiders in r cycles,
     raised by one on an even machine when its parity differs from sigma's,
     and 0 for the identity.  Raises ValueError for m < 2, and for an odd

@@ -40,9 +40,7 @@ once, and the budget is checked after adding them.  That
 count is exact: trying the orderings in turn adds the same nodes, rejects
 each one by the same test and descends into none, so nothing but the
 count happens between them, and the search raises OracleBudgetError
-under exactly the budgets it would while trying each ordering.  A root
-move that the symmetry cut skips (see Symmetry) counts its one node, and
-its subtree none.
+under exactly the budgets it would while trying each ordering.
 
 Pruning.  Each rule cuts only subtrees that hold no plan, so the DFS meets
 the same first plan, in the same catalog order, as a search without it.
@@ -75,7 +73,27 @@ With d moves left:
   too: k <= 2m moved points give k - c <= 2m - 2 unless R is a single
   2m-cycle, which is odd, while every residual at d = 2 is even (for odd
   m every move is even and an odd target is refuted before the search;
-  for even m by the parity bound).  So it is applied from d = 3 on.
+  for even m by the parity bound).  So it never cuts below d = 3.
+- Seats, under the outsider rule: n_R + r_R <= (m - 1)·d, where n_R is
+  the number of insiders R moves and r_R the number of cycles of R that
+  hold only insiders.  The remaining moves multiply to R, each seats an
+  outsider and so at most m - 1 insiders, and an insider no remaining
+  move seats is fixed by R.  So every insider R moves sits at least once,
+  and each all-insider cycle C of R has an insider that sits twice, by
+  machine.lower_bound's argument, which looks at C alone: if each c in C
+  sat once, in move t(c), then the person at c would reach R(c) in C
+  either at t(c) or through a later move seating R(c), so t would never
+  fall along C, would be constant, and that one move would map C onto
+  itself, so it would be the cycle C and seat no outsider.  R's other
+  cycles may hold outsiders; they only add seats.  The remaining moves
+  thus seat at least n_R + r_R insiders.  At the root this is
+  lower_bound's count.
+  It is stronger than Cayley on an all-insider cycle (k + 1 seats
+  against k - 1 transpositions for k points), equal on a cycle with one
+  outsider, and weaker on a cycle with two or more.  It is applied with
+  two or more moves left: with one, the last move's lookup (see Search
+  order) already fails on every residual it would cut, since a catalog
+  move seats an outsider and so counts at most m - 1.
 - Parity, for even m: d ≡ parity(R) (mod 2).  An m-cycle is odd for even
   m, so every move flips the parity of R and the identity is even.  Since
   a move also lowers d by one, the condition holds at every node of a
@@ -95,54 +113,20 @@ Search order.  A position computes R's moved-point bitmask and arrow
 mask once, then skips whole each support that is spent, breaks the normal
 form against the previous move, or fails displacement by support.  Each
 ordering of a support it keeps is tested for displacement on its arrow
-mask; only an ordering that passes builds its child R∘g⁻¹, which is
-bounded by Cayley before descending, so the position builds only
-children that pass displacement and enters only those that pass both;
-the root is bounded once per limit.  At the root of a limit of 3 or
-more an ordering that passes displacement is then kept only when it
-leads its orbit (see Symmetry).  The generators and each orbit are built
-when first needed and kept for the rest of the search, so a search that
-never gets past limit 2 builds none.  With one move left,
-R∘g⁻¹ is the identity exactly when g = R, and each m-cycle appears once
-in the catalog, so the last move is found by one dict lookup on R's
-image tuple, then checked for a spent support and the normal form.  That
+mask; only an ordering that passes builds its child R∘g⁻¹.  With two
+or more moves left after g, one walk over the child's cycles gives its
+Cayley distance and its seat count, and the child is entered only when
+it passes both, so the position builds only children that pass
+displacement and enters only those that pass every bound; the root is
+bounded once per limit.  With one move left, R∘g⁻¹ is the identity
+exactly when g = R, and each m-cycle appears once in the catalog, so the
+last move is found by one dict lookup on R's image tuple, then checked
+for a spent support and the normal form.  That
 position still counts k + 1 nodes when catalog move k completes the
 plan, and the whole catalog when none does, which is what trying each
 move in turn counted; the budget is checked after adding them, so a
 search raises OracleBudgetError under exactly the budgets it would while
 trying each move.
-
-Symmetry.  Let G be the centralizer of the root residual R₀ = σ⁻¹ in the
-permutations of the ground indices; with σ's fixed points, the pool,
-counted as 1-cycles, G is C(σ) × Sym(pool).  It is generated by the
-rotation of each cycle of R₀ (R₀ itself on that cycle), by the aligned
-swap a_i ↔ b_i of each two consecutive cycles (a_0 …) and (b_0 …) of
-equal length, with a_(i+1) = R₀(a_i) and b_(i+1) = R₀(b_i), and so, among
-the 1-cycles, by each swap of two adjacent outsiders.  G acts on moves by
-conjugation, g ↦ c g c⁻¹, the m-cycle on seats (c(s_0) … c(s_(m-1))).
-Each c in G commutes with σ and maps insiders to insiders and the pool
-to itself, so it maps a plan P to a plan c P c⁻¹ of the same length: its
-product is c σ⁻¹ c⁻¹ = σ⁻¹, every move still seats an outsider when P's
-did, and distinct supports stay distinct.  At the root of each limit of
-3 or more the search tries a move only when it is the least of its
-G-orbit in catalog order (support id, then ordering), and skips every
-other root move with no subtree.  That keeps the plan it returns.  Let
-P* be the first plan the uncut search finds at some limit, with first
-move g, and suppose some c in G gives c(g) before g in catalog order.  Then c P* c⁻¹ is a
-plan of the same length whose first move is c(g).  Put it into the
-commuting normal form by swapping, while any remain, two consecutive
-disjoint moves whose later one has the lower support id: each swap
-lowers the sequence of support ids, so this ends, and it changes neither
-the product nor the spent supports.  Its first move is then c(g) or a
-move of lower support id than c(g), which is at most g's, so it comes
-before g in catalog order, and the uncut search, which tries plans in
-that order, would have found this plan before P*: a contradiction.  So
-g leads its orbit and the cut keeps P*.  By the same argument a limit
-that holds any plan keeps one, so no None verdict changes either.  The
-argument holds for any set of limits, so the cut is left out where it
-cannot pay: at limit 1 the only candidate is R₀, which G fixes, and at
-limit 2 a root move's subtree is one dict lookup (see Search order),
-which costs less than building its orbit.
 
 Inputs.  The rule pool must hold outsiders only (RuleSet raises
 ValueError otherwise, and PlanDocument checks its pool through RuleSet),
@@ -349,74 +333,27 @@ def _move_catalog(n: int, first_outsider: int, m: int, outsider_rule: bool) -> C
     return catalog
 
 
-def _centralizer_generators(r: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Index maps that generate every permutation commuting with r.
+def _cycle_counts(r: tuple[int, ...], first_outsider: int) -> tuple[int, int]:
+    """One walk over r's cycles: (N - cycles(r), n_R + r_R).
 
-    One rotation per cycle of r of length 2 or more, r itself on that
-    cycle, and one aligned swap per two consecutive cycles of equal
-    length, counting fixed points as 1-cycles (see Symmetry).
+    The first is the fewest transpositions whose product is r (Cayley); the
+    second is the number of indices below first_outsider that r moves, plus
+    the number of r's cycles made of such indices alone (Seats).
     """
-    n = len(r)
-    last_of_length: dict[int, list[int]] = {}
-    generators = []
-    seen = [False] * n
-    for i in range(n):
-        if seen[i]:
-            continue
-        cycle = [i]
-        while (j := r[cycle[-1]]) != i:
-            cycle.append(j)
-        for j in cycle:
-            seen[j] = True
-        if len(cycle) > 1:
-            rotation = list(range(n))
-            for a in cycle:
-                rotation[a] = r[a]
-            generators.append(tuple(rotation))
-        previous = last_of_length.get(len(cycle))
-        if previous is not None:
-            swap = list(range(n))
-            for a, b in zip(previous, cycle):
-                swap[a], swap[b] = b, a
-            generators.append(tuple(swap))
-        last_of_length[len(cycle)] = cycle
-    return generators
-
-
-def _orbit(seats: tuple[int, ...], generators: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    """The move on seats and all its conjugates c g c⁻¹ under the group the
-    generators span, each as its seats with the least seat leading."""
-    orbit = {seats}
-    frontier = [seats]
-    while frontier:
-        move = itemgetter(*frontier.pop())
-        for c in generators:
-            image = move(c)  # c g c⁻¹ sends c(s_i) to c(s_(i+1))
-            lead = image.index(min(image))
-            conjugate = image[lead:] + image[:lead]
-            if conjugate not in orbit:
-                orbit.add(conjugate)
-                frontier.append(conjugate)
-    return orbit
-
-
-def _catalog_order(seats: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Sort key of a move in catalog order: its support, then its ordering."""
-    return tuple(sorted(seats)), seats
-
-
-def _cayley_distance(r: tuple[int, ...]) -> int:
-    """N - cycles(r): the fewest transpositions whose product is r."""
     seen = [False] * len(r)
-    distance = 0
+    distance = seats = 0
     for i, j in enumerate(r):
-        if seen[i]:
+        if seen[i] or j == i:
             continue
+        length, outsiders = 1, i >= first_outsider
         while j != i:
             seen[j] = True
-            distance += 1
+            length += 1
+            outsiders += j >= first_outsider
             j = r[j]
-    return distance
+        distance += length - 1
+        seats += length - outsiders + (not outsiders)
+    return distance, seats
 
 
 def search_min_plan(
@@ -452,20 +389,10 @@ def search_min_plan(
     distinct = rules.require_distinct_supports
     identity = tuple(range(n))
     bits = [1 << i for i in range(n)]
+    # with the outsider rule off every index counts as an outsider, so the
+    # seat count, which holds under that rule only, is 0 and never cuts
+    first = len(insiders) if rules.require_outsider_per_move else 0
     nodes = 0
-    generators: list[tuple[int, ...]] | None = None
-    leaders: dict[tuple[int, ...], bool] = {}  # root move -> leads its orbit
-
-    def leads(seats: tuple[int, ...]) -> bool:
-        """Whether seats is the least move of its orbit in catalog order."""
-        nonlocal generators
-        if seats not in leaders:
-            if generators is None:
-                generators = _centralizer_generators(start)
-            orbit = _orbit(seats, generators)
-            leaders.update(dict.fromkeys(orbit, False))
-            leaders[min(orbit, key=_catalog_order)] = True
-        return leaders[seats]
 
     def dfs(
         r: tuple[int, ...],
@@ -491,8 +418,7 @@ def search_min_plan(
             path.append(seats)
             return True
         d = depth_left - 1
-        reach, distance = m * d, (m - 1) * d
-        cut = prev_sid < 0 and d > 1  # the root of a limit of 3 or more
+        reach, span = m * d, (m - 1) * d
         moved = sum(itertools.compress(bits, map(ne, r, identity)))  # R's moved points
         arrows_r = sum(map(tuple.__getitem__, arrow_rows, r))  # R's arrows y → R(y)
         for sid, mask, inner, orderings in supports:
@@ -513,11 +439,11 @@ def search_min_plan(
                     raise OracleBudgetError(f"node budget of {node_budget} exceeded")
                 if (arrows & arrows_r).bit_count() < need:
                     continue  # displacement bound, read off the shared arrows
-                if cut and not leads(seats):
-                    continue  # a conjugate earlier in the catalog stands for it
                 child = act(r)
-                if d > 2 and _cayley_distance(child) > distance:
-                    continue  # Cayley bound; with d <= 2 left it never cuts
+                if d > 1:  # Cayley and seat-count bounds; at d = 1 the lookup decides
+                    cayley, seated = _cycle_counts(child, first)
+                    if cayley > span or seated > span:
+                        continue
                 path.append(seats)
                 if dfs(child, d, spent | 1 << sid, sid, mask, path):
                     return True
@@ -526,15 +452,18 @@ def search_min_plan(
 
     goal = target.inverse()
     start = tuple(ground.index(goal(e)) for e in ground)  # R before any move
-    displaced, distance = sum(map(ne, start, identity)), _cayley_distance(start)
+    displaced = sum(map(ne, start, identity))
+    cayley, seated = _cycle_counts(start, first)
     # a plan seats each support at most once under the distinct rule, and
     # with no legal move only the empty plan exists
     longest = min(max_steps, len(supports)) if distinct or not supports else max_steps
     for limit in range(longest + 1):
         if m % 2 == 0 and limit % 2 != parity:
             continue  # the parity bound fails at the root, so at every node
-        if displaced > m * limit or distance > (m - 1) * limit:
+        if displaced > m * limit or cayley > (m - 1) * limit:
             continue  # displacement and Cayley bounds at the root
+        if limit > 1 and seated > (m - 1) * limit:
+            continue  # the seat count, with two or more moves left
         path: list[tuple[int, ...]] = []
         if limit == 0 or dfs(start, limit, 0, -1, 0, path):
             return [MachineMove(ground[i] for i in seats) for seats in path]

@@ -412,6 +412,7 @@ class TestInfinite:
         code, out, _ = run(capsys, "infinite", "finitary2", "--sigma", "")
         assert code == 0
         assert "empty plan" in out
+        assert run(capsys, "infinite", "finitary2") == (code, out, "")  # no --sigma
 
     def test_finitary2_parse_error(self, capsys):
         code, _, err = run(capsys, "infinite", "finitary2", "--sigma", "(1 2")
@@ -429,6 +430,12 @@ class TestInfinite:
         assert (code, out, err) == (2, "", "error: --horizon must be at least 0\n")
         code, out, _ = run(capsys, "infinite", "shift3", "--horizon", "0")
         assert code == 0 and "composition check: ok" in out
+
+    @pytest.mark.parametrize("sigma", ["(a1 a2)", ""])
+    def test_shift3_refuses_a_sigma(self, capsys, sigma):
+        # shift3 has its own target; a --sigma it would ignore is refused
+        code, out, err = run(capsys, "infinite", "shift3", "--sigma", sigma)
+        assert (code, out, err) == (2, "", "error: --sigma is for finitary2 only\n")
 
     def test_horizon_above_the_cap_rejected(self, capsys, monkeypatch):
         monkeypatch.setattr(infinite, "INDEX_CAP", 3)

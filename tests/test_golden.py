@@ -168,6 +168,7 @@ CASES: dict[str, tuple[list[str], str]] = {
     "infinite-shift3": (["infinite", "shift3"], ""),
     "infinite-shift3-horizon1": (["infinite", "shift3", "--horizon", "1"], ""),
     "infinite-shift3-negative-horizon": (["infinite", "shift3", "--horizon", "-1"], ""),
+    "infinite-shift3-sigma": (["infinite", "shift3", "--sigma", "(a1 a2)"], ""),
     "infinite-shift3-horizon-above-cap": (
         ["infinite", "shift3", "--horizon", "1000000000"],
         "",

@@ -6,7 +6,7 @@ import pytest
 from mindswap import machine
 from mindswap.machine import lower_bound, solve_m_machine
 from mindswap.moves import MachineMove, plan_product
-from mindswap.oracle import RuleSet, verify_plan
+from mindswap.oracle import RuleSet, search_min_plan, verify_plan
 from mindswap.perm import Permutation, insider, outsider, parse_cycles
 
 from conftest import (
@@ -92,6 +92,14 @@ class TestLowerBound:
 
     def test_default_machine_is_three(self):
         assert lower_bound(parse_cycles("(1 2 3)(4 5 6 7 8)")) == 5
+
+    @pytest.mark.parametrize("target, bound, fewest", [("(1 2)", 3, 5), ("(1 2)(3 4)", 6, 8)])
+    def test_below_the_fewest_swaps_at_m_two(self, target, bound, fewest):
+        # B is a lower bound at every m, but the minimum only from m = 3 on
+        sigma, rules = parse_cycles(target), RuleSet(m=2, outsiders=(outsider(1), outsider(2)))
+        assert lower_bound(sigma, 2) == bound
+        assert search_min_plan(sigma, rules, fewest - 1) is None
+        assert len(search_min_plan(sigma, rules, fewest)) == fewest
 
     @pytest.mark.parametrize("m", [1, 0, -3])
     def test_machine_below_two_refused(self, m):

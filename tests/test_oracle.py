@@ -1,4 +1,3 @@
-import functools
 import itertools
 import sys
 import time
@@ -182,7 +181,7 @@ class TestSearchMinPlan:
     def test_bounds_prune_within_node_budget(self):
         # with the displacement bound alone the search tries 37,922 nodes
         # here; the Cayley and parity bounds bring that to 5,792, and the
-        # symmetry cut at the root to 3,344
+        # seat count to 2,867
         plan = search_min_plan(
             parse_cycles("(1 2)(3 4)"), RuleSet(m=2, outsiders=pool(2)), 8, node_budget=10_000
         )
@@ -293,6 +292,41 @@ class TestSearchMinPlan:
             if (arrows_r & inner).bit_count() < off + m - m * d:
                 assert min(displacements) > m * d
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        m=st.integers(2, 5),
+        outsiders=st.integers(1, 3),
+        d=st.integers(0, 4),
+    )
+    def test_a_product_of_d_moves_passes_both_counts(self, data, m, outsiders, d):
+        # d moves, each seating a pool outsider and at most m - 1 insiders,
+        # give a product with both counts at most (m - 1)·d
+        insiders = data.draw(st.integers(max(0, m - outsiders), 6))
+        n = insiders + outsiders
+        r = list(range(n))
+        for _ in range(d):
+            first = data.draw(st.integers(insiders, n - 1))
+            rest = data.draw(st.permutations([i for i in range(n) if i != first]))
+            seats = [first, *rest[: m - 1]]
+            step = dict(zip(seats, seats[1:] + seats[:1]))
+            r = [step.get(i, i) for i in r]
+        distance, seated = oracle._cycle_counts(tuple(r), insiders)
+        assert distance <= (m - 1) * d
+        assert seated <= (m - 1) * d
+
+    @settings(max_examples=200, deadline=None)
+    @given(images=st.permutations(range(1, 8)), outsiders=st.integers(0, 3))
+    def test_root_seat_count_is_the_lower_bounds_count(self, images, outsiders):
+        # for a target of insiders alone the seat count is n + r, the count
+        # machine.lower_bound divides by m - 1
+        target = permutation_from_images(list(images))
+        ground = sorted(target.support()) + list(pool(outsiders))
+        goal = target.inverse()
+        start = tuple(ground.index(goal(e)) for e in ground)
+        n, r = sum(map(len, target.cycles)), len(target.cycles)
+        assert oracle._cycle_counts(start, len(ground) - outsiders) == (n - r, n + r)
+
     def test_search_leaves_the_cached_catalog_as_it_was(self):
         oracle._catalogs.clear()
         target, rules = parse_cycles("(1 2)(3 4)(5 6 7)"), RuleSet(m=3, outsiders=pool(1))
@@ -380,27 +414,30 @@ class TestCatalogCache:
 
 
 class TestBudgetEdges:
-    """Each search succeeds with exactly N nodes and raises with N - 1.
+    """Each search succeeds with exactly N nodes and, when N > 0, raises
+    with N - 1.  N = 0 means the root's bounds refuted every limit.
 
-    limit-2-uncut pins that the symmetry cut leaves limit 2 alone: cut
-    there too, the same plan would take 106 nodes.
+    m4-pair pins that the seat count leaves the last move to its lookup:
+    bounding the children with one move left as well, the same plan would
+    take 878 nodes.  m2-refuted is a refutation the seat count cannot
+    make at the root: it allows 6 swaps, and the fewest are 8.
     """
 
     @pytest.mark.parametrize(
         "text, rules, max_steps, nodes, plan",
         [
             (
-                "(1 2)(3 4)", RuleSet(m=2, outsiders=pool(2)), 8, 3_344,
+                "(1 2)(3 4)", RuleSet(m=2, outsiders=pool(2)), 8, 2_867,
                 ["(a1 x1)", "(a2 x1)", "(a3 x1)", "(a4 x2)", "(a3 x2)", "(a1 x2)", "(a4 x1)",
                  "(x1 x2)"],
             ),
-            ("(1 2)(3 4)(5 6)(7 8)", RuleSet(m=3, outsiders=pool(1)), 5, 21_280, None),
+            ("(1 2)(3 4)(5 6)(7 8)", RuleSet(m=3, outsiders=pool(1)), 5, 0, None),
             (
                 "(1 2 3)", RuleSet(m=3, outsiders=(), require_outsider_per_move=False), 4, 2,
                 ["(a1 a3 a2)"],
             ),
             (
-                "(1 2 3 4 5 6)(7 8)", RuleSet(m=4, outsiders=pool(1)), 4, 30_446,
+                "(1 2 3 4 5 6)(7 8)", RuleSet(m=4, outsiders=pool(1)), 4, 2_894,
                 ["(a1 a2 a3 x1)", "(a2 a6 a5 x1)", "(a3 a7 x1 a4)", "(a1 x1 a8 a7)"],
             ),
             (
@@ -409,29 +446,31 @@ class TestBudgetEdges:
             ),
             (
                 "(1 2 3 4)(5 6)",
-                RuleSet(m=4, outsiders=pool(2), require_distinct_supports=False), 3, 330, None,
+                RuleSet(m=4, outsiders=pool(2), require_distinct_supports=False), 3, 0, None,
             ),
             (
                 "(1 2 3)", RuleSet(m=4, outsiders=pool(2)), 2, 406,
                 ["(a1 x1 x2 a2)", "(a2 x2 x1 a3)"],
             ),
-            ("(1 2)(3 4)(5 6 7)", RuleSet(m=3, outsiders=pool(1)), 4, 2_100, None),
+            ("(1 2)(3 4)(5 6 7)", RuleSet(m=3, outsiders=pool(1)), 4, 0, None),
             (
-                "(1 2)(3 4)(5 6 7)", RuleSet(m=3, outsiders=pool(1)), 5, 2_418,
+                "(1 2)(3 4)(5 6 7)", RuleSet(m=3, outsiders=pool(1)), 5, 108,
                 ["(a1 a2 x1)", "(a1 a3 x1)", "(a3 x1 a4)", "(a5 x1 a6)", "(a6 x1 a7)"],
             ),
+            ("(1 2)(3 4)", RuleSet(m=2, outsiders=pool(2)), 7, 1_017, None),
         ],
         ids=[
             "keeler-pair", "refutation", "limit-1", "m4-pair", "m5-pair", "m4-repeats",
-            "limit-2-uncut", "m3-mixed-refuted", "m3-mixed",
+            "m4-two-outsiders", "m3-mixed-refuted", "m3-mixed", "m2-refuted",
         ],
     )
     def test_exact_budget(self, text, rules, max_steps, nodes, plan):
         target = parse_cycles(text)
         found = search_min_plan(target, rules, max_steps, node_budget=nodes)
         assert (found if found is None else [str(move) for move in found]) == plan
-        with pytest.raises(OracleBudgetError):
-            search_min_plan(target, rules, max_steps, node_budget=nodes - 1)
+        if nodes:
+            with pytest.raises(OracleBudgetError):
+                search_min_plan(target, rules, max_steps, node_budget=nodes - 1)
 
 
 def reference_move_catalog(
@@ -468,39 +507,18 @@ def reference_cayley_distance(r: tuple[int, ...]) -> int:
     return distance
 
 
-def reference_symmetries(r: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Every permutation c of 0..n-1 with c∘r = r∘c, written out: c maps the
-    cycles of r of each length onto one another in any order, each at any
-    offset, counting fixed points as 1-cycles."""
-    by_length: dict[int, list[list[int]]] = {}
-    seen: set[int] = set()
+def reference_seat_count(r: tuple[int, ...], first_outsider: int) -> int:
+    """n_R + r_R: the insiders r moves, plus r's cycles of insiders alone."""
+    cycles, seen = [], set()
     for i in range(len(r)):
-        if i not in seen:
+        if i not in seen and r[i] != i:
             cycle = [i]
             while r[cycle[-1]] != i:
                 cycle.append(r[cycle[-1]])
             seen.update(cycle)
-            by_length.setdefault(len(cycle), []).append(cycle)
-    per_length = [
-        [
-            [
-                (a, image[(j + shift) % length])
-                for cycle, image, shift in zip(cycles, order, shifts)
-                for j, a in enumerate(cycle)
-            ]
-            for order in itertools.permutations(cycles)
-            for shifts in itertools.product(range(length), repeat=len(cycles))
-        ]
-        for length, cycles in by_length.items()
-    ]
-    symmetries = []
-    for parts in itertools.product(*per_length):
-        c = list(range(len(r)))
-        for part in parts:
-            for a, b in part:
-                c[a] = b
-        symmetries.append(tuple(c))
-    return symmetries
+            cycles.append(cycle)
+    moved = [a for cycle in cycles for a in cycle if a < first_outsider]
+    return len(moved) + sum(all(a < first_outsider for a in cycle) for cycle in cycles)
 
 
 def reference_search_min_plan(
@@ -508,7 +526,6 @@ def reference_search_min_plan(
     rules: RuleSet,
     max_steps: int,
     node_budget: int = 10**8,
-    cut_root: bool = True,
     counted: list[int] | None = None,
 ) -> list[MachineMove] | None:
     """The reference search.  When given, counted[0] gets its node count,
@@ -531,22 +548,6 @@ def reference_search_min_plan(
     distinct = rules.require_distinct_supports
     identity = tuple(range(n))
     nodes = 0
-    position = {seats: k for k, (*_, seats) in enumerate(catalog)}
-    symmetries: list[tuple[int, ...]] = []
-    leaders: dict[int, bool] = {}
-
-    def leads(k: int) -> bool:
-        """Whether no conjugate of catalog move k comes before it."""
-        if k not in leaders:
-            if not symmetries:
-                symmetries.extend(reference_symmetries(start))
-            conjugates = []
-            for c in symmetries:
-                image = [c[s] for s in catalog[k][3]]
-                lead = image.index(min(image))
-                conjugates.append(position[tuple(image[lead:] + image[:lead])])
-            leaders[k] = min(conjugates) == k
-        return leaders[k]
 
     def dfs(
         r: tuple[int, ...],
@@ -563,6 +564,12 @@ def reference_search_min_plan(
             return False  # displacement bound
         if reference_cayley_distance(r) > (m - 1) * depth_left:
             return False  # Cayley bound
+        if (
+            rules.require_outsider_per_move
+            and depth_left >= 2
+            and reference_seat_count(r, len(insiders)) > (m - 1) * depth_left
+        ):
+            return False  # seat count
         for k, (sid, mask, act, seats) in enumerate(catalog):
             nodes += 1
             if nodes > node_budget:
@@ -571,8 +578,6 @@ def reference_search_min_plan(
                 continue
             if not mask & prev_mask and sid < prev_sid:
                 continue
-            if cut_root and not path and depth_left >= 3 and not leads(k):
-                continue  # a conjugate earlier in the catalog stands for it
             path.append(seats)
             if dfs(act(r), depth_left - 1, spent | 1 << sid, sid, mask, path):
                 return True
@@ -611,9 +616,7 @@ def search_outcome(search, target, rules, max_steps, node_budget):
 
 class TestSearchDifferential:
     """search_min_plan against the search that entered every child before
-    bounding it, tried the last move by a loop over the catalog, and cut
-    the root of each limit of 3 or more by comparing each move with its
-    conjugates under every symmetry of the target, written out.
+    bounding it and tried the last move by a loop over the catalog.
 
     The same plan, or a budget error from both, under every budget pins
     the node count as well as the plans.  A random budget seldom falls
@@ -666,67 +669,6 @@ class TestSearchDifferential:
         if need:
             with pytest.raises(OracleBudgetError):
                 search_min_plan(target, rules, max_steps, need - 1)
-
-
-class TestSymmetryCut:
-    """The root cut keeps every plan and verdict of the search without it."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        swaps=st.lists(st.lists(st.integers(1, 5), min_size=2, max_size=2, unique=True), max_size=6),
-        m=st.integers(2, 5),
-        d=st.integers(1, 3),
-        outsider_rule=st.booleans(),
-        distinct_rule=st.booleans(),
-        max_steps=st.integers(0, 6),
-        node_budget=st.integers(0, 3000),
-    )
-    def test_same_result_as_the_uncut_search(
-        self, swaps, m, d, outsider_rule, distinct_rule, max_steps, node_budget
-    ):
-        target = transposition_product(swaps)
-        rules = RuleSet(m, pool(d), outsider_rule, distinct_rule)
-        uncut = functools.partial(reference_search_min_plan, cut_root=False)
-        assert search_min_plan(target, rules, max_steps) == uncut(target, rules, max_steps)
-        want = search_outcome(uncut, target, rules, max_steps, node_budget)
-        if want != "budget exceeded":
-            assert search_min_plan(target, rules, max_steps, node_budget) == want
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        swaps=st.lists(st.lists(st.integers(1, 6), min_size=2, max_size=2, unique=True), max_size=6),
-        d=st.integers(0, 3),
-    )
-    def test_generators_commute_with_the_target_and_keep_the_pool(self, swaps, d):
-        target = transposition_product(swaps)
-        ground = sorted(target.support()) + list(pool(d))
-        n = len(ground)
-        sigma = [ground.index(target(e)) for e in ground]
-        start = tuple(ground.index(target.inverse()(e)) for e in ground)
-        outsiders = set(range(n - d, n))
-        for c in oracle._centralizer_generators(start):
-            assert sorted(c) == list(range(n))
-            assert [c[sigma[i]] for i in range(n)] == [sigma[c[i]] for i in range(n)]
-            assert {c[i] for i in outsiders} == outsiders
-
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), n=st.integers(0, 6))
-    def test_generators_and_written_out_symmetries_give_the_centralizer(self, data, n):
-        r = tuple(data.draw(st.permutations(range(n))))
-        commuting = {
-            c for c in itertools.permutations(range(n)) if all(c[r[i]] == r[c[i]] for i in range(n))
-        }
-        written = reference_symmetries(r)
-        assert len(written) == len(commuting) and set(written) == commuting
-        generators = oracle._centralizer_generators(r)
-        spanned, frontier = {tuple(range(n))}, [tuple(range(n))]
-        while frontier:
-            c = frontier.pop()
-            for g in generators:
-                if (product := tuple(g[i] for i in c)) not in spanned:
-                    spanned.add(product)
-                    frontier.append(product)
-        assert spanned == commuting
 
 
 # the bench's four solvers: name -> (machine size, solve)

@@ -2,8 +2,9 @@
 
 ``oracle_corpus.json`` holds one entry per target: every even
 non-identity permutation of {1..6} at m = 3, d = 1 with at most 6 steps,
-and every non-identity permutation of {1..4} at m = 2, d = 2 with at most
-8 steps.  Each entry keeps the plan the search returned as move strings,
+every non-identity permutation of {1..4} at m = 2, d = 2 with at most 8
+steps, of {1..5} at m = 2, d = 2 with at most 10 steps, and of {1..6} at
+m = 4, d = 1 with at most 4 steps.  Each entry keeps the plan the search returned as move strings,
 or null.  A faster search must prune only subtrees that hold no plan, so
 it finds the same first plan in the same order.  To recapture the fixture
 on purpose, and review its diff:
@@ -25,7 +26,9 @@ from conftest import permutation_from_images
 FIXTURE = Path(__file__).with_name("oracle_corpus.json")
 
 # (insiders, m, d, max_steps, even targets only)
-SPACES = ((6, 3, 1, 6, True), (4, 2, 2, 8, False))
+SPACES = (
+    (6, 3, 1, 6, True), (4, 2, 2, 8, False), (5, 2, 2, 10, False), (6, 4, 1, 4, False),
+)
 
 
 def corpus_cases():
@@ -56,7 +59,7 @@ def test_fixture_covers_the_corpus():
     assert [(e["target"], e["m"], e["d"], e["max_steps"]) for e in frozen] == list(
         corpus_cases()
     )
-    assert len(frozen) == 382
+    assert len(frozen) == 1220
 
 
 def test_search_returns_the_frozen_plans():
