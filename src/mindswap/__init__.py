@@ -1,7 +1,7 @@
 """Mind-swap machine inversion toolkit.
 
-Solvers for the 2-machine, general m-machines under the distinct-seat-set
-rule, the optimal 3-machine, a brute-force optimality oracle, and symbolic
+Solvers for the 2-machine and for every m-machine (m >= 3, optimal) under
+the distinct-seat-set rule, a brute-force optimality oracle, and symbolic
 algebra for the countably infinite machine.  Every solver returns a
 ``plandoc.PlanDocument``.
 """
@@ -18,7 +18,6 @@ from .perm import (
 from .moves import MachineMove, plan_product
 from .keeler import solve_two_machine
 from .machine import lower_bound, solve_m_machine
-from .optimal3 import solve_three_machine_optimal
 from .oracle import (
     OracleBudgetError,
     RuleSet,
@@ -43,7 +42,6 @@ __all__ = [
     "plan_product",
     "search_min_plan",
     "solve_m_machine",
-    "solve_three_machine_optimal",
     "solve_two_machine",
     "verify_plan",
 ]

@@ -1,4 +1,4 @@
-"""The m-machine solver (m >= 3): every plan has exactly lower_bound(sigma, m) moves.
+"""The m-machine solver (m >= 3): every plan has, and records, lower_bound(sigma, m) moves.
 
 Every move seats the hub outsider x1.  A *word* is a list of people other
 than x1, read as the transpositions (x1 l) in acting order.  A run W of w =
@@ -107,7 +107,7 @@ def _bound(n: int, r: int, m: int) -> int:
 
 
 def solve_m_machine(sigma: Permutation, m: int) -> PlanDocument:
-    """Invert sigma in exactly lower_bound(sigma, m) moves through the hub x1."""
+    """Invert sigma in lower_bound(sigma, m) moves through the hub x1, and record that bound."""
     insiders_only(sigma)
     if m < 3:
         raise ValueError("machine size must be at least 3")
@@ -154,4 +154,5 @@ def solve_m_machine(sigma: Permutation, m: int) -> PlanDocument:
         outsiders=tuple(outsider(i) for i in range(1, used + 2)),
         moves=tuple(MachineMove((*word[i * w : (i + 1) * w], x1)) for i in range(steps)),
         solver="general_m",
+        lower_bound=steps,
     )

@@ -41,9 +41,10 @@ class PlanDocument:
 
     ``target`` is canonical cycle text (``format_cycles`` output); it is
     only re-parsed by ``loads``, where text enters from outside.  Solvers
-    fill every field except ``lower_bound``, which only optimal3 sets.
-    The machine size and the pool are checked by ``RuleSet``; ``target``
-    and ``solver`` must be one line with no outer whitespace, as read back.
+    fill every field; ``lower_bound`` is set by the m >= 3 solvers, which
+    meet it, and left ``None`` by keeler2, which does not.  The machine
+    size and the pool are checked by ``RuleSet``; ``target`` and ``solver``
+    must be one line with no outer whitespace, as read back.
     """
 
     m: int

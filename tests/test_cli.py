@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from mindswap import cli, infinite
 from mindswap.cli import SOLVERS, main
 from mindswap.moves import plan_product
-from mindswap.optimal3 import lower_bound
+from mindswap.machine import lower_bound
 from mindswap.oracle import RuleSet, verify_plan
 from mindswap.perm import format_cycles, outsider, parse_cycles, parse_element
 from mindswap import plandoc
@@ -99,10 +99,10 @@ class TestSolverTable:
                     assert doc.m == m and doc.solver == name
                     assert doc.target == format_cycles(sigma)
                     assert verify_plan(sigma, list(doc.moves), RuleSet(m, doc.outsiders)).clean
-                    if name == "optimal3":
-                        assert doc.steps == doc.lower_bound == lower_bound(sigma)
-                    else:
+                    if name == "keeler2":
                         assert doc.lower_bound is None
+                    else:
+                        assert doc.steps == doc.lower_bound == lower_bound(sigma, m)
                 else:
                     argv = ["solve", "--target", format_cycles(sigma), "--m", str(m)]
                     code, out, err = run(capsys, *argv, "--solver", name)

@@ -69,6 +69,20 @@ moves:
   a1 a3 a2
 """
 
+GENERAL_M4_PLAN = """\
+mindswap-plan v1
+machine-size: 4
+target: (a1 a2 a3)(a4 a5 a6 a7)
+outsiders: x1
+solver: general_m
+steps: 3
+lower-bound: 3
+moves:
+  a1 a3 a4 x1
+  a5 x1 a7 a6
+  a1 x1 a4 a2
+"""
+
 UNKNOWN_OUTSIDER_PLAN = CLEAN_PLAN.replace("x1", "x2").replace("outsiders: x2", "outsiders: x1")
 
 # name -> (argv, stdin)
@@ -147,6 +161,10 @@ CASES: dict[str, tuple[list[str], str]] = {
     "verify-target-override": (
         ["verify", "--plan", "-", "--target", "(1 2)(3 5)"],
         CLEAN_PLAN,
+    ),
+    "verify-general_m-target-override": (
+        ["verify", "--plan", "-", "--target", "(1 2 3)"],
+        GENERAL_M4_PLAN,
     ),
     "verify-missing-header": (["verify", "--plan", "-"], "machine-size: 3\n"),
     "verify-missing-plan-file": (["verify", "--plan", "/nonexistent/plan.txt"], ""),

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -147,11 +148,9 @@ class TestBoundIsMetExactly:
 class TestIsGeneralMAtThree:
     def test_every_even_target_on_six_insiders(self):
         for sigma in even_permutations(6):
-            plan, general = solve_three_machine_optimal(sigma), solve_m_machine(sigma, 3)
-            assert (plan.target, plan.outsiders, plan.moves) == (
-                general.target, general.outsiders, general.moves
-            )
+            plan = solve_three_machine_optimal(sigma)
             assert plan.solver == "optimal3"
+            assert replace(plan, solver="general_m") == solve_m_machine(sigma, 3)
             assert plan.lower_bound == plan.steps == lower_bound(sigma)
 
     def test_odd_target_refused_alike(self):

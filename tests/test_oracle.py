@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mindswap import oracle
 from mindswap.keeler import solve_two_machine
-from mindswap.machine import solve_m_machine
+from mindswap.machine import lower_bound, solve_m_machine
 from mindswap.moves import MachineMove, plan_product
 from mindswap.optimal3 import solve_three_machine_optimal
 from mindswap.oracle import (
@@ -192,23 +192,33 @@ class TestSearchMinPlan:
         with pytest.raises(ValueError):
             search_min_plan(big, RuleSet(m=3, outsiders=pool(2)), 2)
 
-    def test_agrees_with_optimal3_construction(self):
-        # the search's minimum, with the solver's own pool, is the solver's length
-        for text, m in [
-            ("(1 2 3)", 3),
-            ("(1 2)(3 4)", 3),
-            ("(1 2 3 4 5)", 3),
-            ("(1 2)", 4),
-            ("(1 2)", 6),
-            ("(1 2 3 4)", 4),
-            ("(1 2 3 4)", 6),
-            ("(1 2)(3 4 5)", 6),
-            ("(1 2 3 4 5 6 7)", 5),
-        ]:
-            target = parse_cycles(text)
-            built = solve_three_machine_optimal(target) if m == 3 else solve_m_machine(target, m)
-            found = search_min_plan(target, RuleSet(m=m, outsiders=built.outsiders), built.steps)
-            assert found is not None and len(found) == built.steps
+    def test_certifies_every_claimed_bound(self):
+        # every m >= 3 document claims lower_bound(sigma, m); with the
+        # solver's own pool the search finds a plan of that length and
+        # refutes one move fewer, on every cycle type of 2-7 insiders
+        def cycle_types(n, largest):
+            if not n:
+                yield ()
+            for k in range(min(n, largest), 1, -1):
+                if n - k != 1:
+                    yield from ((k, *rest) for rest in cycle_types(n - k, k))
+
+        rows = 0
+        for lengths in (t for n in range(2, 8) for t in cycle_types(n, n)):
+            starts = itertools.accumulate(lengths, initial=1)
+            cycles = (" ".join(map(str, range(a, a + k))) for a, k in zip(starts, lengths))
+            target = parse_cycles("".join(f"({cycle})" for cycle in cycles))
+            for m in range(3, 7):
+                if m % 2 and target.parity():
+                    continue
+                built, bound = solve_m_machine(target, m), lower_bound(target, m)
+                assert built.steps == built.lower_bound == bound
+                rules = RuleSet(m=m, outsiders=built.outsiders)
+                found = search_min_plan(target, rules, bound)
+                assert found is not None and len(found) == bound
+                assert search_min_plan(target, rules, bound - 1) is None
+                rows += 1
+        assert rows == 42
 
     def test_empty_catalog_stops_after_limit_zero(self):
         # four ground elements seat no 5-machine move, so no limit above 0
