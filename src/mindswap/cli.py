@@ -53,8 +53,9 @@ def _verify(
     """Verify the document against target, print the report to out, and
     return whether it is clean.
 
-    A claimed lower bound must equal lower_bound(target, m); an odd target
-    on an odd machine has none to claim.
+    The moves' seats are judged by verify_plan alone.  A claimed lower
+    bound must equal lower_bound(target, m), whatever the plan's length;
+    an odd target on an odd machine has none to claim.
     """
     report = verify_plan(target, list(doc.moves), rules)
     violations = [f"index={index} kind={kind}" for index, kind in report.rule_violations]

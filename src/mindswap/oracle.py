@@ -210,13 +210,15 @@ def verify_plan(
     """Check seat counts, repeated seats, outsider usage, support
     distinctness and product.
 
-    All problems are reported with their move index; nothing raises.  Each
-    move's own kinds come in move order: seat-count, repeated-seat, then
-    missing-outsider or unknown-outsider.  The duplicate-support entries
-    follow.  A move that seats one element twice has no product, so a
-    plan holding one never has product_ok.  The product check compares
-    the chronological right-to-left plan product against the inverse of
-    the target.
+    All problems are reported with their move index; nothing raises.  A
+    move may be any seat tuple, as ``plandoc.loads`` reads it, so this is
+    where a document's wrong seat count or repeated seat is reported.
+    Each move's own kinds come in move order: seat-count, repeated-seat,
+    then missing-outsider or unknown-outsider.  The duplicate-support
+    entries follow.  A move that seats one element twice has no product,
+    so a plan holding one never has product_ok.  The product check
+    compares the chronological right-to-left plan product against the
+    inverse of the target.
 
     Each move is read once by the rules, into one frozenset that both the
     outsider rule and the distinct-support rule use.  Outsiders sort last:

@@ -13,17 +13,16 @@ A document is line-oriented with a fixed field order so diffs stay stable:
       a1 x1 a2
       a2 x1 a3
 
-Move lines list seats chronologically, one machine use per line, each with
-exactly machine-size seats.  A field other than those above, or one given
-twice, is an error.  Serialization normalizes in one pass: loading a
-canonical document and dumping it again is byte-identical.
+Move lines list seats chronologically, one machine use per line, and read
+back as written.  A field other than those above, or one given twice, is
+an error.  Serialization normalizes in one pass: loading a canonical
+document and dumping it again is byte-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .moves import MachineMove
 from .oracle import RuleSet
 from .perm import Element, ElementTokens, Permutation, _labels, _natural, _parse_cycles
 
@@ -41,16 +40,19 @@ class PlanDocument:
 
     ``target`` is canonical cycle text (``format_cycles`` output); it is
     only re-parsed by ``loads``, where text enters from outside.  Solvers
-    fill every field; ``lower_bound`` is set by the m >= 3 solvers, which
-    meet it, and left ``None`` by keeler2, which does not.  The machine
-    size and the pool are checked by ``RuleSet``; ``target`` and ``solver``
-    must be one line with no outer whitespace, as read back.
+    fill every field, with ``MachineMove``s as moves; ``loads`` gives each
+    move as its seat tuple as written.  ``lower_bound`` is set by the
+    m >= 3 solvers, which meet it, and left ``None`` by keeler2.  The
+    record refuses only what could not be checked or read back: a machine
+    size and pool that ``RuleSet`` refuses, a ``target`` or ``solver`` not
+    one line without outer whitespace, a negative bound and an empty move.
+    Seat counts, repeats and false bounds are the verifier's to report.
     """
 
     m: int
     target: str
     outsiders: tuple[Element, ...]
-    moves: tuple[MachineMove, ...]
+    moves: tuple[tuple[Element, ...], ...]
     solver: str | None = None
     lower_bound: int | None = None
 
@@ -62,17 +64,10 @@ class PlanDocument:
         for key, text in (("target", self.target), ("solver", self.solver or "")):
             if text != text.strip() or len(text.splitlines()) > 1:
                 raise PlanFormatError(f"{key} {text!r} is not one line without outer whitespace")
-        if self.lower_bound is not None and self.lower_bound > self.steps:
-            raise PlanFormatError(
-                f"lower bound {self.lower_bound} exceeds the plan's {self.steps} steps"
-            )
         if self.lower_bound is not None and self.lower_bound < 0:
             raise PlanFormatError(f"lower bound {self.lower_bound} is negative")
-        for move in self.moves:
-            if len(move) != self.m:
-                raise PlanFormatError(
-                    f"move {move} has {len(move)} seats, machine size is {self.m}"
-                )
+        if () in self.moves:
+            raise PlanFormatError(f"move {self.moves.index(())} has no seats")
 
     @property
     def steps(self) -> int:
@@ -135,9 +130,7 @@ def _read(text: str) -> tuple[PlanDocument, Permutation]:
         m = _number(fields, "machine-size")
         tokens = ElementTokens()
         outsiders = tuple(map(tokens.__getitem__, fields["outsiders"].split()))
-        moves = tuple(
-            MachineMove(map(tokens.__getitem__, line.split())) for line in body[cut + 1 :]
-        )
+        moves = tuple(tuple(map(tokens.__getitem__, line.split())) for line in body[cut + 1 :])
         target = _parse_cycles(fields["target"], tokens)
         doc = PlanDocument(
             m=m,

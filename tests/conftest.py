@@ -122,3 +122,28 @@ def reference_verify_plan(
             seen.add(support)
     product_ok = product(plan) == target.inverse()
     return VerificationReport(product_ok, violations, len(plan))
+
+
+RANK = {"seat-count": 0, "repeated-seat": 1}
+
+
+def expected_report(
+    target: Permutation, plan: list, rules: RuleSet
+) -> tuple[bool, list[tuple[int, str]], int]:
+    """(product_ok, rule_violations, step_count) that verify_plan must give.
+
+    They are reference_verify_plan's, except that a move seating one
+    element twice is reported as repeated-seat, after its seat-count and
+    before its outsider kind, and leaves product_ok false: the reference's
+    product of such a move raises or comes out as some other permutation.
+    """
+    repeated = [i for i, move in enumerate(plan) if len(set(move)) != len(move)]
+    if not repeated:
+        want = reference_verify_plan(target, plan, rules)
+        return want.product_ok, want.rule_violations, want.step_count
+    want = reference_verify_plan(target, plan, rules, product=lambda moves: None)
+    per_move = [v for v in want.rule_violations if v[1] != "duplicate-support"]
+    per_move += [(i, "repeated-seat") for i in repeated]
+    per_move.sort(key=lambda v: (v[0], RANK.get(v[1], 2)))
+    duplicates = [v for v in want.rule_violations if v[1] == "duplicate-support"]
+    return False, per_move + duplicates, len(plan)

@@ -11,13 +11,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from mindswap import cli, infinite
 from mindswap.cli import SOLVERS, main
-from mindswap.moves import plan_product
+from mindswap.moves import MachineMove, plan_product
 from mindswap.machine import lower_bound
 from mindswap.oracle import RuleSet, verify_plan
-from mindswap.perm import format_cycles, outsider, parse_cycles, parse_element
+from mindswap.perm import format_cycles, insider, outsider, parse_cycles, parse_element
 from mindswap import plandoc
 
-from conftest import permutation_from_images
+from conftest import expected_report, permutation_from_images
 
 
 def run(capsys, *argv):
@@ -191,9 +191,10 @@ class TestVerify:
         [
             ("optimal3", "(1 2 3)(4 5 6)", 1, None, "claimed=1 bound=4"),
             (None, "(1 2 3 4 5)", 4, None, "claimed=4 bound=3"),
+            (None, "(1 2 3 4 5)", 5, None, "claimed=5 bound=3"),
             ("optimal3", "(1 2 3)(4 5 6)", 4, "(1 2)(3 4 5)", "claimed=4 bound=none"),
         ],
-        ids=["below", "above", "odd-target"],
+        ids=["below", "above", "above-steps", "odd-target"],
     )
     def test_false_lower_bound_claim_fails(
         self, capsys, tmp_path, solver, target, claim, override, line
@@ -483,6 +484,27 @@ def mutated_documents(draw):
     return "\n".join(lines)
 
 
+@st.composite
+def drawn_documents(draw):
+    """A record whose moves hold 1..m+1 seats over a small alphabet, with
+    repeats, insiders, and outsiders in and out of the pool, and perhaps a
+    bound claim; with the target it names."""
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(0, 4))
+    target = permutation_from_images(list(draw(st.permutations(range(1, n + 1)))))
+    pool = tuple(outsider(i) for i in range(1, draw(st.integers(1, 2)) + 1))
+    alphabet = [insider(i) for i in range(1, 6)] + [outsider(i) for i in range(1, 4)]
+    move = st.lists(st.sampled_from(alphabet), min_size=1, max_size=m + 1).map(tuple)
+    doc = plandoc.PlanDocument(
+        m=m,
+        target=format_cycles(target),
+        outsiders=pool,
+        moves=tuple(draw(st.lists(move, max_size=6))),
+        lower_bound=draw(st.none() | st.integers(0, 8)),
+    )
+    return doc, target
+
+
 # (m, pool, message): each breaks the one pool rule that RuleSet owns
 POOL_RULE_CASES = [
     (1, "x1", "machine size must be at least 2, got 1"),
@@ -612,7 +634,6 @@ class TestPlanDocFormat:
         "field, message",
         [
             ("outsiders: x1 a1", "pool entry a1 is not an outsider"),
-            ("lower-bound: 5", "lower bound 5 exceeds the plan's 2 steps"),
             ("lower-bound: -3", "malformed lower-bound '-3'"),
             ("machine-size: 3", "repeated field 'machine-size'"),
             ("target: (a1 a2 a3)", "repeated field 'target'"),
@@ -624,9 +645,9 @@ class TestPlanDocFormat:
             (f"steps: {LONG_INDEX}", f"malformed steps '{LONG_INDEX}'"),
             (f"lower-bound: {LONG_INDEX}", f"malformed lower-bound '{LONG_INDEX}'"),
         ],
-        ids=["insider-in-pool", "lower-bound-above-steps", "negative-lower-bound", "repeated-size",
-             "repeated-target", "unknown-key", "non-ascii-size", "underscored-steps",
-             "signed-lower-bound", "long-size", "long-steps", "long-lower-bound"],
+        ids=["insider-in-pool", "negative-lower-bound", "repeated-size", "repeated-target",
+             "unknown-key", "non-ascii-size", "underscored-steps", "signed-lower-bound",
+             "long-size", "long-steps", "long-lower-bound"],
     )
     def test_strict_fields_rejected(self, field, message):
         key, _, value = field.partition(": ")
@@ -660,6 +681,7 @@ class TestPlanDocFormat:
         assert code in (0, 1, 2)
 
     def test_wrong_seat_count_rejected(self):
+        # the reader keeps the move as written; the verifier rejects it
         text = (
             "mindswap-plan v1\n"
             "machine-size: 3\n"
@@ -668,5 +690,33 @@ class TestPlanDocFormat:
             "moves:\n"
             "  a1 x1\n"
         )
-        with pytest.raises(plandoc.PlanFormatError):
-            plandoc.loads(text)
+        doc = plandoc.loads(text)
+        rules = RuleSet(doc.m, doc.outsiders)
+        report = verify_plan(parse_cycles(doc.target), list(doc.moves), rules)
+        assert (0, "seat-count") in report.rule_violations
+
+    def test_record_rejects_an_empty_move(self):
+        # dumps would write it as a blank line, which loads drops
+        with pytest.raises(plandoc.PlanFormatError, match="move 1 has no seats"):
+            plandoc.PlanDocument(
+                m=3, target="", outsiders=(outsider(1),), moves=((outsider(1),), ())
+            )
+        with pytest.raises(plandoc.PlanFormatError, match="move 0 has no seats"):
+            plandoc.PlanDocument(m=3, target="", outsiders=(outsider(1),), moves=((),))
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn_documents())
+    def test_loaded_moves_verify_as_drawn(self, case):
+        doc, target = case
+        refuse = mock.patch.object(
+            MachineMove, "__new__", side_effect=AssertionError("loads built a MachineMove")
+        )
+        with refuse:
+            loaded = plandoc.loads(plandoc.dumps(doc))
+        assert loaded == doc
+        for outsider_rule, distinct_rule in itertools.product((True, False), repeat=2):
+            rules = RuleSet(doc.m, doc.outsiders, outsider_rule, distinct_rule)
+            got = verify_plan(target, list(loaded.moves), rules)
+            assert (got.product_ok, got.rule_violations, got.step_count) == expected_report(
+                target, list(doc.moves), rules
+            )

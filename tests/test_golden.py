@@ -85,6 +85,11 @@ moves:
 
 UNKNOWN_OUTSIDER_PLAN = CLEAN_PLAN.replace("x1", "x2").replace("outsiders: x2", "outsiders: x1")
 
+# CLEAN_PLAN with one fault that only the verifier judges
+SEAT_COUNT_PLAN = CLEAN_PLAN.replace("  a1 a3 x1\n", "  a1 x1\n")
+REPEATED_SEAT_PLAN = CLEAN_PLAN.replace("  a1 a3 x1\n", "  a1 a3 a1\n")
+LOWER_BOUND_PLAN = CLEAN_PLAN.replace("steps: 4\n", "steps: 4\nlower-bound: 5\n")
+
 # name -> (argv, stdin)
 CASES: dict[str, tuple[list[str], str]] = {
     "solve-keeler2-transposition": (["solve", "--target", "(1 2)", "--m", "2"], ""),
@@ -166,6 +171,9 @@ CASES: dict[str, tuple[list[str], str]] = {
         ["verify", "--plan", "-", "--target", "(1 2 3)"],
         GENERAL_M4_PLAN,
     ),
+    "verify-seat-count": (["verify", "--plan", "-"], SEAT_COUNT_PLAN),
+    "verify-repeated-seat": (["verify", "--plan", "-"], REPEATED_SEAT_PLAN),
+    "verify-lower-bound-above-steps": (["verify", "--plan", "-"], LOWER_BOUND_PLAN),
     "verify-missing-header": (["verify", "--plan", "-"], "machine-size: 3\n"),
     "verify-missing-plan-file": (["verify", "--plan", "/nonexistent/plan.txt"], ""),
     "oracle-found": (["oracle", "--target", "(1 2)(3 4)", "--m", "3", "--d", "1"], ""),

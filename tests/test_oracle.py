@@ -19,7 +19,7 @@ from mindswap.oracle import (
 )
 from mindswap.perm import Permutation, insider, insiders_only, outsider, parse_cycles
 
-from conftest import permutation_from_images, reference_verify_plan
+from conftest import expected_report, permutation_from_images
 
 
 def pool(d):
@@ -733,17 +733,10 @@ def mutated_plans(draw):
     return target, plan, m, doc.outsiders
 
 
-RANK = {"seat-count": 0, "repeated-seat": 1}
-
-
 class TestVerifyDifferential:
     """verify_plan against the verifier that read each move once per rule and
-    built the product and the target's inverse as permutations.
-
-    The reports are equal, except that a move seating one element twice is
-    reported as repeated-seat, after its seat-count and before its outsider
-    kind, and leaves product_ok false: the reference's product of such a move
-    raises or comes out as some other permutation.
+    built the product and the target's inverse as permutations, through
+    conftest.expected_report.
     """
 
     @pytest.mark.parametrize(
@@ -755,23 +748,9 @@ class TestVerifyDifferential:
         target, plan, m, outsiders = case
         rules = RuleSet(m, outsiders, outsider_rule, distinct_rule)
         got = verify_plan(target, plan, rules)
-        repeated = [i for i, move in enumerate(plan) if len(set(move)) != len(move)]
-        if not repeated:
-            want = reference_verify_plan(target, plan, rules)
-            assert (got.product_ok, got.rule_violations, got.step_count) == (
-                want.product_ok,
-                want.rule_violations,
-                want.step_count,
-            )
-            return
-        want = reference_verify_plan(target, plan, rules, product=lambda moves: None)
-        per_move = [v for v in want.rule_violations if v[1] != "duplicate-support"]
-        per_move += [(i, "repeated-seat") for i in repeated]
-        per_move.sort(key=lambda v: (v[0], RANK.get(v[1], 2)))
-        duplicates = [v for v in want.rule_violations if v[1] == "duplicate-support"]
-        assert got.rule_violations == per_move + duplicates
-        assert not got.product_ok
-        assert got.step_count == len(plan)
+        assert (got.product_ok, got.rule_violations, got.step_count) == expected_report(
+            target, plan, rules
+        )
 
     def test_mutations_reach_every_verdict(self):
         # the strategy is not vacuous: clean plans, wrong products and each
