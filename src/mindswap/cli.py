@@ -5,6 +5,7 @@
     mindswap oracle   --target "(a1 a2)(a3 a4)" --m 3 --d 1
     mindswap infinite shift3 | finitary2 --sigma "(a1 a2)(a3 a4 a5)"
 
+The machine size picks the solver: keeler2 at m = 2, general_m at m >= 3.
 Plan documents go to stdout; summaries and diagnostics go to stderr.  Exit
 codes: 0 ok, 1 verification failed, 2 parse error, 3 unsolvable, 4 node
 budget exceeded.
@@ -19,7 +20,6 @@ from typing import TextIO
 from . import infinite, plandoc
 from .keeler import solve_two_machine
 from .machine import lower_bound, solve_m_machine
-from .optimal3 import solve_three_machine_optimal
 from .oracle import OracleBudgetError, RuleSet, _refuse_ground, search_min_plan, verify_plan
 from .perm import (
     ParseError,
@@ -57,7 +57,7 @@ def _verify(
     bound must equal lower_bound(target, m), whatever the plan's length;
     an odd target on an odd machine has none to claim.
     """
-    report = verify_plan(target, list(doc.moves), rules)
+    report = verify_plan(target, doc.moves, rules)
     violations = [f"index={index} kind={kind}" for index, kind in report.rule_violations]
     if doc.lower_bound is not None:
         try:
@@ -75,22 +75,12 @@ def _verify(
     return report.product_ok and not violations
 
 
-# name -> (accepts machine size m, solve(target, m)), in --solver choice order
-SOLVERS = {
-    "keeler2": (lambda m: m == 2, lambda target, m: solve_two_machine(target)),
-    "general_m": (lambda m: m >= 3, solve_m_machine),
-    "optimal3": (lambda m: m == 3, lambda target, m: solve_three_machine_optimal(target)),
-}
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
-    name = args.solver or ("keeler2" if args.m == 2 else "general_m")
-    accepts_m, solve = SOLVERS[name]
     try:
         target = _parse_target(args.target)
-        if not accepts_m(args.m):
-            return _fail(EXIT_PARSE, f"solver {name} is incompatible with machine size {args.m}")
-        doc = solve(target, args.m)
+        if args.m < 2:
+            return _fail(EXIT_PARSE, f"error: machine size must be at least 2, got {args.m}")
+        doc = solve_two_machine(target) if args.m == 2 else solve_m_machine(target, args.m)
     except ParseError as err:
         return _fail(EXIT_PARSE, f"parse error: {err}")
     except ValueError as err:
@@ -207,7 +197,6 @@ def main(argv: list[str] | None = None) -> int:
     p_solve = sub.add_parser("solve", help="solve a target and print a plan document")
     p_solve.add_argument("--target", required=True, help="cycle notation, e.g. '(a1 a2)(a3 a4)'")
     p_solve.add_argument("--m", type=int, required=True, help="machine size")
-    p_solve.add_argument("--solver", choices=list(SOLVERS))
     p_solve.set_defaults(func=_cmd_solve)
 
     p_verify = sub.add_parser("verify", help="check a plan document against the rules")

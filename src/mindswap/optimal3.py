@@ -1,7 +1,8 @@
 """The optimal 3-machine solver: ``machine.solve_m_machine`` at m = 3, recorded
 under solver "optimal3".  ``machine.lower_bound`` proves its (n + r) / 2 moves
-the fewest for n moved insiders in r cycles.  The module stays because
-``bench/workloads.py`` imports both of its names.
+the fewest for n moved insiders in r cycles.  No module in the package
+imports it: ``mindswap solve --m 3`` calls ``solve_m_machine`` itself.  The
+module stays because ``bench/workloads.py`` imports both of its names.
 """
 
 from __future__ import annotations

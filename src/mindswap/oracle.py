@@ -146,6 +146,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter, ne
 
@@ -205,7 +206,7 @@ class VerificationReport:
 
 
 def verify_plan(
-    target: Permutation, plan: list[MachineMove], rules: RuleSet
+    target: Permutation, plan: Sequence[tuple[Element, ...]], rules: RuleSet
 ) -> VerificationReport:
     """Check seat counts, repeated seats, outsider usage, support
     distinctness and product.

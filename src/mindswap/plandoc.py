@@ -6,7 +6,7 @@ A document is line-oriented with a fixed field order so diffs stay stable:
     machine-size: 3
     target: (a1 a2 a3)
     outsiders: x1
-    solver: optimal3          # optional
+    solver: general_m         # optional
     steps: 2
     lower-bound: 2            # optional
     moves:

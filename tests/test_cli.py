@@ -10,9 +10,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mindswap import cli, infinite
-from mindswap.cli import SOLVERS, main
+from mindswap.cli import main
+from mindswap.keeler import solve_two_machine
 from mindswap.moves import MachineMove, plan_product
-from mindswap.machine import lower_bound
+from mindswap.machine import lower_bound, solve_m_machine
+from mindswap.optimal3 import solve_three_machine_optimal
 from mindswap.oracle import RuleSet, verify_plan
 from mindswap.perm import format_cycles, insider, outsider, parse_cycles, parse_element
 from mindswap import plandoc
@@ -48,9 +50,7 @@ class TestSolve:
         assert "product-ok: true" in err
 
     def test_optimal3(self, capsys):
-        code, out, _ = run(
-            capsys, "solve", "--target", "(1 2 3)", "--m", "3", "--solver", "optimal3"
-        )
+        code, out, _ = run(capsys, "solve", "--target", "(1 2 3)", "--m", "3")
         assert code == 0
         doc = plandoc.loads(out)
         assert doc.steps == 2
@@ -72,10 +72,15 @@ class TestSolve:
         assert "unsolvable" in err
 
     def test_solver_size_mismatch(self, capsys):
-        code, _, _ = run(
-            capsys, "solve", "--target", "(1 2)", "--m", "4", "--solver", "keeler2"
-        )
-        assert code == 2
+        # the machine size picks the solver, so no solver can mismatch it
+        with pytest.raises(SystemExit) as caught:
+            main(["solve", "--target", "(1 2 3)", "--m", "3", "--solver", "general_m"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --solver general_m" in capsys.readouterr().err
+        code, out, err = run(capsys, "solve", "--target", "(1 2)", "--m", "0")
+        assert (code, out, err) == (2, "", "error: machine size must be at least 2, got 0\n")
+        code, _, err = run(capsys, "solve", "--target", "(1 2", "--m", "0")
+        assert code == 2 and err.startswith("parse error: ")
 
     def test_general_m_even(self, capsys):
         code, out, _ = run(capsys, "solve", "--target", "(1 2 3 4)", "--m", "4")
@@ -89,23 +94,26 @@ class TestSolverTable:
         permutation_from_images(list(images)) for images in itertools.permutations(range(1, 6))
     ]
 
-    @pytest.mark.parametrize("name", list(SOLVERS))
-    def test_every_small_target(self, capsys, name):
-        accepts_m, solve = SOLVERS[name]
-        for m in filter(accepts_m, range(2, 7)):
+    # solve picks its solver from the machine size: name -> the sizes it serves
+    @pytest.mark.parametrize(
+        "name, sizes", [("keeler2", [2]), ("general_m", range(3, 7))], ids=["keeler2", "general_m"]
+    )
+    def test_every_small_target(self, capsys, name, sizes):
+        for m in sizes:
             for sigma in self.PERMUTATIONS:
+                argv = ["solve", "--target", format_cycles(sigma), "--m", str(m)]
+                code, out, err = run(capsys, *argv)
                 if m % 2 == 0 or sigma.parity() == 0:
-                    doc = solve(sigma, m)
+                    assert code == 0
+                    doc = plandoc.loads(out)
                     assert doc.m == m and doc.solver == name
                     assert doc.target == format_cycles(sigma)
-                    assert verify_plan(sigma, list(doc.moves), RuleSet(m, doc.outsiders)).clean
+                    assert verify_plan(sigma, doc.moves, RuleSet(m, doc.outsiders)).clean
                     if name == "keeler2":
                         assert doc.lower_bound is None
                     else:
                         assert doc.steps == doc.lower_bound == lower_bound(sigma, m)
                 else:
-                    argv = ["solve", "--target", format_cycles(sigma), "--m", str(m)]
-                    code, out, err = run(capsys, *argv, "--solver", name)
                     assert (code, out) == (3, "")
                     assert err.startswith("unsolvable: ")
 
@@ -122,8 +130,7 @@ class TestVerify:
 
     def test_document_target_is_parsed_once(self, capsys, tmp_path):
         _, out, _ = run(
-            capsys, "solve", "--target", "(a1 a2 a3 a4 a5 a6 a7 a8 a9)", "--m", "3",
-            "--solver", "optimal3",
+            capsys, "solve", "--target", "(a1 a2 a3 a4 a5 a6 a7 a8 a9)", "--m", "3"
         )
         plan_file = tmp_path / "plan.txt"
         plan_file.write_text(out)
@@ -187,23 +194,21 @@ class TestVerify:
         assert "verdict: clean" in out
 
     @pytest.mark.parametrize(
-        "solver, target, claim, override, line",
+        "target, claim, override, line",
         [
-            ("optimal3", "(1 2 3)(4 5 6)", 1, None, "claimed=1 bound=4"),
-            (None, "(1 2 3 4 5)", 4, None, "claimed=4 bound=3"),
-            (None, "(1 2 3 4 5)", 5, None, "claimed=5 bound=3"),
-            ("optimal3", "(1 2 3)(4 5 6)", 4, "(1 2)(3 4 5)", "claimed=4 bound=none"),
+            ("(1 2 3)(4 5 6)", 1, None, "claimed=1 bound=4"),
+            (None, 4, None, "claimed=4 bound=3"),
+            (None, 5, None, "claimed=5 bound=3"),
+            ("(1 2 3)(4 5 6)", 4, "(1 2)(3 4 5)", "claimed=4 bound=none"),
         ],
         ids=["below", "above", "above-steps", "odd-target"],
     )
-    def test_false_lower_bound_claim_fails(
-        self, capsys, tmp_path, solver, target, claim, override, line
-    ):
-        if solver is None:
-            # a clean plan one move longer than the bound
+    def test_false_lower_bound_claim_fails(self, capsys, tmp_path, target, claim, override, line):
+        if target is None:
+            # a clean plan for (1 2 3 4 5), one move longer than the bound
             doc = plandoc.loads(FIVE_CYCLE_PLANS[3])
         else:
-            _, out, _ = run(capsys, "solve", "--target", target, "--m", "3", "--solver", solver)
+            _, out, _ = run(capsys, "solve", "--target", target, "--m", "3")
             doc = plandoc.loads(out)
         doc = dataclasses.replace(doc, lower_bound=claim)
         plan_file = tmp_path / "plan.txt"
@@ -447,11 +452,11 @@ class TestInfinite:
 
 
 BASE_DOCUMENTS = [
-    plandoc.dumps(solve(parse_cycles(target), m))
-    for solve, target, m in [
-        (SOLVERS["keeler2"][1], "(1 2)(3 4 5)", 2),
-        (SOLVERS["optimal3"][1], "(1 2 3)(4 5)(6 7)", 3),
-        (SOLVERS["general_m"][1], "(1 2)(3 4 5)", 4),
+    plandoc.dumps(doc)
+    for doc in [
+        solve_two_machine(parse_cycles("(1 2)(3 4 5)")),
+        solve_three_machine_optimal(parse_cycles("(1 2 3)(4 5)(6 7)")),
+        solve_m_machine(parse_cycles("(1 2)(3 4 5)"), 4),
     ]
 ]
 
@@ -513,7 +518,7 @@ POOL_RULE_CASES = [
 ]
 
 
-KEELER_DOC = SOLVERS["keeler2"][1](parse_cycles("(1 2)"), 2)
+KEELER_DOC = solve_two_machine(parse_cycles("(1 2)"))
 
 
 class TestPlanDocFormat:

@@ -93,24 +93,11 @@ LOWER_BOUND_PLAN = CLEAN_PLAN.replace("steps: 4\n", "steps: 4\nlower-bound: 5\n"
 # name -> (argv, stdin)
 CASES: dict[str, tuple[list[str], str]] = {
     "solve-keeler2-transposition": (["solve", "--target", "(1 2)", "--m", "2"], ""),
-    "solve-keeler2-two-cycles": (
-        ["solve", "--target", "(1 2 3)(4 5 6 7)", "--m", "2", "--solver", "keeler2"],
-        "",
-    ),
-    "solve-optimal3-three-cycle": (
-        ["solve", "--target", "(1 2 3)", "--m", "3", "--solver", "optimal3"],
-        "",
-    ),
-    "solve-optimal3-even-pair": (
-        ["solve", "--target", "(1 2)(3 4)", "--m", "3", "--solver", "optimal3"],
-        "",
-    ),
+    "solve-keeler2-two-cycles": (["solve", "--target", "(1 2 3)(4 5 6 7)", "--m", "2"], ""),
+    "solve-general_m-m3-three-cycle": (["solve", "--target", "(1 2 3)", "--m", "3"], ""),
     "solve-general_m-m3": (["solve", "--target", "(1 2)(3 4)", "--m", "3"], ""),
     "solve-general_m-m4": (["solve", "--target", "(1 2 3)(4 5 6 7)", "--m", "4"], ""),
-    "solve-general_m-m5": (
-        ["solve", "--target", "(1 2 3)", "--m", "5", "--solver", "general_m"],
-        "",
-    ),
+    "solve-general_m-m5": (["solve", "--target", "(1 2 3)", "--m", "5"], ""),
     "solve-general_m-empty-target": (["solve", "--target", "", "--m", "4"], ""),
     "solve-general_m-m5-odd-chain-and-even-pair": (
         ["solve", "--target", "(1 2 3 4 5 6 7)(8 9 10 11)(12 13)", "--m", "5"],
@@ -137,16 +124,8 @@ CASES: dict[str, tuple[list[str], str]] = {
         ["solve", "--target", "(1 2 3 4 5)(6 7)(8 9 10)", "--m", "2"],
         "",
     ),
-    "solve-optimal3-odd-target": (
-        ["solve", "--target", "(1 2)", "--m", "3", "--solver", "optimal3"],
-        "",
-    ),
     "solve-general_m-odd-target": (["solve", "--target", "(1 2)", "--m", "3"], ""),
     "solve-outsider-in-target": (["solve", "--target", "(a1 x1)", "--m", "2"], ""),
-    "solve-keeler2-wrong-size": (
-        ["solve", "--target", "(1 2)", "--m", "4", "--solver", "keeler2"],
-        "",
-    ),
     "solve-machine-size-1": (["solve", "--target", "(1 2)", "--m", "1"], ""),
     "solve-general_m-machine-size-above-cap": (
         ["solve", "--target", "(1 2)", "--m", "1000000000"],

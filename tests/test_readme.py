@@ -1,5 +1,6 @@
-"""README.md stays true: its library example runs, every backticked
-``module.name`` it mentions resolves, and its export list is ``__all__``."""
+"""README.md stays true: its library example and its CLI commands run,
+every backticked ``module.name`` it mentions resolves, and its export list
+is ``__all__``."""
 
 from __future__ import annotations
 
@@ -8,9 +9,11 @@ import importlib
 import io
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import mindswap
+from mindswap import cli
 
 README = (Path(__file__).parent.parent / "README.md").read_text()
 MODULES = {info.name for info in pkgutil.iter_modules(mindswap.__path__)}
@@ -23,6 +26,16 @@ def test_library_example_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(code, "README.md", "exec"), {})
     assert out.getvalue().startswith("mindswap-plan v1\n")
+
+
+def test_cli_block_commands_run():
+    # verify needs a saved plan file, so only the self-contained commands run
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", README, re.S).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv[1:] for argv in commands if argv[1] in ("solve", "oracle", "infinite")]
+    assert commands
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
 
 
 def test_module_references_resolve():
