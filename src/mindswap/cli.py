@@ -6,6 +6,8 @@
     mindswap infinite shift3 | finitary2 --sigma "(a1 a2)(a3 a4 a5)"
 
 The machine size picks the solver: keeler2 at m = 2, general_m at m >= 3.
+``solve --target -`` reads the target's cycle text from stdin, as
+``verify --plan -`` reads the plan, for targets too long for one argument.
 Plan documents go to stdout; summaries and diagnostics go to stderr.  Exit
 codes: 0 ok, 1 verification failed, 2 parse error, 3 unsolvable, 4 node
 budget exceeded.
@@ -77,7 +79,11 @@ def _verify(
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     try:
-        target = _parse_target(args.target)
+        text = sys.stdin.read() if args.target == "-" else args.target
+    except (OSError, ValueError) as err:
+        return _fail(EXIT_PARSE, f"parse error: {err}")
+    try:
+        target = _parse_target(text)
         if args.m < 2:
             return _fail(EXIT_PARSE, f"error: machine size must be at least 2, got {args.m}")
         doc = solve_two_machine(target) if args.m == 2 else solve_m_machine(target, args.m)
@@ -97,7 +103,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             with open(args.plan) as f:
                 text = f.read()
-        doc, target = plandoc._read(text)
+        doc, target = plandoc.read(text)
         target = insiders_only(target) if args.target is None else _parse_target(args.target)
         rules = RuleSet(
             m=doc.m,
@@ -195,7 +201,9 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve a target and print a plan document")
-    p_solve.add_argument("--target", required=True, help="cycle notation, e.g. '(a1 a2)(a3 a4)'")
+    p_solve.add_argument(
+        "--target", required=True, help="cycle notation, e.g. '(a1 a2)(a3 a4)', or - for stdin"
+    )
     p_solve.add_argument("--m", type=int, required=True, help="machine size")
     p_solve.set_defaults(func=_cmd_solve)
 

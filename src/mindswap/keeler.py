@@ -9,32 +9,30 @@ per-cycle gadget for a k-cycle (a1 ... ak) is, in written order,
 
 whose product composed with the cycle collapses to the single swap (x y).
 Chaining the gadgets over all disjoint cycles and prepending one (x y)
-when the cycle count is odd yields the inverse.
+when the cycle count is odd yields the inverse.  Insiders sort before
+outsiders, so each move is written least seat first, as (a x), as a plain
+tuple: every move is legal by construction.
 """
 
 from __future__ import annotations
 
-from .moves import MachineMove
 from .perm import Cycle, Element, Permutation, format_cycles, insiders_only, outsider
 from .plandoc import PlanDocument
 
 
-def cycle_gadget(cycle: Cycle, x: Element, y: Element) -> list[MachineMove]:
-    """The full per-cycle gadget, in written order.
+def cycle_gadget(cycle: Cycle, x: Element, y: Element) -> list[tuple[Element, ...]]:
+    """The full per-cycle gadget of an insider cycle, in written order.
 
     The sweep (x a2)...(x ak) comes first; the written product of the
     result, composed with the cycle itself, equals the transposition (x y).
+    Each move is written least seat first, so its insider leads.
     """
     if len(cycle) < 2:
         raise ValueError("cycle length must be at least 2")
-    if x == y or x in cycle or y in cycle:
-        raise ValueError("the two outsiders must differ and lie outside the cycle")
+    if x == y or not (x.is_outsider and y.is_outsider) or max(cycle).is_outsider:
+        raise ValueError("x and y must be two different outsiders, and the cycle insiders only")
     a1, a2 = cycle[0], cycle[1]
-    return [MachineMove((x, a)) for a in cycle[1:]] + [
-        MachineMove((y, a1)),
-        MachineMove((y, a2)),
-        MachineMove((x, a1)),
-    ]
+    return [(a, x) for a in cycle[1:]] + [(a1, y), (a2, y), (a1, x)]
 
 
 def solve_two_machine(sigma: Permutation) -> PlanDocument:
@@ -50,7 +48,7 @@ def solve_two_machine(sigma: Permutation) -> PlanDocument:
     cycles = sigma.cycles
     moves = [mv for cycle in cycles for mv in reversed(cycle_gadget(cycle, x, y))]  # acting order
     if len(cycles) % 2 == 1:
-        moves.append(MachineMove((x, y)))
+        moves.append((x, y))
     return PlanDocument(
         m=2,
         target=format_cycles(sigma),

@@ -58,7 +58,7 @@ odd m and 3(m/2 - 1) for even m, the latter for (1 2) in case C.
 
 from __future__ import annotations
 
-from .moves import MachineMove
+from .moves import least_first
 from .perm import Permutation, format_cycles, insiders_only, outsider
 from .plandoc import PlanDocument
 
@@ -113,6 +113,7 @@ def solve_m_machine(sigma: Permutation, m: int) -> PlanDocument:
         raise ValueError("machine size must be at least 3")
     if m > MACHINE_CAP:
         raise ValueError(f"machine size {m} is above the cap of {MACHINE_CAP}")
+    target = format_cycles(sigma)  # reads sigma.cycles, which the inverse takes over reversed
     cycles = sigma.inverse().cycles
     n, r, w = sum(map(len, cycles)), len(cycles), m - 1
     steps = _bound(n, r, m)
@@ -150,9 +151,9 @@ def solve_m_machine(sigma: Permutation, m: int) -> PlanDocument:
     x1 = outsider(1)
     return PlanDocument(
         m=m,
-        target=format_cycles(sigma),
+        target=target,
         outsiders=tuple(outsider(i) for i in range(1, used + 2)),
-        moves=tuple(MachineMove((*word[i * w : (i + 1) * w], x1)) for i in range(steps)),
+        moves=tuple(least_first((*word[i * w : (i + 1) * w], x1)) for i in range(steps)),
         solver="general_m",
         lower_bound=steps,
     )

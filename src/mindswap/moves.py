@@ -1,7 +1,9 @@
 """Machine moves and plan products.
 
 A machine move is one use of an m-machine, and it is the tuple of the m
-people cycled together, least seat first.  A plan is a chronological list
+people cycled together, least seat first.  The solvers and the oracle emit
+plain tuples that are legal by construction; MachineMove is the checked
+constructor for moves from anywhere else.  A plan is a chronological list
 of moves (first machine use first); its product is the right-to-left
 composition of the induced cycles, so the last move is the leftmost factor.
 """
@@ -11,6 +13,12 @@ from __future__ import annotations
 from typing import Iterable
 
 from .perm import Element, Permutation, _compose_cycles
+
+
+def least_first(seats: tuple[Element, ...]) -> tuple[Element, ...]:
+    """seats rotated so the least leads: the same cycle, in the one written form."""
+    lead = seats.index(min(seats))
+    return seats[lead:] + seats[:lead] if lead else seats
 
 
 def _repeated_seat(move: tuple[Element, ...]) -> ValueError:
@@ -32,8 +40,7 @@ class MachineMove(tuple):
             raise ValueError("a machine move needs at least 2 seats")
         if len(set(seats)) != len(seats):
             raise _repeated_seat(seats)
-        lead = seats.index(min(seats))
-        return tuple.__new__(cls, seats[lead:] + seats[:lead] if lead else seats)
+        return tuple.__new__(cls, least_first(seats))
 
     def __str__(self) -> str:
         return "(" + " ".join(map(str, self)) + ")"
@@ -42,7 +49,7 @@ class MachineMove(tuple):
         return f"MachineMove{self}"
 
 
-def plan_product(moves: Iterable[MachineMove]) -> Permutation:
+def plan_product(moves: Iterable[tuple[Element, ...]]) -> Permutation:
     """Product of a chronological plan: later moves compose on the left.
 
     Raises ValueError for a move that seats one element twice, which has

@@ -29,7 +29,9 @@ m, the outsider rule and, under that rule, the first outsider's index, so
 it is built once per such key and cached; searches share it and never
 change it.  The cache holds at most CATALOG_CAP moves in all, and is
 emptied before a catalog that would not fit beside it is built.
-MachineMove objects are built only for the plan that is returned.
+Elements are looked up only for the plan that is returned: each move's
+seats map through the ground set to a plain tuple, least seat first,
+since an ordering leads with its least index.
 
 Nodes.  The search counts one node per catalog move it tries, at every
 position that passed the bounds below; a pruned position and a skipped
@@ -150,7 +152,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter, ne
 
-from .moves import MachineMove
 from .perm import OUTSIDER, Element, Permutation, _compose_cycles, insiders_only
 
 CATALOG_CAP = 100_000
@@ -364,14 +365,15 @@ def search_min_plan(
     rules: RuleSet,
     max_steps: int,
     node_budget: int = 10**8,
-) -> list[MachineMove] | None:
+) -> list[tuple[Element, ...]] | None:
     """Exhaustive shortest plan inverting the target, or None within max_steps.
 
     The ground set is support(target) plus the rule outsiders.  Iterative
     deepening guarantees that a returned plan is minimal and that smaller
-    lengths were fully refuted.  Deterministic for fixed inputs.  An odd
-    target on an odd machine is unreachable at any length and returns None
-    without searching.
+    lengths were fully refuted.  Deterministic for fixed inputs.  Each move
+    is a plain seat tuple, least seat first.  An odd target on an odd
+    machine is unreachable at any length and returns None without
+    searching.
     """
     insiders_only(target)
     if max_steps < 0:
@@ -469,5 +471,5 @@ def search_min_plan(
             continue  # the seat count, with two or more moves left
         path: list[tuple[int, ...]] = []
         if limit == 0 or dfs(start, limit, 0, -1, 0, path):
-            return [MachineMove(ground[i] for i in seats) for seats in path]
+            return [tuple(map(ground.__getitem__, seats)) for seats in path]
     return None

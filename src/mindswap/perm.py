@@ -7,7 +7,7 @@ equality and order (kind, then numeric index) are the tuple's, so they run
 in C, and it equals the plain tuple ``(kind, index)``.  The index is a
 positive ``int``, never a ``bool``.  A :class:`Permutation` is stored as its
 image map, fixed points dropped; its canonical disjoint cycles are derived
-on demand, each led by its minimal element and sorted by leader.
+on first use and kept, each led by its minimal element and sorted by leader.
 
 Composition is right-to-left everywhere in this package: ``(p * q)(e) ==
 p(q(e))``, so in a written product of cycles the rightmost factor acts
@@ -112,13 +112,14 @@ Cycle = tuple[Element, ...]
 class Permutation:
     """A finite-support bijection stored as its image map, fixed points dropped."""
 
-    __slots__ = ("_map",)
+    __slots__ = ("_map", "_cycles")
 
     def __init__(self, mapping: dict[Element, Element] | None = None):
         cleaned = {e: v for e, v in (mapping or {}).items() if e != v}
         if set(cleaned.values()) != set(cleaned.keys()):
             raise ValueError("mapping is not a finite-support bijection")
         self._map = cleaned
+        self._cycles: tuple[Cycle, ...] | None = None
 
     @classmethod
     def identity(cls) -> "Permutation":
@@ -137,7 +138,11 @@ class Permutation:
 
         The ascending scan meets each cycle first at its least element, so
         every cycle leads with its minimum and the leaders come out sorted.
+        The result is kept, so the scan runs once per permutation, and
+        inverse() hands it on reversed: the inverse's cycles cost no scan.
         """
+        if self._cycles is not None:
+            return self._cycles
         cycles = []
         seen: set[Element] = set()
         for start in sorted(self._map):
@@ -151,7 +156,8 @@ class Permutation:
                 seen.add(cur)
                 cur = self._map[cur]
             cycles.append(tuple(cycle))
-        return tuple(cycles)
+        self._cycles = tuple(cycles)
+        return self._cycles
 
     def apply(self, e: Element) -> Element:
         return self._map.get(e, e)
@@ -168,7 +174,12 @@ class Permutation:
         return _compose_cycles(other.cycles + self.cycles)
 
     def inverse(self) -> "Permutation":
-        return _trusted({v: k for k, v in self._map.items()})
+        """The inverse, with self's cycles reversed when self holds them: a
+        reversed cycle keeps its least element in front, so still leads with it."""
+        cycles = self._cycles
+        if cycles is not None:
+            cycles = tuple([(c[0],) + c[:0:-1] for c in cycles])
+        return _trusted({v: k for k, v in self._map.items()}, cycles)
 
     def parity(self) -> int:
         """0 for even, 1 for odd; a k-cycle contributes k - 1 transpositions."""
@@ -195,11 +206,15 @@ class Permutation:
         return f"Permutation({self})"
 
 
-def _trusted(images: dict[Element, Element]) -> Permutation:
+def _trusted(
+    images: dict[Element, Element], cycles: tuple[Cycle, ...] | None = None
+) -> Permutation:
     """The permutation with these images, unchecked: the caller guarantees
-    a bijection with no fixed points, which Permutation() would verify."""
+    a bijection with no fixed points, which Permutation() would verify, and
+    that cycles, when given, are its canonical cycles."""
     p = Permutation.__new__(Permutation)
     p._map = images
+    p._cycles = cycles
     return p
 
 
@@ -228,7 +243,9 @@ def parse_cycles(text: str) -> Permutation:
 
     The text is read one cycle at a time.  ``str.split`` and the regex
     whitespace class share one rule, so a cycle splits into the tokens that
-    _TOKEN finds in it.
+    _TOKEN finds in it.  When no element appears twice in the whole text,
+    as in canonical text, the cycles are disjoint, so they commute and
+    their product is their union: that is built directly, without the fold.
     """
     return _parse_cycles(text, ElementTokens())
 
@@ -243,6 +260,16 @@ def _parse_cycles(text: str, tokens: ElementTokens) -> Permutation:
         groups.append(list(map(read, found[1].split())))
         pos = found.end()
     _raise_first_problem(text[pos:])
+    images: dict[Element, Element] = {}
+    written = 0
+    for group in groups:
+        written += len(group)
+        images.update(zip(group, group[1:] + group[:1]))
+    if len(images) == written:  # every element differs: the cycles are disjoint
+        for group in groups:
+            if len(group) == 1:
+                del images[group[0]]  # a 1-cycle is a fixed point
+        return _trusted(images)
     for group in groups:
         if len(set(group)) != len(group):
             raise ParseError(f"repeated element within cycle ({_labels(group)})")

@@ -40,12 +40,13 @@ class PlanDocument:
 
     ``target`` is canonical cycle text (``format_cycles`` output); it is
     only re-parsed by ``loads``, where text enters from outside.  Solvers
-    fill every field, with ``MachineMove``s as moves; ``loads`` gives each
-    move as its seat tuple as written.  ``lower_bound`` is set by the
-    m >= 3 solvers, which meet it, and left ``None`` by keeler2.  The
-    record refuses only what could not be checked or read back: a machine
-    size and pool that ``RuleSet`` refuses, a ``target`` or ``solver`` not
-    one line without outer whitespace, a negative bound and an empty move.
+    fill every field, with each move a plain seat tuple, least seat first;
+    ``loads`` gives each move as its seat tuple as written.  ``lower_bound``
+    is set by the m >= 3 solvers, which meet it, and left ``None`` by
+    keeler2.  The record refuses only what could not be checked or read
+    back: a machine size and pool that ``RuleSet`` refuses, a ``target`` or
+    ``solver`` not one line without outer whitespace, a negative bound and
+    an empty move.
     Seat counts, repeats and false bounds are the verifier's to report.
     """
 
@@ -100,11 +101,12 @@ def _number(fields: dict[str, str], key: str) -> int:
 
 
 def loads(text: str) -> PlanDocument:
-    return _read(text)[0]
+    return read(text)[0]
 
 
-def _read(text: str) -> tuple[PlanDocument, Permutation]:
-    """The document in text, and the permutation its target field parsed to."""
+def read(text: str) -> tuple[PlanDocument, Permutation]:
+    """The document in text, and the permutation its target field parsed to,
+    so that a caller who needs both parses the target once."""
     lines = [line.rstrip() for line in text.splitlines() if line.strip()]
     if not lines or lines[0].strip() != HEADER:
         raise PlanFormatError(f"missing header line {HEADER!r}")

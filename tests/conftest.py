@@ -30,6 +30,11 @@ def random_cycle(rng: random.Random, k: int, universe: int) -> tuple:
     return tuple(insider(i) for i in picks)
 
 
+def move_text(move: Sequence[Element]) -> str:
+    """A move's seats as written, "(a1 x1)": the text MachineMove's str gives."""
+    return "(" + " ".join(map(str, move)) + ")"
+
+
 def duplicate_supports(moves) -> list[int]:
     """Indices of moves that verify_plan flags as duplicate-support.
 

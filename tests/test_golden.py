@@ -132,6 +132,10 @@ CASES: dict[str, tuple[list[str], str]] = {
         "",
     ),
     "solve-parse-error": (["solve", "--target", "(1 2", "--m", "2"], ""),
+    "solve-target-stdin": (["solve", "--target", "-", "--m", "3"], "(1 2 3)(4 5 6)\n"),
+    "solve-target-stdin-keeler2": (["solve", "--target", "-", "--m", "2"], " (3 1)\n(2 4)\n"),
+    "solve-target-empty-stdin": (["solve", "--target", "-", "--m", "4"], ""),
+    "solve-target-stdin-parse-error": (["solve", "--target", "-", "--m", "3"], "(1 2\n"),
     "verify-clean": (["verify", "--plan", "-"], CLEAN_PLAN),
     "verify-dropped-move": (["verify", "--plan", "-"], DROPPED_MOVE_PLAN),
     "verify-repeated-move": (["verify", "--plan", "-"], REPEATED_MOVE_PLAN),

@@ -19,7 +19,7 @@ from mindswap.oracle import (
 )
 from mindswap.perm import Permutation, insider, insiders_only, outsider, parse_cycles
 
-from conftest import expected_report, permutation_from_images
+from conftest import expected_report, move_text, permutation_from_images
 
 
 def pool(d):
@@ -477,7 +477,7 @@ class TestBudgetEdges:
     def test_exact_budget(self, text, rules, max_steps, nodes, plan):
         target = parse_cycles(text)
         found = search_min_plan(target, rules, max_steps, node_budget=nodes)
-        assert (found if found is None else [str(move) for move in found]) == plan
+        assert (found if found is None else [move_text(move) for move in found]) == plan
         if nodes:
             with pytest.raises(OracleBudgetError):
                 search_min_plan(target, rules, max_steps, node_budget=nodes - 1)

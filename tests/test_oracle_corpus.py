@@ -21,7 +21,7 @@ from pathlib import Path
 from mindswap.oracle import RuleSet, search_min_plan
 from mindswap.perm import format_cycles, outsider, parse_cycles
 
-from conftest import permutation_from_images
+from conftest import move_text, permutation_from_images
 
 FIXTURE = Path(__file__).with_name("oracle_corpus.json")
 
@@ -43,7 +43,7 @@ def corpus_cases():
 def search(text: str, m: int, d: int, max_steps: int) -> list[str] | None:
     rules = RuleSet(m=m, outsiders=tuple(outsider(i) for i in range(1, d + 1)))
     plan = search_min_plan(parse_cycles(text), rules, max_steps)
-    return None if plan is None else [str(move) for move in plan]
+    return None if plan is None else [move_text(move) for move in plan]
 
 
 def capture() -> list[dict]:

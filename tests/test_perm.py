@@ -1,3 +1,4 @@
+import builtins
 import copy
 import pickle
 import sys
@@ -8,7 +9,7 @@ from hypothesis import example, given, strategies as st
 from mindswap import cli, perm, plandoc
 from mindswap.infinite import finitary_extension, invert_finitary_two_step
 from mindswap.keeler import solve_two_machine
-from mindswap.machine import solve_m_machine
+from mindswap.machine import lower_bound, solve_m_machine
 from mindswap.moves import MachineMove, plan_product
 from mindswap.optimal3 import solve_three_machine_optimal
 from mindswap.oracle import RuleSet, search_min_plan
@@ -656,3 +657,141 @@ class TestTrustedBuilds:
         assert type(element) is Element
         assert element == Element(kind or INSIDER, int(digits))
         assert repr(element) == repr(Element(kind or INSIDER, int(digits)))
+
+
+def fold_parse_cycles(text: str) -> Permutation:
+    """The reader before its disjoint path: every text checked per cycle for
+    repeats, then folded through _compose_cycles."""
+    tokens = perm.ElementTokens()
+    groups = []
+    pos = 0
+    while found := perm._CYCLE.match(text, pos):
+        groups.append([tokens[token] for token in found[1].split()])
+        pos = found.end()
+    perm._raise_first_problem(text[pos:])
+    for group in groups:
+        if len(set(group)) != len(group):
+            raise ParseError(f"repeated element within cycle ({perm._labels(group)})")
+    return _compose_cycles(reversed(groups))
+
+
+# tokens that name few elements, some of them in two spellings, so repeats are common
+FOLD_TOKENS = ["1", "a1", "2", "a3", "3", "a4", "x1", "x2"]
+FOLD_JUNK = ["", " ", "(", ")", "(1 2", "(a0)", "a2", "((1))", "(b1)", "(1 1)"]
+
+
+class TestDisjointParseDifferential:
+    """parse_cycles's union of disjoint cycles against the fold it skips."""
+
+    @given(
+        st.lists(st.lists(st.sampled_from(FOLD_TOKENS), max_size=4), max_size=5),
+        st.sampled_from(FOLD_JUNK),
+        st.sampled_from(["", " ", "\n"]),
+    )
+    @example([["1", "2"], ["a1", "a3"]], "", "")  # one element, two tokens, two cycles
+    @example([["a4"]], "", "")
+    @example([["a4"], ["1", "2"]], "", " ")
+    @example([["a4"], ["a4"]], "", "")
+    @example([["a4"], ["a4", "1"]], "", "")
+    @example([["1", "a1"]], "", "")
+    @example([["1", "2"], ["a1", "a1"]], "", "")
+    @example([["1", "2"]], "(1 2", "")
+    @example([["1", "1"]], "(a0)", "")
+    def test_same_permutation_or_same_error(self, groups, junk, gap):
+        text = gap.join("(" + " ".join(g) + ")" for g in groups) + junk
+        expected = parse_outcome(fold_parse_cycles, text)
+        actual = parse_outcome(parse_cycles, text)
+        if isinstance(actual, Permutation):  # checked first: a non-bijection has no cycles
+            assert actual._map == Permutation(actual._map)._map  # a bijection, no fixed points
+        assert actual == expected
+
+    def test_one_element_in_two_spellings_is_folded(self):
+        p = parse_cycles("(1 2)(a1 a3)")
+        assert p == cyc(1, 3, 2)
+        assert p.cycles == ((insider(1), insider(3), insider(2)),)
+
+    def test_one_cycles_are_dropped(self):
+        assert parse_cycles("(a4)").is_identity()
+        assert parse_cycles("(a4)(1 2)(x1)")._map == cyc(1, 2)._map
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("(1 2)(a1 a1)", "repeated element within cycle (a1 a1)"),
+            ("(1 1)(1 2", "unbalanced '(' in cycle notation"),
+            ("(1 a1)(a0)", "malformed element token 'a0'"),
+            ("(1 2)(2 1 a2)", "repeated element within cycle (a2 a1 a2)"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        assert parse_outcome(parse_cycles, text) == message
+        assert parse_outcome(fold_parse_cycles, text) == message
+
+
+class TestCycleCache:
+    """Cycles are computed once per permutation and handed to its inverse."""
+
+    @given(st.permutations(range(1, 9)), st.booleans())
+    def test_cycles_are_kept_and_inverted(self, images, read_first):
+        p = permutation_from_images(list(images))
+        if read_first:
+            assert p.cycles is p.cycles
+        inverse = p.inverse()
+        fresh = Permutation({v: k for k, v in p._map.items()})
+        assert inverse.cycles == fresh.cycles
+        assert inverse.cycles is inverse.cycles
+        assert inverse.inverse().cycles == p.cycles
+        assert format_cycles(inverse) == format_cycles(fresh)
+
+    def test_inverse_takes_over_held_cycles(self, monkeypatch):
+        p = parse_cycles("(a1 a5 a2)(a3 a4)(a6 a9 a8 a7)")
+        assert p.cycles == ((insider(1), insider(5), insider(2)), (insider(3), insider(4)),
+                            (insider(6), insider(9), insider(8), insider(7)))
+        # a second scan would sort the support again
+        monkeypatch.setattr(perm, "sorted", lambda _: pytest.fail("cycles sorted twice"),
+                            raising=False)
+        assert p.inverse().cycles == ((insider(1), insider(2), insider(5)),
+                                      (insider(3), insider(4)),
+                                      (insider(6), insider(7), insider(8), insider(9)))
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_solve_and_its_check_sort_once(self, m, monkeypatch):
+        """A solver, the document's target text and the CLI's bound check
+        all read one scan of sigma's cycles."""
+        sigma = parse_cycles("(1 5 2)(3 4)(6 9 8 7)")
+        scans = []
+        monkeypatch.setattr(
+            perm, "sorted", lambda xs: scans.append(1) or builtins.sorted(xs), raising=False
+        )
+        doc = solve_two_machine(sigma) if m == 2 else solve_m_machine(sigma, m)
+        assert doc.target == format_cycles(sigma) == "(a1 a5 a2)(a3 a4)(a6 a9 a8 a7)"
+        assert lower_bound(sigma, m) > 0
+        assert len(scans) == 1
+
+
+class TestPlainSolverMoves:
+    """Solvers and the oracle emit plain seat tuples that MachineMove would
+    accept unchanged, without building a MachineMove."""
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda t: solve_two_machine(t).moves,
+            lambda t: solve_m_machine(t, 3).moves,
+            lambda t: solve_m_machine(t, 4).moves,
+            lambda t: solve_m_machine(t, 7).moves,
+            lambda t: search_min_plan(t, RuleSet(m=3, outsiders=(outsider(1),)), 6),
+            lambda t: search_min_plan(t, RuleSet(m=2, outsiders=(outsider(1), outsider(2))), 8),
+        ],
+        ids=["keeler2", "general_m3", "general_m4", "general_m7", "oracle-m3", "oracle-m2"],
+    )
+    @pytest.mark.parametrize("text", ["(1 2 3)", "(1 2)(3 4)", "(2 4 3)", "(1 3)(2 5)"])
+    def test_moves_are_checked_tuples(self, solve, text, monkeypatch):
+        target = parse_cycles(text)
+        with monkeypatch.context() as patch:
+            patch.setattr(MachineMove, "__new__", lambda *_: pytest.fail("built a MachineMove"))
+            moves = solve(target)
+        assert moves
+        for move in moves:
+            assert type(move) is tuple
+            assert move == MachineMove(move)
