@@ -8,6 +8,7 @@ in C, and it equals the plain tuple ``(kind, index)``.  The index is a
 positive ``int``, never a ``bool``.  A :class:`Permutation` is stored as its
 image map, fixed points dropped; its canonical disjoint cycles are derived
 on first use and kept, each led by its minimal element and sorted by leader.
+Cycle text is read in bulk, each distinct token built once through one table.
 
 Composition is right-to-left everywhere in this package: ``(p * q)(e) ==
 p(q(e))``, so in a written product of cycles the rightmost factor acts
@@ -19,6 +20,7 @@ from __future__ import annotations
 import re
 import sys
 from functools import partial
+from itertools import chain, filterfalse
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -79,6 +81,8 @@ _DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # int()'s digit c
 _INDEX = f"[1-9][0-9]{{0,{_DIGITS - 1}}}" if _DIGITS else "[1-9][0-9]*"
 _NATURAL = re.compile(f"0|{_INDEX}")
 _ELEMENT = re.compile(rf"([{INSIDER}{OUTSIDER}]?)({_INDEX})")
+_PREFIXED = re.compile(rf"[{INSIDER}{OUTSIDER}]{_INDEX}(?: [{INSIDER}{OUTSIDER}]{_INDEX})*")
+_FIRST, _TAIL = itemgetter(0), itemgetter(slice(1, None))
 
 
 def _natural(text: str) -> int | None:
@@ -100,6 +104,12 @@ def parse_element(token: str) -> Element:
 
 class ElementTokens(dict):
     """token -> Element for one text: each distinct token is parsed once."""
+
+    def fill(self, words: Iterable[str]) -> None:
+        """Build the new distinct words in one go, or none if one is bare or malformed."""
+        new = [*filterfalse(self.__contains__, dict.fromkeys(words))]
+        if new and _PREFIXED.fullmatch(" ".join(new)):
+            self.update(zip(new, map(_element, zip(map(_FIRST, new), map(int, map(_TAIL, new))))))
 
     def __missing__(self, token: str) -> Element:
         element = self[token] = parse_element(token)
@@ -205,6 +215,9 @@ class Permutation:
     def __repr__(self) -> str:
         return f"Permutation({self})"
 
+    def __reduce__(self) -> tuple:  # for pickle protocols 0 and 1 too, which __slots__ defeat
+        return _trusted, (self._map, self._cycles)
+
 
 def _trusted(
     images: dict[Element, Element], cycles: tuple[Cycle, ...] | None = None
@@ -226,8 +239,8 @@ def insiders_only(p: Permutation) -> Permutation:
     return p
 
 
-# one well-formed cycle: whitespace, "(", anything but a parenthesis, ")"
-_CYCLE = re.compile(r"\s*\(([^()]*)\)")
+_CYCLES = re.compile(r"(?:\s*\([^()]*\))*")  # leading cycles: space, "(", no parenthesis, ")"
+_BODY = re.compile(r"\(([^()]*)\)")  # a cycle's body, where only space lies between cycles
 # a parenthesis, or a run of everything else up to whitespace or a parenthesis
 _TOKEN = re.compile(r"[()]|[^()\s]+")
 
@@ -241,34 +254,31 @@ def parse_cycles(text: str) -> Permutation:
     repeats inside one cycle are an error.  The empty string is the
     identity.
 
-    The text is read one cycle at a time.  ``str.split`` and the regex
-    whitespace class share one rule, so a cycle splits into the tokens that
-    _TOKEN finds in it.  When no element appears twice in the whole text,
-    as in canonical text, the cycles are disjoint, so they commute and
-    their product is their union: that is built directly, without the fold.
+    One match finds where the leading well-formed cycles end and one findall takes their
+    bodies; ``str.split`` and the regex whitespace class share one rule, so a body splits
+    into the tokens _TOKEN finds in it.  Every token is read, 1-cycles are dropped, and
+    if no element repeats, the disjoint cycles' product is their union, built directly.
     """
-    return _parse_cycles(text, ElementTokens())
+    return _parse_cycles(text)
 
 
-def _parse_cycles(text: str, tokens: ElementTokens) -> Permutation:
-    """parse_cycles, reading element tokens through the given memo."""
+def _parse_cycles(text: str, tokens: ElementTokens | None = None) -> Permutation:
+    """parse_cycles through the given filled memo, or a fresh one filled here."""
+    end = _CYCLES.match(text).end()
+    split = list(map(str.split, _BODY.findall(text, 0, end)))
+    if tokens is None:
+        tokens = ElementTokens()
+        tokens.fill(chain.from_iterable(split))
     read = tokens.__getitem__
-    cycle = _CYCLE.match
-    groups: list[list[Element]] = []
-    pos = 0
-    while found := cycle(text, pos):
-        groups.append(list(map(read, found[1].split())))
-        pos = found.end()
-    _raise_first_problem(text[pos:])
+    groups = [group for words in split if len(group := list(map(read, words))) > 1]
+    _raise_first_problem(text[end:])
     images: dict[Element, Element] = {}
     written = 0
     for group in groups:
-        written += len(group)
         images.update(zip(group, group[1:] + group[:1]))
-    if len(images) == written:  # every element differs: the cycles are disjoint
-        for group in groups:
-            if len(group) == 1:
-                del images[group[0]]  # a 1-cycle is a fixed point
+        if len(images) != (written := written + len(group)):  # an element repeats
+            break
+    else:  # every element differs: the cycles are disjoint, and their product is their union
         return _trusted(images)
     for group in groups:
         if len(set(group)) != len(group):
@@ -302,18 +312,21 @@ def _raise_first_problem(rest: str) -> None:
 def _compose_cycles(cycles: Iterable[Sequence[Element]]) -> Permutation:
     """Product of repeat-free cycles in acting order (the first acts first).
 
-    A cycle sends y to its successor, so the running product's inverse
-    changes only at the cycle's own elements: the cost is the total length.
-    Each repeat-free cycle is a bijection, so preimage stays the inverse
-    of a bijection on the points it holds, and the product is built
-    unchecked.  Every caller passes repeat-free cycles: parse_cycles and
-    from_cycle check theirs, __mul__ passes canonical cycles, and
-    plan_product and oracle.verify_plan check their moves.
+    A cycle sends y to its successor, so the running product's inverse changes only
+    at the cycle's own elements: the cost is the total length, and a transposition
+    (each factor of a scramble history) sets its two preimages directly.  Each
+    repeat-free cycle is a bijection, so preimage stays the inverse of a bijection on
+    the points it holds, and the product is built unchecked.  Every caller passes
+    repeat-free cycles: parse_cycles and from_cycle check theirs, __mul__ passes
+    canonical cycles, and plan_product and oracle.verify_plan check their moves.
     """
     preimage: dict[Element, Element] = {}
     for cycle in cycles:
-        sources = [preimage.get(y, y) for y in cycle]
-        preimage.update(zip(cycle[1:] + cycle[:1], sources))
+        if len(cycle) == 2:
+            a, b = cycle
+            preimage[b], preimage[a] = preimage.get(a, a), preimage.get(b, b)
+        else:
+            preimage.update(zip(cycle[1:] + cycle[:1], list(map(preimage.get, cycle, cycle))))
     return _trusted({x: y for y, x in preimage.items() if x != y})
 
 

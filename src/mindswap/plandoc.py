@@ -130,9 +130,11 @@ def read(text: str) -> tuple[PlanDocument, Permutation]:
             raise PlanFormatError(f"missing required field {required!r}")
     try:
         m = _number(fields, "machine-size")
-        tokens = ElementTokens()
-        outsiders = tuple(map(tokens.__getitem__, fields["outsiders"].split()))
-        moves = tuple(tuple(map(tokens.__getitem__, line.split())) for line in body[cut + 1 :])
+        tokens, lines = ElementTokens(), body[cut + 1 :]
+        tokens.fill(" ".join([fields["outsiders"], *lines]).split())
+        get = tokens.__getitem__
+        outsiders = tuple(map(get, fields["outsiders"].split()))
+        moves = tuple([tuple(map(get, line.split())) for line in lines])
         target = _parse_cycles(fields["target"], tokens)
         doc = PlanDocument(
             m=m,

@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mindswap import cli, infinite
+from mindswap import cli, infinite, perm
 from mindswap.cli import main
 from mindswap.keeler import solve_two_machine
 from mindswap.moves import MachineMove, plan_product
@@ -134,7 +134,8 @@ class TestVerify:
         )
         plan_file = tmp_path / "plan.txt"
         plan_file.write_text(out)
-        with mock.patch("mindswap.perm.parse_element", wraps=parse_element) as spy:
+        # parse_element and ElementTokens.fill both build each Element through _element
+        with mock.patch("mindswap.perm._element", wraps=perm._element) as spy:
             code, out, _ = run(capsys, "verify", "--plan", str(plan_file))
         assert code == 0 and out.endswith("verdict: clean\n")
         # once per distinct token of the document: a1 .. a9 and x1

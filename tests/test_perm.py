@@ -1,6 +1,7 @@
 import builtins
 import copy
 import pickle
+import re
 import sys
 
 import pytest
@@ -312,16 +313,19 @@ class TestParseCounts:
 
     @pytest.fixture
     def parsed(self, monkeypatch):
-        tokens = []
+        """The label of each Element a token is turned into, by either path:
+        parse_element and ElementTokens.fill both build through _element."""
+        labels = []
+        build = perm._element
 
-        def counting_parse_element(token):
-            tokens.append(token)
-            return parse_element(token)
+        def counting_element(pair):
+            labels.append(f"{pair[0]}{pair[1]}")
+            return build(pair)
 
-        monkeypatch.setattr(perm, "parse_element", counting_parse_element)
-        # also counted if plandoc ever reads tokens through its own import
-        monkeypatch.setattr(plandoc, "parse_element", counting_parse_element, raising=False)
-        return tokens
+        monkeypatch.setattr(perm, "_element", counting_element)
+        # also counted if plandoc ever builds elements through its own import
+        monkeypatch.setattr(plandoc, "_element", counting_element, raising=False)
+        return labels
 
     def test_parse_cycles(self, parsed):
         assert parse_cycles("(a1 a2)(a1 a3)(a2 a3)") == Permutation.from_cycle(
@@ -499,6 +503,14 @@ class TestElementOrdering:
         move = MachineMove((outsider(1), insider(2), insider(1)))
         back = pickle.loads(pickle.dumps(move, protocol))
         assert type(back) is MachineMove and back == move
+        for held in (False, True):
+            p = parse_cycles("(a1 x2 a3)(a4 a5)")
+            if held:
+                assert p.cycles
+            back = pickle.loads(pickle.dumps(p, protocol))
+            assert type(back) is Permutation and back == p and back._map == p._map
+            assert back._cycles == p._cycles  # held cycles travel, and None stays None
+            assert back.cycles == p.cycles and str(back) == "(a1 x2 a3)(a4 a5)"
 
     def test_copy_round_trip(self):
         for e in (copy.copy(insider(5)), copy.deepcopy(insider(5))):
@@ -612,6 +624,81 @@ class TestLinearFold:
         assert len({p, q, p.inverse().inverse()}) == 1
 
 
+def reference_fold(cycles) -> dict:
+    """The image map of a product of cycles in acting order, one cycle's
+    image map composed after another."""
+    images: dict = {}
+    for cycle in cycles:
+        step = {e: cycle[(i + 1) % len(cycle)] for i, e in enumerate(cycle)}
+        images = {e: step.get(images.get(e, e), images.get(e, e)) for e in images.keys() | step}
+    return {e: v for e, v in images.items() if e != v}
+
+
+# a small pool, so that transpositions and longer cycles overlap often
+COMPOSE_POOL = [insider(1), insider(2), insider(3), insider(4), outsider(1)]
+
+
+class TestComposeDifferential:
+    """_compose_cycles, with its transposition path, against a plain fold."""
+
+    @given(
+        st.lists(st.lists(st.sampled_from(COMPOSE_POOL), unique=True, max_size=5), max_size=8),
+        st.booleans(),
+    )
+    @example([[insider(1), insider(2)], [insider(2), insider(3)], [insider(1), insider(2)]], True)
+    @example([[insider(1), insider(2)], [insider(1), insider(2)]], False)
+    @example([[], [insider(1)], [insider(1), insider(2), insider(3)], [insider(3), insider(1)]],
+             True)
+    def test_same_images(self, cycles, as_tuples):
+        cycles = [tuple(c) if as_tuples else c for c in cycles]
+        p = _compose_cycles(cycles)
+        assert p._map == reference_fold(cycles)
+        assert p._map == Permutation(p._map)._map  # a bijection, no fixed points
+
+
+def token_outcome(tokens, token):
+    try:
+        return tokens[token]
+    except ParseError as err:
+        return str(err)
+
+
+# prefixed and bare, well-formed and not, at and past int()'s default digit cap
+FILL_TOKENS = [
+    "a1", "x1", "a17", "x2", "1", "17", "0", "01", "x0", "a01", "a", "x", "a\u0663", "\u00b2",
+    "a(", "(a1", "a1)", "ax1", "a" + "9" * 4300, "x" + "1" * 4301, "7" * 4300, "1" * 4301,
+]
+HELD_TOKENS = ["a1", "x2", "17", "a" + "9" * 4300]
+
+
+class TestBulkFillDifferential:
+    """ElementTokens.fill against parse_element, on a memo that may hold tokens."""
+
+    @given(st.lists(st.sampled_from(FILL_TOKENS)), st.lists(st.sampled_from(HELD_TOKENS)))
+    @example(["a1", "x2", "a1"], [])
+    @example(["a1", "17"], ["a1"])
+    @example(["x2", "a\u0663", "x1"], ["x2"])
+    @example(["(a1", "a1"], [])
+    @example(["a" + "9" * 4300, "x" + "1" * 4301], [])
+    def test_same_element_or_same_error(self, words, held):
+        tokens = perm.ElementTokens()
+        for token in held:
+            tokens[token]
+        before = dict(tokens)
+        tokens.fill(words)
+        new = set(words) - before.keys()
+        if all(isinstance(parse_outcome(parse_element, t), Element) and t[0] in "ax" for t in new):
+            assert tokens.keys() == before.keys() | new
+        else:
+            assert tokens == before  # one bare or malformed new token: none is built
+        for token in held:
+            assert tokens[token] is before[token]
+        for token in words:
+            expected = parse_outcome(parse_element, token)
+            actual = token_outcome(tokens, token)
+            assert actual == expected and type(actual) is type(expected)
+
+
 class TestTrustedBuilds:
     """The unchecked builders give exactly what the checked ones would."""
 
@@ -659,13 +746,18 @@ class TestTrustedBuilds:
         assert repr(element) == repr(Element(kind or INSIDER, int(digits)))
 
 
+# one well-formed cycle: whitespace, "(", anything but a parenthesis, ")"
+_CYCLE = re.compile(r"\s*\(([^()]*)\)")
+
+
 def fold_parse_cycles(text: str) -> Permutation:
-    """The reader before its disjoint path: every text checked per cycle for
-    repeats, then folded through _compose_cycles."""
+    """The reader before its disjoint path: the text read one cycle at a
+    time, each token parsed as it is read, every cycle checked for repeats,
+    then folded through _compose_cycles."""
     tokens = perm.ElementTokens()
     groups = []
     pos = 0
-    while found := perm._CYCLE.match(text, pos):
+    while found := _CYCLE.match(text, pos):
         groups.append([tokens[token] for token in found[1].split()])
         pos = found.end()
     perm._raise_first_problem(text[pos:])
