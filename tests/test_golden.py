@@ -90,6 +90,18 @@ SEAT_COUNT_PLAN = CLEAN_PLAN.replace("  a1 a3 x1\n", "  a1 x1\n")
 REPEATED_SEAT_PLAN = CLEAN_PLAN.replace("  a1 a3 x1\n", "  a1 a3 a1\n")
 LOWER_BOUND_PLAN = CLEAN_PLAN.replace("steps: 4\n", "steps: 4\nlower-bound: 5\n")
 
+# documents that the reader refuses before the verifier sees them
+NO_TARGET_PLAN = CLEAN_PLAN.replace("target: (a1 a2)(a3 a4)\n", "")
+STEPS_MISMATCH_PLAN = """\
+mindswap-plan v1
+machine-size: 3
+target: (a1 a2 a3)
+outsiders: x1
+steps: 2
+moves:
+  a1 a3 a2
+"""
+
 # name -> (argv, stdin)
 CASES: dict[str, tuple[list[str], str]] = {
     "solve-keeler2-transposition": (["solve", "--target", "(1 2)", "--m", "2"], ""),
@@ -132,6 +144,14 @@ CASES: dict[str, tuple[list[str], str]] = {
         "",
     ),
     "solve-parse-error": (["solve", "--target", "(1 2", "--m", "2"], ""),
+    "solve-parse-error-unbalanced-close": (["solve", "--target", "(1 2))", "--m", "2"], ""),
+    "solve-parse-error-nested": (["solve", "--target", "(1 (2 3))", "--m", "2"], ""),
+    "solve-parse-error-outside": (["solve", "--target", "1 (2 3)", "--m", "2"], ""),
+    "solve-parse-error-token-in-open-cycle": (
+        ["solve", "--target", "(1 2)(3 0(", "--m", "2"],
+        "",
+    ),
+    "solve-parse-error-repeat-within-cycle": (["solve", "--target", "(1 2 1)", "--m", "2"], ""),
     "solve-target-stdin": (["solve", "--target", "-", "--m", "3"], "(1 2 3)(4 5 6)\n"),
     "solve-target-stdin-keeler2": (["solve", "--target", "-", "--m", "2"], " (3 1)\n(2 4)\n"),
     "solve-target-empty-stdin": (["solve", "--target", "-", "--m", "4"], ""),
@@ -158,6 +178,8 @@ CASES: dict[str, tuple[list[str], str]] = {
     "verify-repeated-seat": (["verify", "--plan", "-"], REPEATED_SEAT_PLAN),
     "verify-lower-bound-above-steps": (["verify", "--plan", "-"], LOWER_BOUND_PLAN),
     "verify-missing-header": (["verify", "--plan", "-"], "machine-size: 3\n"),
+    "verify-missing-target": (["verify", "--plan", "-"], NO_TARGET_PLAN),
+    "verify-steps-mismatch": (["verify", "--plan", "-"], STEPS_MISMATCH_PLAN),
     "verify-missing-plan-file": (["verify", "--plan", "/nonexistent/plan.txt"], ""),
     "oracle-found": (["oracle", "--target", "(1 2)(3 4)", "--m", "3", "--d", "1"], ""),
     "oracle-none-within-bound": (
