@@ -20,12 +20,14 @@ in one body) raise.
 
 Machine-use bookkeeping: the *participant set* of a swap is dom union img,
 everybody seated, including a body that only receives a mind and a mind
-whose body is left behind.  The no-repeat rule is enforced on participant
-sets, which reconciles the seating picture (a mindless body still occupies
-its seat) with the exception tables.  A swap is *forgetful* when every
-participant's mind moves but some body is left mindless (img is a proper
-subset of the participants), *retentive* when every participating body
-receives a mind (img equals the participants).
+whose body is left behind.  The no-repeat rule applies to participant sets,
+which reconciles the seating picture (a mindless body still occupies its
+seat) with the exception tables.  Nothing here enforces it: the shift3 and
+finitary2 constructions have pairwise distinct participant sets, and
+tests/test_infinite.py and tests/test_acceptance.py check that.  A swap is
+*forgetful* when every participant's mind moves but some body is left
+mindless (img is a proper subset of the participants), *retentive* when
+every participating body receives a mind (img equals the participants).
 """
 
 from __future__ import annotations

@@ -241,8 +241,6 @@ def insiders_only(p: Permutation) -> Permutation:
 
 _CYCLES = re.compile(r"(?:\s*\([^()]*\))*")  # leading cycles: space, "(", no parenthesis, ")"
 _BODY = re.compile(r"\(([^()]*)\)")  # a cycle's body, where only space lies between cycles
-# a parenthesis, or a run of everything else up to whitespace or a parenthesis
-_TOKEN = re.compile(r"[()]|[^()\s]+")
 
 
 def parse_cycles(text: str) -> Permutation:
@@ -255,9 +253,9 @@ def parse_cycles(text: str) -> Permutation:
     identity.
 
     One match finds where the leading well-formed cycles end and one findall takes their
-    bodies; ``str.split`` and the regex whitespace class share one rule, so a body splits
-    into the tokens _TOKEN finds in it.  Every token is read, 1-cycles are dropped, and
-    if no element repeats, the disjoint cycles' product is their union, built directly.
+    bodies.  ``str.split``, ``str.lstrip`` and the regex whitespace class share one rule.
+    Every token is read, 1-cycles are dropped, and if no element repeats, the disjoint
+    cycles' product is their union, built directly.
     """
     return _parse_cycles(text)
 
@@ -290,23 +288,23 @@ def _raise_first_problem(rest: str) -> None:
     """Raise the first problem, in reading order, of rest: the text after its
     last well-formed leading cycle.  Rest that is only whitespace has none.
 
-    A ')' here closes nothing: a '(' before it, with only tokens between,
-    would have begun a well-formed cycle.
+    Past its whitespace, rest opens with ')', which closes nothing, or with a
+    character outside every cycle, or with a '(' that no ')' closes before the
+    next '(' or the end: a '(', tokens and a ')' would have begun a well-formed
+    cycle.  So that open cycle's body holds no parenthesis, and its tokens are
+    read before the nested or unbalanced '(' is reported.
     """
-    opened = False
-    for token in _TOKEN.findall(rest):
-        if token == ")":
-            raise ParseError("unbalanced ')' in cycle notation")
-        if token == "(":
-            if opened:
-                raise ParseError("nested '(' in cycle notation")
-            opened = True
-        elif not opened:
-            raise ParseError(f"unexpected character {token[0]!r} outside parentheses")
-        else:
-            parse_element(token)  # raises for a malformed token
-    if opened:
-        raise ParseError("unbalanced '(' in cycle notation")
+    rest = rest.lstrip()
+    if not rest:
+        return
+    if rest[0] == ")":
+        raise ParseError("unbalanced ')' in cycle notation")
+    if rest[0] != "(":
+        raise ParseError(f"unexpected character {rest[0]!r} outside parentheses")
+    body, nested, _ = rest[1:].partition("(")
+    for token in body.split():
+        parse_element(token)  # raises for a malformed token
+    raise ParseError(f"{'nested' if nested else 'unbalanced'} '(' in cycle notation")
 
 
 def _compose_cycles(cycles: Iterable[Sequence[Element]]) -> Permutation:

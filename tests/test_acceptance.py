@@ -222,6 +222,7 @@ def test_criterion_10_infinite_machine():
         swaps = invert_finitary_two_step(sigma)
         assert len(swaps) == 2
         assert [classify(f) for f in swaps] == [FORGETFUL, RETENTIVE]
+        assert swaps[0].participants() != swaps[1].participants()
         assert compose_all(swaps) == finitary_extension(sigma.inverse())
         checked += 1
     elapsed = time.perf_counter() - start

@@ -767,6 +767,59 @@ def fold_parse_cycles(text: str) -> Permutation:
     return _compose_cycles(reversed(groups))
 
 
+# The scan of the rest before its structural read, kept verbatim as the reference.
+# a parenthesis, or a run of everything else up to whitespace or a parenthesis
+_TOKEN = re.compile(r"[()]|[^()\s]+")
+
+
+def token_scan_first_problem(rest: str) -> None:
+    """Raise the first problem, in reading order, of rest: the text after its
+    last well-formed leading cycle.  Rest that is only whitespace has none.
+
+    A ')' here closes nothing: a '(' before it, with only tokens between,
+    would have begun a well-formed cycle.
+    """
+    opened = False
+    for token in _TOKEN.findall(rest):
+        if token == ")":
+            raise ParseError("unbalanced ')' in cycle notation")
+        if token == "(":
+            if opened:
+                raise ParseError("nested '(' in cycle notation")
+            opened = True
+        elif not opened:
+            raise ParseError(f"unexpected character {token[0]!r} outside parentheses")
+        else:
+            parse_element(token)  # raises for a malformed token
+    if opened:
+        raise ParseError("unbalanced '(' in cycle notation")
+
+
+# parentheses, ASCII and Unicode whitespace, and good and malformed tokens
+REST_PIECES = ["(", ")", " ", "\t", "\n", "\x1c", "\x85", "\u2028", "\u3000"]
+REST_PIECES += ["a1", "x2", "3", "0", "a0", "01", "\u00b2", "a\u0663", "b"]
+
+
+class TestRestScanDifferential:
+    """_raise_first_problem's structural read of the rest against the token
+    scan it replaced: the same outcome, message for message, on any rest that
+    the leading-cycles match leaves behind."""
+
+    @given(st.lists(st.sampled_from(REST_PIECES), max_size=24).map("".join))
+    @example("(1 2))")
+    @example("(1 (2 3))")
+    @example("1 (2 3)")
+    @example("(1 2)(3 0(")
+    @example("(a1 a1)(")
+    @example("(\u3000a1\x85")
+    @example("\u2028)")
+    def test_same_outcome(self, text):
+        rest = text[perm._CYCLES.match(text).end() :]
+        assert parse_outcome(perm._raise_first_problem, rest) == parse_outcome(
+            token_scan_first_problem, rest
+        )
+
+
 # tokens that name few elements, some of them in two spellings, so repeats are common
 FOLD_TOKENS = ["1", "a1", "2", "a3", "3", "a4", "x1", "x2"]
 FOLD_JUNK = ["", " ", "(", ")", "(1 2", "(a0)", "a2", "((1))", "(b1)", "(1 1)"]
