@@ -46,7 +46,12 @@ def _fail(code: int, message: str) -> int:
 
 
 def _parse_target(text: str) -> Permutation:
-    return insiders_only(parse_cycles(text))
+    """The target text's permutation; a target that moves an outsider is a parse error."""
+    target = parse_cycles(text)
+    try:
+        return insiders_only(target)
+    except ValueError as err:
+        raise ParseError(str(err)) from err
 
 
 def _verify(
@@ -123,8 +128,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         target = _parse_target(args.target)
     except ParseError as err:
         return _fail(EXIT_PARSE, f"parse error: {err}")
-    except ValueError as err:
-        return _fail(EXIT_UNSOLVABLE, f"unsolvable: {err}")
     try:
         # refuse before building a pool that no search takes; RuleSet's and
         # search_min_plan's own refusals keep their precedence over this one,

@@ -8,7 +8,7 @@ in C, and it equals the plain tuple ``(kind, index)``.  The index is a
 positive ``int``, never a ``bool``.  A :class:`Permutation` is stored as its
 image map, fixed points dropped; its canonical disjoint cycles are derived
 on first use and kept, each led by its minimal element and sorted by leader.
-Cycle text is read in bulk, each distinct token built once through one table.
+Cycle text is read in bulk, each distinct token built once by one call.
 
 Composition is right-to-left everywhere in this package: ``(p * q)(e) ==
 p(q(e))``, so in a written product of cycles the rightmost factor acts
@@ -102,18 +102,17 @@ def parse_element(token: str) -> Element:
     return _element((kind or INSIDER, int(digits)))  # _ELEMENT admits no other kind, and no 0
 
 
-class ElementTokens(dict):
-    """token -> Element for one text: each distinct token is parsed once."""
-
-    def fill(self, words: Iterable[str]) -> None:
-        """Build the new distinct words in one go, or none if one is bare or malformed."""
-        new = [*filterfalse(self.__contains__, dict.fromkeys(words))]
-        if new and _PREFIXED.fullmatch(" ".join(new)):
-            self.update(zip(new, map(_element, zip(map(_FIRST, new), map(int, map(_TAIL, new))))))
-
-    def __missing__(self, token: str) -> Element:
-        element = self[token] = parse_element(token)
-        return element
+def _read_tokens(words: Iterable[str], table: dict | None = None) -> dict:
+    """table, or a new one, holding every distinct word as its Element: the new words are
+    built in one go when all are prefixed, else each by parse_element, so the first
+    malformed word in reading order raises."""
+    table = {} if table is None else table
+    if new := [*filterfalse(table.__contains__, dict.fromkeys(words))]:
+        if _PREFIXED.fullmatch(" ".join(new)):
+            table.update(zip(new, map(_element, zip(map(_FIRST, new), map(int, map(_TAIL, new))))))
+        else:
+            table.update(zip(new, map(parse_element, new)))
+    return table
 
 
 Cycle = tuple[Element, ...]
@@ -260,14 +259,11 @@ def parse_cycles(text: str) -> Permutation:
     return _parse_cycles(text)
 
 
-def _parse_cycles(text: str, tokens: ElementTokens | None = None) -> Permutation:
-    """parse_cycles through the given filled memo, or a fresh one filled here."""
+def _parse_cycles(text: str, table: dict | None = None) -> Permutation:
+    """parse_cycles, adding its tokens to table (a plan document's) when given."""
     end = _CYCLES.match(text).end()
     split = list(map(str.split, _BODY.findall(text, 0, end)))
-    if tokens is None:
-        tokens = ElementTokens()
-        tokens.fill(chain.from_iterable(split))
-    read = tokens.__getitem__
+    read = _read_tokens(chain.from_iterable(split), table).__getitem__
     groups = [group for words in split if len(group := list(map(read, words))) > 1]
     _raise_first_problem(text[end:])
     images: dict[Element, Element] = {}
@@ -302,8 +298,7 @@ def _raise_first_problem(rest: str) -> None:
     if rest[0] != "(":
         raise ParseError(f"unexpected character {rest[0]!r} outside parentheses")
     body, nested, _ = rest[1:].partition("(")
-    for token in body.split():
-        parse_element(token)  # raises for a malformed token
+    _read_tokens(body.split())  # raises for the first malformed token
     raise ParseError(f"{'nested' if nested else 'unbalanced'} '(' in cycle notation")
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .oracle import RuleSet
-from .perm import Element, ElementTokens, Permutation, _labels, _natural, _parse_cycles
+from .perm import Element, Permutation, _labels, _natural, _parse_cycles, _read_tokens
 
 HEADER = "mindswap-plan v1"
 _FIELDS = ("machine-size", "target", "outsiders", "solver", "steps", "lower-bound")
@@ -130,12 +130,12 @@ def read(text: str) -> tuple[PlanDocument, Permutation]:
             raise PlanFormatError(f"missing required field {required!r}")
     try:
         m = _number(fields, "machine-size")
-        tokens, lines = ElementTokens(), body[cut + 1 :]
-        tokens.fill(" ".join([fields["outsiders"], *lines]).split())
-        get = tokens.__getitem__
+        lines = body[cut + 1 :]
+        table = _read_tokens(" ".join([fields["outsiders"], *lines]).split())
+        get = table.__getitem__
         outsiders = tuple(map(get, fields["outsiders"].split()))
         moves = tuple([tuple(map(get, line.split())) for line in lines])
-        target = _parse_cycles(fields["target"], tokens)
+        target = _parse_cycles(fields["target"], table)
         doc = PlanDocument(
             m=m,
             target=fields["target"],

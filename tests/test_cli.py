@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import itertools
+import re
 import sys
 import time
 from unittest import mock
@@ -134,7 +135,7 @@ class TestVerify:
         )
         plan_file = tmp_path / "plan.txt"
         plan_file.write_text(out)
-        # parse_element and ElementTokens.fill both build each Element through _element
+        # parse_element and _read_tokens's bulk build both build each Element through _element
         with mock.patch("mindswap.perm._element", wraps=perm._element) as spy:
             code, out, _ = run(capsys, "verify", "--plan", str(plan_file))
         assert code == 0 and out.endswith("verdict: clean\n")
@@ -511,6 +512,65 @@ def drawn_documents(draw):
     return doc, target
 
 
+def line_by_line_read(text):
+    """plandoc.read without its shared token table: every pool and move token
+    through parse_element as its line is read, and the target through
+    parse_cycles."""
+    lines = [line.rstrip() for line in text.splitlines() if line.strip()]
+    if not lines or lines[0].strip() != plandoc.HEADER:
+        raise plandoc.PlanFormatError(f"missing header line {plandoc.HEADER!r}")
+    fields = {}
+    for i, line in enumerate(lines[1:], start=1):
+        if line.strip() == "moves:":
+            break
+        key, sep, value = line.partition(":")
+        key = key.strip()
+        if not sep:
+            raise plandoc.PlanFormatError(f"expected 'key: value', got {line!r}")
+        if key not in plandoc._FIELDS:
+            raise plandoc.PlanFormatError(f"unknown field {key!r}")
+        if key in fields:
+            raise plandoc.PlanFormatError(f"repeated field {key!r}")
+        fields[key] = value.strip()
+    else:
+        raise plandoc.PlanFormatError("missing 'moves:' section")
+    for required in ("machine-size", "target", "outsiders"):
+        if required not in fields:
+            raise plandoc.PlanFormatError(f"missing required field {required!r}")
+    try:
+        m = plandoc._number(fields, "machine-size")
+        outsiders = tuple(parse_element(token) for token in fields["outsiders"].split())
+        moves = []
+        for line in lines[i + 1 :]:
+            moves.append(tuple(parse_element(token) for token in line.split()))
+        target = parse_cycles(fields["target"])
+        doc = plandoc.PlanDocument(
+            m=m,
+            target=fields["target"],
+            outsiders=outsiders,
+            moves=tuple(moves),
+            solver=fields.get("solver"),
+            lower_bound=plandoc._number(fields, "lower-bound") if "lower-bound" in fields else None,
+        )
+        steps = plandoc._number(fields, "steps") if "steps" in fields else doc.steps
+    except ValueError as err:
+        raise plandoc.PlanFormatError(str(err)) from err
+    if steps != doc.steps:
+        raise plandoc.PlanFormatError(
+            f"steps field says {fields['steps']} but document lists {doc.steps} moves"
+        )
+    return doc, target
+
+
+def read_outcome(read, text):
+    try:
+        doc, target = read(text)
+    except plandoc.PlanFormatError as err:
+        return str(err)
+    assert all(type(seat) is perm.Element for move in doc.moves for seat in move)
+    return doc, target._map
+
+
 # (m, pool, message): each breaks the one pool rule that RuleSet owns
 POOL_RULE_CASES = [
     (1, "x1", "machine size must be at least 2, got 1"),
@@ -685,6 +745,18 @@ class TestPlanDocFormat:
         ), contextlib.redirect_stderr(quiet):
             code = main(["verify", "--plan", "-"])
         assert code in (0, 1, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mutated_documents() | drawn_documents().map(lambda case: plandoc.dumps(case[0])),
+        st.booleans(),
+    )
+    @example("mindswap-plan v1\nmachine-size: 2\ntarget: (1 3)\noutsiders: x1\nmoves:\n  1 x1\n", False)
+    @example("mindswap-plan v1\nmachine-size: 2\ntarget: (a1 0)\noutsiders: x1\nmoves:\n  x0\n", False)
+    def test_read_matches_the_line_by_line_reader(self, text, bare):
+        if bare:  # insiders written as bare integers, beside the prefixed outsiders
+            text = re.sub(r"\ba(?=[0-9])", "", text)
+        assert read_outcome(plandoc.read, text) == read_outcome(line_by_line_read, text)
 
     def test_wrong_seat_count_rejected(self):
         # the reader keeps the move as written; the verifier rejects it

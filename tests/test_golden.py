@@ -174,6 +174,10 @@ CASES: dict[str, tuple[list[str], str]] = {
         ["verify", "--plan", "-", "--target", "(1 2 3)"],
         GENERAL_M4_PLAN,
     ),
+    "verify-outsider-in-target-override": (
+        ["verify", "--plan", "-", "--target", "(a1 x1)"],
+        CLEAN_PLAN,
+    ),
     "verify-seat-count": (["verify", "--plan", "-"], SEAT_COUNT_PLAN),
     "verify-repeated-seat": (["verify", "--plan", "-"], REPEATED_SEAT_PLAN),
     "verify-lower-bound-above-steps": (["verify", "--plan", "-"], LOWER_BOUND_PLAN),
@@ -211,6 +215,7 @@ CASES: dict[str, tuple[list[str], str]] = {
     "infinite-finitary2": (["infinite", "finitary2", "--sigma", "(a1 a2)(a3 a4 a5)"], ""),
     "infinite-finitary2-empty": (["infinite", "finitary2", "--sigma", ""], ""),
     "infinite-finitary2-parse-error": (["infinite", "finitary2", "--sigma", "(a1 a2"], ""),
+    "infinite-finitary2-outsider-in-sigma": (["infinite", "finitary2", "--sigma", "(a1 x1)"], ""),
     "infinite-finitary2-index-above-cap": (
         ["infinite", "finitary2", "--sigma", "(a1 a100001)"],
         "",

@@ -314,7 +314,7 @@ class TestParseCounts:
     @pytest.fixture
     def parsed(self, monkeypatch):
         """The label of each Element a token is turned into, by either path:
-        parse_element and ElementTokens.fill both build through _element."""
+        parse_element and _read_tokens's bulk build both build through _element."""
         labels = []
         build = perm._element
 
@@ -656,13 +656,6 @@ class TestComposeDifferential:
         assert p._map == Permutation(p._map)._map  # a bijection, no fixed points
 
 
-def token_outcome(tokens, token):
-    try:
-        return tokens[token]
-    except ParseError as err:
-        return str(err)
-
-
 # prefixed and bare, well-formed and not, at and past int()'s default digit cap
 FILL_TOKENS = [
     "a1", "x1", "a17", "x2", "1", "17", "0", "01", "x0", "a01", "a", "x", "a\u0663", "\u00b2",
@@ -672,31 +665,34 @@ HELD_TOKENS = ["a1", "x2", "17", "a" + "9" * 4300]
 
 
 class TestBulkFillDifferential:
-    """ElementTokens.fill against parse_element, on a memo that may hold tokens."""
+    """_read_tokens against parse_element, on a new table or one that holds tokens."""
 
     @given(st.lists(st.sampled_from(FILL_TOKENS)), st.lists(st.sampled_from(HELD_TOKENS)))
     @example(["a1", "x2", "a1"], [])
-    @example(["a1", "17"], ["a1"])
+    @example(["a1", "17"], ["a1"])  # mixed: a bare word beside a held one
+    @example(["17", "1", "17"], [])  # bare only
+    @example(["17", "a1", "x2"], ["17", "x2"])  # the only bare word is held
     @example(["x2", "a\u0663", "x1"], ["x2"])
     @example(["(a1", "a1"], [])
+    @example(["a1", "0", "x0", "0"], ["a1"])  # two malformed words: the first seen raises
     @example(["a" + "9" * 4300, "x" + "1" * 4301], [])
     def test_same_element_or_same_error(self, words, held):
-        tokens = perm.ElementTokens()
+        table = {token: parse_element(token) for token in held} or None
+        before = dict(table or {})
+        new = [*dict.fromkeys(word for word in words if word not in before)]
+        errors = [o for word in new if type(o := parse_outcome(parse_element, word)) is str]
+        try:
+            read = perm._read_tokens(words, table)
+        except ParseError as err:
+            assert errors and str(err) == errors[0]
+            return
+        assert not errors
+        assert table is None or read is table
+        assert read.keys() == before.keys() | set(new)
         for token in held:
-            tokens[token]
-        before = dict(tokens)
-        tokens.fill(words)
-        new = set(words) - before.keys()
-        if all(isinstance(parse_outcome(parse_element, t), Element) and t[0] in "ax" for t in new):
-            assert tokens.keys() == before.keys() | new
-        else:
-            assert tokens == before  # one bare or malformed new token: none is built
-        for token in held:
-            assert tokens[token] is before[token]
-        for token in words:
-            expected = parse_outcome(parse_element, token)
-            actual = token_outcome(tokens, token)
-            assert actual == expected and type(actual) is type(expected)
+            assert read[token] is before[token]
+        for token in new:
+            assert read[token] == parse_element(token) and type(read[token]) is Element
 
 
 class TestTrustedBuilds:
@@ -754,11 +750,10 @@ def fold_parse_cycles(text: str) -> Permutation:
     """The reader before its disjoint path: the text read one cycle at a
     time, each token parsed as it is read, every cycle checked for repeats,
     then folded through _compose_cycles."""
-    tokens = perm.ElementTokens()
     groups = []
     pos = 0
     while found := _CYCLE.match(text, pos):
-        groups.append([tokens[token] for token in found[1].split()])
+        groups.append([parse_element(token) for token in found[1].split()])
         pos = found.end()
     perm._raise_first_problem(text[pos:])
     for group in groups:
