@@ -12,26 +12,24 @@ order.  The search state is the residual R = goal∘state⁻¹, held as the
 tuple of its image indices: the state is the product of the moves so far,
 the goal is the target's inverse, and a plan is complete when R is the
 identity tuple.  A move g turns R into R∘g⁻¹.  The catalog is the tuple
-of legal supports, each held as its support id, its seat bitmask, its
-inner arrow mask and its (m - 1)! orderings; each ordering g is
-precomputed once as an itemgetter over g's preimage tuple, next to its
-arrow mask and its seats.  An arrow y → z is bit y·N + z of an int over
-N² bits: an ordering's mask holds its m arrows y → g(y), and a support's
-inner mask every arrow a → b between two distinct seats.  A table of the
-single-arrow bits, 0 where y = z, turns R into its own arrow mask with one
-sum per position.  A dict maps each move's own image tuple to its index k
-in the flat catalog (the supports' orderings in turn), its support id,
-its bitmask and its seats.  Support ids rank the legal supports in
-itertools.combinations order, which is sorted-tuple order.  Spent
-supports are an int bitset over those ids, and R's moved points an int
-bitmask over the ground indices.  The catalog depends on nothing but N,
-m, the outsider rule and, under that rule, the first outsider's index, so
-it is built once per such key and cached; searches share it and never
-change it.  The cache holds at most CATALOG_CAP moves in all, and is
-emptied before a catalog that would not fit beside it is built.
-Elements are looked up only for the plan that is returned: each move's
-seats map through the ground set to a plain tuple, least seat first,
-since an ordering leads with its least index.
+of legal supports, each held as its support id, its seat bitmask and its
+(m - 1)! orderings; each ordering g is precomputed once as an itemgetter
+over g's preimage tuple, next to its arrow mask and its seats.  An arrow
+y → z is bit y·N + z of an int over N² bits, and an ordering's mask holds
+its m arrows y → g(y).  A table of the single-arrow bits, 0 where y = z,
+turns R into its own arrow mask with one sum per position.  A dict maps
+each move's own image tuple to its index k in the flat catalog (the
+supports' orderings in turn), its support id, its bitmask and its seats.
+Support ids rank the legal supports in itertools.combinations order,
+which is sorted-tuple order.  Spent supports are an int bitset over those
+ids, and R's moved points an int bitmask over the ground indices.  The
+catalog depends on nothing but N, m, the outsider rule and, under that
+rule, the first outsider's index, so it is built once per such key and
+cached; searches share it and never change it.  The cache holds at most
+CATALOG_CAP moves in all, and is emptied before a catalog that would not
+fit beside it is built.  Elements are looked up only for the plan that is
+returned: each move's seats map through the ground set to a plain tuple,
+least seat first, since an ordering leads with its least index.
 
 Nodes.  The search counts one node per catalog move it tries, at every
 position that passed the bounds below; a pruned position and a skipped
@@ -59,13 +57,12 @@ With d moves left:
   y = g⁻¹(s); there is one such y per seat, and g moves it, so R moves it
   too and y → g(y) is an arrow of both maps.  With d moves left after g,
   the child passes displacement exactly when g shares at least
-  need = off + m - m·d of R's arrows: one AND and one popcount.
-- Displacement by support: every arrow of an ordering of S joins two of
-  its seats, so no ordering shares more of R's arrows than the support's
-  inner mask holds, and a support with |arrows(R) ∩ inner(S)| < need
-  yields no child that passes: one test for all (m - 1)! orderings.  R
-  has at most one arrow out of each seat, so that count is at most m, and
-  the test covers off > m·d, which makes need exceed m.
+  need = off + m - m·d of R's arrows: one AND and one popcount.  An
+  ordering has m arrows, so off > m·d, which makes need exceed m, fails
+  every ordering.  No such test covers a support as a whole: at m = 2 or 3
+  a support has one or two orderings, so a test against every arrow
+  between its seats would spare one or two of these tests where it cut
+  and cost one more AND and popcount at every support it kept.
 - Cayley: N - cycles(R) <= (m - 1)·d.  N - cycles(R) is the least number
   of transpositions whose product is R.  An m-cycle is a product of
   m - 1 transpositions, and each transposition changes the cycle count by
@@ -112,11 +109,11 @@ With d moves left:
   under either rule the search stops after limit 0.
 
 Search order.  A position computes R's moved-point bitmask and arrow
-mask once, then skips whole each support that is spent, breaks the normal
-form against the previous move, or fails displacement by support.  Each
-ordering of a support it keeps is tested for displacement on its arrow
-mask; only an ordering that passes builds its child R∘g⁻¹.  With two
-or more moves left after g, one walk over the child's cycles gives its
+mask once, then skips whole each support that is spent or breaks the
+normal form against the previous move.  For a support it keeps, it
+computes need once, and each ordering is tested for displacement on its
+arrow mask; only an ordering that passes builds its child R∘g⁻¹.  With
+two or more moves left after g, one walk over the child's cycles gives its
 Cayley distance and its seat count, and the child is entered only when
 it passes both, so the position builds only children that pass
 displacement and enters only those that pass every bound; the root is
@@ -261,7 +258,7 @@ def verify_plan(
 
 
 Catalog = tuple[
-    tuple[tuple[int, int, int, tuple[tuple[itemgetter, int, tuple[int, ...]], ...]], ...],
+    tuple[tuple[int, int, tuple[tuple[itemgetter, int, tuple[int, ...]], ...]], ...],
     dict[tuple[int, ...], tuple[int, int, int, tuple[int, ...]]],
     tuple[tuple[int, ...], ...],
 ]
@@ -273,15 +270,14 @@ _catalogs: dict[tuple[int, int, int | None], Catalog] = {}
 def _move_catalog(n: int, first_outsider: int, m: int, outsider_rule: bool) -> Catalog:
     """All legal moves on ground indices 0..n-1, grouped by support.
 
-    Each support is (support id, seat bitmask, inner arrow mask,
-    orderings), and each ordering is (action on the residual, arrow mask,
-    seats).  Arrow y → z is bit y·n + z; a support's inner mask holds every
-    arrow a → b with a ≠ b between its seats, and an ordering's arrow mask
-    its own m arrows y → g(y).  Supports come in itertools.combinations
-    order, and under the outsider rule a support holds an outsider when
-    its greatest index is first_outsider or above.  Each support lists its
-    (m - 1)! orderings with the least seat leading, so every legal m-cycle
-    appears once; the returned dict maps each move's own image tuple to
+    Each support is (support id, seat bitmask, orderings), and each
+    ordering is (action on the residual, arrow mask, seats).  Arrow y → z
+    is bit y·n + z, and an ordering's arrow mask holds its own m arrows
+    y → g(y).  Supports come in itertools.combinations order, and under
+    the outsider rule a support holds an outsider when its greatest index
+    is first_outsider or above.  Each support lists its (m - 1)! orderings
+    with the least seat leading, so every legal m-cycle appears once; the
+    returned dict maps each move's own image tuple to
     (k, support id, seat bitmask, seats), where k is its insertion
     position: the move's index in the flat catalog of the supports'
     orderings in turn.  The last value holds arrow y → z's bit at
@@ -319,7 +315,6 @@ def _move_catalog(n: int, first_outsider: int, m: int, outsider_rule: bool) -> C
     last_move = {}
     for sid, combo in enumerate(combos):
         mask = sum(1 << i for i in combo)
-        inner = sum(arrow_rows[a][b] for a in combo for b in combo)
         lead, rest = combo[0], combo[1:]
         orderings = []
         for ordering in itertools.permutations(rest):
@@ -330,7 +325,7 @@ def _move_catalog(n: int, first_outsider: int, m: int, outsider_rule: bool) -> C
             last_move[tuple(image)] = (len(last_move), sid, mask, seats)
             arrows = sum(arrow_rows[a][image[a]] for a in seats)
             orderings.append((itemgetter(*preimage), arrows, seats))
-        supports.append((sid, mask, inner, tuple(orderings)))
+        supports.append((sid, mask, tuple(orderings)))
     catalog = tuple(supports), last_move, arrow_rows
     if size:
         _catalogs[key] = catalog
@@ -426,18 +421,14 @@ def search_min_plan(
         reach, span = m * d, (m - 1) * d
         moved = sum(itertools.compress(bits, map(ne, r, identity)))  # R's moved points
         arrows_r = sum(map(tuple.__getitem__, arrow_rows, r))  # R's arrows y → R(y)
-        for sid, mask, inner, orderings in supports:
-            if (
-                (distinct and spent >> sid & 1)
-                or (not mask & prev_mask and sid < prev_sid)
-                # a child passes displacement exactly when it shares `need` of R's arrows
-                or (arrows_r & inner).bit_count()
-                < (need := (moved & ~mask).bit_count() + m - reach)
-            ):
+        for sid, mask, orderings in supports:
+            if (distinct and spent >> sid & 1) or (not mask & prev_mask and sid < prev_sid):
                 nodes += len(orderings)  # each ordering counts, as when tried in turn
                 if nodes > node_budget:
                     raise OracleBudgetError(f"node budget of {node_budget} exceeded")
                 continue
+            # a child passes displacement exactly when it shares `need` of R's arrows
+            need = (moved & ~mask).bit_count() + m - reach
             for act, arrows, seats in orderings:
                 nodes += 1
                 if nodes > node_budget:

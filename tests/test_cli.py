@@ -2,9 +2,12 @@ import contextlib
 import dataclasses
 import io
 import itertools
+import os
 import re
+import subprocess
 import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -39,6 +42,10 @@ FIVE_CYCLE_PLANS = {
     ]
 }
 
+UNDECODABLE_MESSAGE = (
+    "parse error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+)
+
 
 class TestSolve:
     def test_keeler_base_case(self, capsys):
@@ -66,6 +73,27 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--target", "(1 2", "--m", "2")
         assert code == 2
         assert "parse error" in err
+
+    def test_undecodable_stdin_target_is_a_parse_error(self, capsys):
+        class Undecodable:
+            def read(self):
+                raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+        with mock.patch.object(sys, "stdin", Undecodable()):
+            result = run(capsys, "solve", "--target", "-", "--m", "3")
+        assert result == (2, "", UNDECODABLE_MESSAGE)
+
+    def test_undecodable_stdin_target_through_a_real_process(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8:strict")
+        proc = subprocess.run(
+            [sys.executable, "-m", "mindswap.cli", "solve", "--target", "-", "--m", "3"],
+            input=b"\xff",
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", UNDECODABLE_MESSAGE)
 
     def test_membership_failure(self, capsys):
         code, _, err = run(capsys, "solve", "--target", "(1 2)", "--m", "3")

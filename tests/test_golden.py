@@ -102,6 +102,31 @@ moves:
   a1 a3 a2
 """
 
+# one document per field-level refusal of the reader
+UNKNOWN_FIELD_PLAN = CLEAN_PLAN.replace("outsiders: x1\n", "outsiders: x1\ncolour: red\n")
+REPEATED_FIELD_PLAN = CLEAN_PLAN.replace("machine-size: 3\n", "machine-size: 3\nmachine-size: 3\n")
+NOT_KEY_VALUE_PLAN = CLEAN_PLAN.replace("machine-size: 3\n", "machine-size 3\n")
+NO_MOVES_PLAN = CLEAN_PLAN.split("moves:\n")[0]
+MALFORMED_STEPS_PLAN = CLEAN_PLAN.replace("steps: 4\n", "steps: 01\n")
+MALFORMED_MACHINE_SIZE_PLAN = CLEAN_PLAN.replace("machine-size: 3\n", "machine-size: three\n")
+MALFORMED_LOWER_BOUND_PLAN = CLEAN_PLAN.replace("steps: 4\n", "steps: 4\nlower-bound: -1\n")
+MACHINE_SIZE_1_PLAN = CLEAN_PLAN.replace("machine-size: 3\n", "machine-size: 1\n")
+INSIDER_IN_POOL_PLAN = CLEAN_PLAN.replace("outsiders: x1\n", "outsiders: a1\n")
+REPEATED_OUTSIDER_PLAN = CLEAN_PLAN.replace("outsiders: x1\n", "outsiders: x1 x1\n")
+EMPTY_POOL_PLAN = CLEAN_PLAN.replace("outsiders: x1\n", "outsiders:\n")
+MALFORMED_MOVE_TOKEN_PLAN = CLEAN_PLAN.replace("  a1 a3 x1\n", "  a1 q2 x1\n")
+
+# an odd target on an odd machine has no lower bound to claim
+NO_BOUND_CLAIM_PLAN = """\
+mindswap-plan v1
+machine-size: 3
+target: (a1 a2)
+outsiders: x1
+lower-bound: 2
+moves:
+  a1 a2 x1
+"""
+
 # name -> (argv, stdin)
 CASES: dict[str, tuple[list[str], str]] = {
     "solve-keeler2-transposition": (["solve", "--target", "(1 2)", "--m", "2"], ""),
@@ -185,6 +210,19 @@ CASES: dict[str, tuple[list[str], str]] = {
     "verify-missing-target": (["verify", "--plan", "-"], NO_TARGET_PLAN),
     "verify-steps-mismatch": (["verify", "--plan", "-"], STEPS_MISMATCH_PLAN),
     "verify-missing-plan-file": (["verify", "--plan", "/nonexistent/plan.txt"], ""),
+    "verify-unknown-field": (["verify", "--plan", "-"], UNKNOWN_FIELD_PLAN),
+    "verify-repeated-field": (["verify", "--plan", "-"], REPEATED_FIELD_PLAN),
+    "verify-line-not-key-value": (["verify", "--plan", "-"], NOT_KEY_VALUE_PLAN),
+    "verify-missing-moves": (["verify", "--plan", "-"], NO_MOVES_PLAN),
+    "verify-malformed-steps": (["verify", "--plan", "-"], MALFORMED_STEPS_PLAN),
+    "verify-malformed-machine-size": (["verify", "--plan", "-"], MALFORMED_MACHINE_SIZE_PLAN),
+    "verify-malformed-lower-bound": (["verify", "--plan", "-"], MALFORMED_LOWER_BOUND_PLAN),
+    "verify-machine-size-1": (["verify", "--plan", "-"], MACHINE_SIZE_1_PLAN),
+    "verify-insider-in-pool": (["verify", "--plan", "-"], INSIDER_IN_POOL_PLAN),
+    "verify-repeated-outsider": (["verify", "--plan", "-"], REPEATED_OUTSIDER_PLAN),
+    "verify-empty-pool": (["verify", "--plan", "-"], EMPTY_POOL_PLAN),
+    "verify-malformed-move-token": (["verify", "--plan", "-"], MALFORMED_MOVE_TOKEN_PLAN),
+    "verify-lower-bound-claimed-without-one": (["verify", "--plan", "-"], NO_BOUND_CLAIM_PLAN),
     "oracle-found": (["oracle", "--target", "(1 2)(3 4)", "--m", "3", "--d", "1"], ""),
     "oracle-none-within-bound": (
         ["oracle", "--target", "(1 2)", "--m", "3", "--d", "1", "--max-steps", "3"],
@@ -200,6 +238,26 @@ CASES: dict[str, tuple[list[str], str]] = {
     ),
     "oracle-parse-error": (["oracle", "--target", "(1 2", "--m", "3"], ""),
     "oracle-outsider-in-target": (["oracle", "--target", "(a1 x1)", "--m", "3"], ""),
+    "oracle-machine-size-1": (["oracle", "--target", "(1 2)", "--m", "1"], ""),
+    "oracle-no-outsiders": (["oracle", "--target", "(1 2)", "--m", "3", "--d", "0"], ""),
+    "oracle-ground-set-above-cap": (["oracle", "--target", "(1 2 3)", "--m", "3", "--d", "20"], ""),
+    "oracle-negative-max-steps": (
+        ["oracle", "--target", "(1 2)", "--m", "3", "--max-steps", "-1"],
+        "",
+    ),
+    "oracle-catalog-above-cap": (
+        ["oracle", "--target", "(1 2 3)(4 5 6)(7 8 9)", "--m", "7", "--d", "3"],
+        "",
+    ),
+    # supports with 3! and 4! orderings each
+    "oracle-found-m4": (
+        ["oracle", "--target", "(1 2 3 4)(5 6 7 8)", "--m", "4", "--d", "1", "--max-steps", "4"],
+        "",
+    ),
+    "oracle-found-m5": (
+        ["oracle", "--target", "(1 2 3)(4 5 6)(7 8 9)", "--m", "5", "--d", "1", "--max-steps", "3"],
+        "",
+    ),
     "infinite-shift3": (["infinite", "shift3"], ""),
     "infinite-shift3-horizon1": (["infinite", "shift3", "--horizon", "1"], ""),
     "infinite-shift3-negative-horizon": (["infinite", "shift3", "--horizon", "-1"], ""),
