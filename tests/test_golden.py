@@ -258,7 +258,13 @@ CASES: dict[str, tuple[list[str], str]] = {
         ["oracle", "--target", "(1 2 3)(4 5 6)(7 8 9)", "--m", "5", "--d", "1", "--max-steps", "3"],
         "",
     ),
-    "infinite-shift3": (["infinite", "shift3"], ""),
+    # the fewest swaps at m = 2 are n + r + 2: found at 8, refuted at 7
+    "oracle-found-m2": (["oracle", "--target", "(1 2)(3 4)", "--m", "2", "--d", "2"], ""),
+    "oracle-m2-refuted": (
+        ["oracle", "--target", "(1 2)(3 4)", "--m", "2", "--d", "2", "--max-steps", "7"],
+        "",
+    ),
+    "infinite-shift3":(["infinite", "shift3"], ""),
     "infinite-shift3-horizon1": (["infinite", "shift3", "--horizon", "1"], ""),
     "infinite-shift3-negative-horizon": (["infinite", "shift3", "--horizon", "-1"], ""),
     "infinite-shift3-sigma": (["infinite", "shift3", "--sigma", "(a1 a2)"], ""),
