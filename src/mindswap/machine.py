@@ -71,11 +71,12 @@ def lower_bound(sigma: Permutation, m: int = 3) -> int:
     """B(sigma, m): a lower bound on the moves of any plan for sigma on an
     m-machine, and the fewest for m >= 3, where solve_m_machine meets it.
 
-    At m = 2 it is short of the fewest: (1 2) has B = 3 and needs 5 swaps.
     It is max(2, ceil((n + r) / (m - 1))) for n moved insiders in r cycles,
     raised by one on an even machine when its parity differs from sigma's,
-    and 0 for the identity.  Raises ValueError for m < 2, and for an odd
-    sigma on an odd machine, which no plan reaches.  Proof:
+    and 0 for the identity.  At m = 2 it is n + r + 2, which the distinct
+    swaps need by the Components bound in the oracle module's docstring.
+    Raises ValueError for m < 2, and for an odd sigma on an odd machine,
+    which no plan reaches.  Proof for m >= 3:
 
     - Each move seats at most m - 1 insiders, beside its outsider.
     - Every moved insider sits at least once, and each cycle C of sigma has
@@ -100,6 +101,8 @@ def _bound(n: int, r: int, m: int) -> int:
         raise ValueError(f"odd permutation is not a product of {m}-cycles")
     if not n:
         return 0
+    if m == 2:
+        return n + r + 2
     bound = max(2, -(-(n + r) // (m - 1)))
     if m % 2 == 0 and (bound + n + r) % 2:
         bound += 1

@@ -63,36 +63,33 @@ With d moves left:
   a support has one or two orderings, so a test against every arrow
   between its seats would spare one or two of these tests where it cut
   and cost one more AND and popcount at every support it kept.
-- Cayley: N - cycles(R) <= (m - 1)·d.  N - cycles(R) is the least number
-  of transpositions whose product is R.  An m-cycle is a product of
-  m - 1 transpositions, and each transposition changes the cycle count by
-  exactly one, so one move lowers N - cycles by at most m - 1, and the
-  identity has N - cycles = 0.  At d = 1 displacement implies it: k <= m
-  moved points in c >= 1 cycles give k - c <= m - 1.  At d = 2 it does
-  too: k <= 2m moved points give k - c <= 2m - 2 unless R is a single
-  2m-cycle, which is odd, while every residual at d = 2 is even (for odd
-  m every move is even and an odd target is refuted before the search;
-  for even m by the parity bound).  So it never cuts below d = 3.
-- Seats, under the outsider rule: n_R + r_R <= (m - 1)·d, where n_R is
-  the number of insiders R moves and r_R the number of cycles of R that
-  hold only insiders.  The remaining moves multiply to R, each seats an
-  outsider and so at most m - 1 insiders, and an insider no remaining
-  move seats is fixed by R.  So every insider R moves sits at least once,
-  and each all-insider cycle C of R has an insider that sits twice, by
-  machine.lower_bound's argument, which looks at C alone: if each c in C
-  sat once, in move t(c), then the person at c would reach R(c) in C
-  either at t(c) or through a later move seating R(c), so t would never
-  fall along C, would be constant, and that one move would map C onto
-  itself, so it would be the cycle C and seat no outsider.  R's other
-  cycles may hold outsiders; they only add seats.  The remaining moves
-  thus seat at least n_R + r_R insiders.  At the root this is
-  lower_bound's count.
-  It is stronger than Cayley on an all-insider cycle (k + 1 seats
-  against k - 1 transpositions for k points), equal on a cycle with one
-  outsider, and weaker on a cycle with two or more.  It is applied with
-  two or more moves left: with one, the last move's lookup (see Search
-  order) already fails on every residual it would cut, since a catalog
-  move seats an outsider and so counts at most m - 1.
+- Components: H(R) <= (m - 1)·d.  One walk over R's cycles gives H: a
+  k-cycle adds k - 1 when it holds an outsider and k + 1 when it holds
+  insiders alone, and at m = 2, under both the outsider rule and the
+  distinct-support rule, H gains 2 more when some cycle holds insiders
+  alone and none holds two or more outsiders.  Write each remaining move
+  as m - 1 transpositions of its seats, whose product is R, and join two
+  points when one of them swaps the two.  A component of V points on
+  which R has c cycles, fixed points counted, takes at least V + c - 2 of
+  them (Hurwitz; I. P. Goulden and D. M. Jackson, Proc. AMS 125, 1997), so
+  (m - 1)·d >= V + c - 2·comp over the touched points.  Let h(C) be the
+  k - 1 or k + 1 above for every cycle C, fixed points too; then a
+  component with a cycles that hold an outsider has V + c - 2 =
+  sum h + 2a - 2.  Under the outsider rule every move seats an outsider,
+  so a >= 1 in every component, and (m - 1)·d >= sum h >= H: H leaves out
+  only fixed points, whose h is 0 or 2, and an untouched point is fixed.
+  At m = 2 with distinct supports, a component with one outsider x holds
+  distinct swaps (x a_i) alone, whose product in any order is one cycle
+  through x.  So a cycle of insiders alone lies in a component with two
+  outsiders; if no cycle holds two, they lie in two cycles, a >= 2, and
+  that component adds 2.  With the outsider rule off every index counts
+  as an outsider, and H is N - cycles(R), the Cayley distance, which one
+  transposition changes by one.  At the root R moves insiders alone, so
+  H = n + r for n moved insiders in r cycles, and n + r + 2 at m = 2:
+  machine.lower_bound's count.  H is applied with two or more moves left.
+  With one, displacement already gives the Cayley bound (k <= m moved
+  points in c >= 1 cycles give k - c <= m - 1), and the last move's
+  lookup (see Search order) fails on any residual H cuts.
 - Parity, for even m: d ≡ parity(R) (mod 2).  An m-cycle is odd for even
   m, so every move flips the parity of R and the identity is even.  Since
   a move also lowers d by one, the condition holds at every node of a
@@ -113,19 +110,18 @@ mask once, then skips whole each support that is spent or breaks the
 normal form against the previous move.  For a support it keeps, it
 computes need once, and each ordering is tested for displacement on its
 arrow mask; only an ordering that passes builds its child R∘g⁻¹.  With
-two or more moves left after g, one walk over the child's cycles gives its
-Cayley distance and its seat count, and the child is entered only when
-it passes both, so the position builds only children that pass
-displacement and enters only those that pass every bound; the root is
-bounded once per limit.  With one move left, R∘g⁻¹ is the identity
-exactly when g = R, and each m-cycle appears once in the catalog, so the
-last move is found by one dict lookup on R's image tuple, then checked
-for a spent support and the normal form.  That
-position still counts k + 1 nodes when catalog move k completes the
-plan, and the whole catalog when none does, which is what trying each
-move in turn counted; the budget is checked after adding them, so a
-search raises OracleBudgetError under exactly the budgets it would while
-trying each move.
+two or more moves left after g, one walk over the child's cycles gives
+its one count H, and the child is entered only when it passes, so the
+position builds only children that pass displacement and enters only
+those that pass every bound; the root is bounded once per limit.  With
+one move left, R∘g⁻¹ is the identity exactly when g = R, and each
+m-cycle appears once in the catalog, so the last move is found by one
+dict lookup on R's image tuple, then checked for a spent support and the
+normal form.  That position still counts k + 1 nodes when catalog move
+k completes the plan, and the whole catalog when none does, which is
+what trying each move in turn counted; the budget is checked after
+adding them, so a search raises OracleBudgetError under exactly the
+budgets it would while trying each move.
 
 Inputs.  The rule pool must hold outsiders only (RuleSet raises
 ValueError otherwise, and PlanDocument checks its pool through RuleSet),
@@ -332,15 +328,16 @@ def _move_catalog(n: int, first_outsider: int, m: int, outsider_rule: bool) -> C
     return catalog
 
 
-def _cycle_counts(r: tuple[int, ...], first_outsider: int) -> tuple[int, int]:
-    """One walk over r's cycles: (N - cycles(r), n_R + r_R).
+def _component_count(r: tuple[int, ...], first_outsider: int, stars: bool) -> int:
+    """H(r) of the Components bound, in one walk over r's cycles.
 
-    The first is the fewest transpositions whose product is r (Cayley); the
-    second is the number of indices below first_outsider that r moves, plus
-    the number of r's cycles made of such indices alone (Seats).
+    A k-cycle adds k - 1 when it holds an index at or above first_outsider,
+    an outsider, and k + 1 when it does not.  With stars set (m = 2 under
+    both rules), H gains 2 when some cycle holds no outsider and none holds
+    two or more.
     """
     seen = [False] * len(r)
-    distance = seats = 0
+    count, lone, shared = 0, False, False
     for i, j in enumerate(r):
         if seen[i] or j == i:
             continue
@@ -350,9 +347,13 @@ def _cycle_counts(r: tuple[int, ...], first_outsider: int) -> tuple[int, int]:
             length += 1
             outsiders += j >= first_outsider
             j = r[j]
-        distance += length - 1
-        seats += length - outsiders + (not outsiders)
-    return distance, seats
+        if outsiders:
+            count += length - 1
+            shared |= outsiders > 1
+        else:
+            count += length + 1
+            lone = True
+    return count + 2 if stars and lone and not shared else count
 
 
 def search_min_plan(
@@ -389,9 +390,10 @@ def search_min_plan(
     distinct = rules.require_distinct_supports
     identity = tuple(range(n))
     bits = [1 << i for i in range(n)]
-    # with the outsider rule off every index counts as an outsider, so the
-    # seat count, which holds under that rule only, is 0 and never cuts
+    # with the outsider rule off every index counts as an outsider, so H is
+    # the Cayley distance
     first = len(insiders) if rules.require_outsider_per_move else 0
+    stars = m == 2 and distinct and rules.require_outsider_per_move
     nodes = 0
 
     def dfs(
@@ -436,10 +438,8 @@ def search_min_plan(
                 if (arrows & arrows_r).bit_count() < need:
                     continue  # displacement bound, read off the shared arrows
                 child = act(r)
-                if d > 1:  # Cayley and seat-count bounds; at d = 1 the lookup decides
-                    cayley, seated = _cycle_counts(child, first)
-                    if cayley > span or seated > span:
-                        continue
+                if d > 1 and _component_count(child, first, stars) > span:
+                    continue  # components bound; at d = 1 the lookup decides
                 path.append(seats)
                 if dfs(child, d, spent | 1 << sid, sid, mask, path):
                     return True
@@ -449,17 +449,15 @@ def search_min_plan(
     goal = target.inverse()
     start = tuple(ground.index(goal(e)) for e in ground)  # R before any move
     displaced = sum(map(ne, start, identity))
-    cayley, seated = _cycle_counts(start, first)
+    components = _component_count(start, first, stars)
     # a plan seats each support at most once under the distinct rule, and
     # with no legal move only the empty plan exists
     longest = min(max_steps, len(supports)) if distinct or not supports else max_steps
     for limit in range(longest + 1):
         if m % 2 == 0 and limit % 2 != parity:
             continue  # the parity bound fails at the root, so at every node
-        if displaced > m * limit or cayley > (m - 1) * limit:
-            continue  # displacement and Cayley bounds at the root
-        if limit > 1 and seated > (m - 1) * limit:
-            continue  # the seat count, with two or more moves left
+        if displaced > m * limit or (limit > 1 and components > (m - 1) * limit):
+            continue  # displacement, and H with two or more moves left, at the root
         path: list[tuple[int, ...]] = []
         if limit == 0 or dfs(start, limit, 0, -1, 0, path):
             return [tuple(map(ground.__getitem__, seats)) for seats in path]

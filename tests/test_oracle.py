@@ -180,8 +180,9 @@ class TestSearchMinPlan:
 
     def test_bounds_prune_within_node_budget(self):
         # with the displacement bound alone the search tries 37,922 nodes
-        # here; the Cayley and parity bounds bring that to 5,792, and the
-        # seat count to 2,867
+        # here; the Cayley and parity bounds bring that to 5,792, the seat
+        # count to 2,867, and the component count, which covers both, to
+        # 1,364
         plan = search_min_plan(
             parse_cycles("(1 2)(3 4)"), RuleSet(m=2, outsiders=pool(2)), 8, node_budget=10_000
         )
@@ -302,35 +303,45 @@ class TestSearchMinPlan:
         data=st.data(),
         m=st.integers(2, 5),
         outsiders=st.integers(1, 3),
-        d=st.integers(0, 4),
+        d=st.integers(0, 5),
+        distinct=st.booleans(),
     )
-    def test_a_product_of_d_moves_passes_both_counts(self, data, m, outsiders, d):
-        # d moves, each seating a pool outsider and at most m - 1 insiders,
-        # give a product with both counts at most (m - 1)·d
+    def test_a_product_of_d_moves_passes_the_component_count(
+        self, data, m, outsiders, d, distinct
+    ):
+        # d moves, each seating a pool outsider, give a product r with
+        # H(r) <= (m - 1)·d; the m = 2 term holds for distinct supports only,
+        # and repeated ones are checked without it
         insiders = data.draw(st.integers(max(0, m - outsiders), 6))
         n = insiders + outsiders
+        supports = [c for c in itertools.combinations(range(n), m) if c[-1] >= insiders]
+        if distinct:
+            d = min(d, len(supports))
+        drawn = data.draw(
+            st.lists(st.sampled_from(supports), min_size=d, max_size=d, unique=distinct)
+        )
         r = list(range(n))
-        for _ in range(d):
-            first = data.draw(st.integers(insiders, n - 1))
-            rest = data.draw(st.permutations([i for i in range(n) if i != first]))
-            seats = [first, *rest[: m - 1]]
+        for support in drawn:
+            seats = data.draw(st.permutations(support))
             step = dict(zip(seats, seats[1:] + seats[:1]))
             r = [step.get(i, i) for i in r]
-        distance, seated = oracle._cycle_counts(tuple(r), insiders)
-        assert distance <= (m - 1) * d
-        assert seated <= (m - 1) * d
+        assert oracle._component_count(tuple(r), insiders, distinct and m == 2) <= (m - 1) * d
 
     @settings(max_examples=200, deadline=None)
-    @given(images=st.permutations(range(1, 8)), outsiders=st.integers(0, 3))
-    def test_root_seat_count_is_the_lower_bounds_count(self, images, outsiders):
-        # for a target of insiders alone the seat count is n + r, the count
-        # machine.lower_bound divides by m - 1
+    @given(images=st.permutations(range(1, 8)), outsiders=st.integers(0, 3), stars=st.booleans())
+    def test_root_component_count_is_the_lower_bounds_count(self, images, outsiders, stars):
+        # for a target of insiders alone H is n + r, the count
+        # machine.lower_bound divides by m - 1, and n + r + 2 at m = 2, where
+        # lower_bound returns it; with the outsider rule off it is n - r
         target = permutation_from_images(list(images))
         ground = sorted(target.support()) + list(pool(outsiders))
         goal = target.inverse()
         start = tuple(ground.index(goal(e)) for e in ground)
         n, r = sum(map(len, target.cycles)), len(target.cycles)
-        assert oracle._cycle_counts(start, len(ground) - outsiders) == (n - r, n + r)
+        want = n + r + 2 if stars and n else n + r
+        assert oracle._component_count(start, len(ground) - outsiders, stars) == want
+        assert not stars or lower_bound(target, 2) == want
+        assert oracle._component_count(start, 0, stars) == n - r
 
     def test_search_leaves_the_cached_catalog_as_it_was(self):
         oracle._catalogs.clear()
@@ -422,17 +433,18 @@ class TestBudgetEdges:
     """Each search succeeds with exactly N nodes and, when N > 0, raises
     with N - 1.  N = 0 means the root's bounds refuted every limit.
 
-    m4-pair pins that the seat count leaves the last move to its lookup:
-    bounding the children with one move left as well, the same plan would
-    take 878 nodes.  m2-refuted is a refutation the seat count cannot
-    make at the root: it allows 6 swaps, and the fewest are 8.
+    m4-pair pins that the component count leaves the last move to its
+    lookup: bounding the children with one move left as well, the same
+    plan would take 878 nodes.  m2-refuted is a refutation the component
+    count makes at the root: at m = 2 it is n + r + 2 = 8 for (1 2)(3 4),
+    where the seat count allowed 6 swaps and the search took 1,017 nodes.
     """
 
     @pytest.mark.parametrize(
         "text, rules, max_steps, nodes, plan",
         [
             (
-                "(1 2)(3 4)", RuleSet(m=2, outsiders=pool(2)), 8, 2_867,
+                "(1 2)(3 4)", RuleSet(m=2, outsiders=pool(2)), 8, 1_364,
                 ["(a1 x1)", "(a2 x1)", "(a3 x1)", "(a4 x2)", "(a3 x2)", "(a1 x2)", "(a4 x1)",
                  "(x1 x2)"],
             ),
@@ -462,7 +474,7 @@ class TestBudgetEdges:
                 "(1 2)(3 4)(5 6 7)", RuleSet(m=3, outsiders=pool(1)), 5, 108,
                 ["(a1 a2 x1)", "(a1 a3 x1)", "(a3 x1 a4)", "(a5 x1 a6)", "(a6 x1 a7)"],
             ),
-            ("(1 2)(3 4)", RuleSet(m=2, outsiders=pool(2)), 7, 1_017, None),
+            ("(1 2)(3 4)", RuleSet(m=2, outsiders=pool(2)), 7, 0, None),
         ],
         ids=[
             "keeler-pair", "refutation", "limit-1", "m4-pair", "m5-pair", "m4-repeats",
@@ -512,8 +524,13 @@ def reference_cayley_distance(r: tuple[int, ...]) -> int:
     return distance
 
 
-def reference_seat_count(r: tuple[int, ...], first_outsider: int) -> int:
-    """n_R + r_R: the insiders r moves, plus r's cycles of insiders alone."""
+def reference_component_count(r: tuple[int, ...], first_outsider: int, rules: RuleSet) -> int:
+    """H(r): the Cayley distance with the outsider rule off.  Under it, each
+    k-cycle of r adds k - 1 when it holds an outsider and k + 1 when not,
+    and at m = 2 under the distinct rule as well, 2 more when some cycle
+    holds no outsider and none holds two or more."""
+    if not rules.require_outsider_per_move:
+        return reference_cayley_distance(r)
     cycles, seen = [], set()
     for i in range(len(r)):
         if i not in seen and r[i] != i:
@@ -522,8 +539,11 @@ def reference_seat_count(r: tuple[int, ...], first_outsider: int) -> int:
                 cycle.append(r[cycle[-1]])
             seen.update(cycle)
             cycles.append(cycle)
-    moved = [a for cycle in cycles for a in cycle if a < first_outsider]
-    return len(moved) + sum(all(a < first_outsider for a in cycle) for cycle in cycles)
+    held = [sum(a >= first_outsider for a in cycle) for cycle in cycles]
+    count = sum(len(cycle) + (1 if k == 0 else -1) for cycle, k in zip(cycles, held))
+    if rules.m == 2 and rules.require_distinct_supports and 0 in held and max(held) < 2:
+        count += 2
+    return count
 
 
 def reference_search_min_plan(
@@ -567,14 +587,13 @@ def reference_search_min_plan(
             return r == identity
         if sum(map(ne, r, identity)) > m * depth_left:
             return False  # displacement bound
-        if reference_cayley_distance(r) > (m - 1) * depth_left:
+        if depth_left == 1 and reference_cayley_distance(r) > m - 1:
             return False  # Cayley bound
         if (
-            rules.require_outsider_per_move
-            and depth_left >= 2
-            and reference_seat_count(r, len(insiders)) > (m - 1) * depth_left
+            depth_left >= 2
+            and reference_component_count(r, len(insiders), rules) > (m - 1) * depth_left
         ):
-            return False  # seat count
+            return False  # component count
         for k, (sid, mask, act, seats) in enumerate(catalog):
             nodes += 1
             if nodes > node_budget:
