@@ -22,14 +22,17 @@ each move's own image tuple to its index k in the flat catalog (the
 supports' orderings in turn), its support id, its bitmask and its seats.
 Support ids rank the legal supports in itertools.combinations order,
 which is sorted-tuple order.  Spent supports are an int bitset over those
-ids, and R's moved points an int bitmask over the ground indices.  The
-catalog depends on nothing but N, m, the outsider rule and, under that
-rule, the first outsider's index, so it is built once per such key and
-cached; searches share it and never change it.  The cache holds at most
-CATALOG_CAP moves in all, and is emptied before a catalog that would not
-fit beside it is built.  Elements are looked up only for the plan that is
-returned: each move's seats map through the ground set to a plain tuple,
-least seat first, since an ordering leads with its least index.
+ids, and R's moved points an int bitmask over the ground indices.  A
+table holds, per point p, holders[p]: the bitset of the ids of the
+supports that seat p, beside fewest, the least number of supports that
+seat any one point.  The catalog depends on nothing but N, m, the
+outsider rule and, under that rule, the first outsider's index, so it is
+built once per such key and cached; searches share it and never change
+it.  The cache holds at most CATALOG_CAP moves in all, and is emptied
+before a catalog that would not fit beside it is built.  Elements are
+looked up only for the plan that is returned: each move's seats map
+through the ground set to a plain tuple, least seat first, since an
+ordering leads with its least index.
 
 Nodes.  The search counts one node per catalog move it tries, at every
 position that passed the bounds below; a pruned position and a skipped
@@ -90,6 +93,23 @@ With d moves left:
   With one, displacement already gives the Cayley bound (k <= m moved
   points in c >= 1 cycles give k - c <= m - 1), and the last move's
   lookup (see Search order) fails on any residual H cuts.
+- Coverage, under the distinct-seat-set rule: every point R moves is a
+  seat of some unspent support.  The remaining moves g_1, ..., g_d
+  complete the plan when R = g_d ∘ ... ∘ g_1, each of them seats its own
+  unspent support, and a move fixes every point off its seats; so if no
+  unspent support seats p, every remaining move fixes p, and so must R.
+  The bound is applied with two or more moves left, as H is; with one,
+  the last move's lookup already fails on a spent support.  Only the
+  seats of the support a move spends can be left with no unspent
+  holder.  A position is entered only when every point it moves is
+  covered: the root has spent nothing, and when any legal support exists
+  every point is a seat of one.  Spending S takes only S's id out of the
+  holders, so a point off S keeps its holder, and R∘g⁻¹ moves it exactly
+  when R does (see Displacement from arrows).  So a child is cut exactly
+  when it moves a seat of S that S alone of the unspent supports seats.
+  A position finds those points once, as the points with one unspent
+  holder; none has one before fewest - 1 supports are spent, so until
+  then it skips the count.
 - Parity, for even m: d ≡ parity(R) (mod 2).  An m-cycle is odd for even
   m, so every move flips the parity of R and the identity is even.  Since
   a move also lowers d by one, the condition holds at every node of a
@@ -110,10 +130,12 @@ mask once, then skips whole each support that is spent or breaks the
 normal form against the previous move.  For a support it keeps, it
 computes need once, and each ordering is tested for displacement on its
 arrow mask; only an ordering that passes builds its child R∘g⁻¹.  With
-two or more moves left after g, one walk over the child's cycles gives
-its one count H, and the child is entered only when it passes, so the
-position builds only children that pass displacement and enters only
-those that pass every bound; the root is bounded once per limit.  With
+two or more moves left after g, the child is cut when its moved points
+meet the support's stranded seats, those that no other unspent support
+seats (the Coverage bound); otherwise one walk over the child's cycles
+gives its one count H, and the child is entered only when it passes, so
+the position builds only children that pass displacement and enters
+only those that pass every bound; the root is bounded once per limit.  With
 one move left, R∘g⁻¹ is the identity exactly when g = R, and each
 m-cycle appears once in the catalog, so the last move is found by one
 dict lookup on R's image tuple, then checked for a spent support and the
@@ -257,6 +279,8 @@ Catalog = tuple[
     tuple[tuple[int, int, tuple[tuple[itemgetter, int, tuple[int, ...]], ...]], ...],
     dict[tuple[int, ...], tuple[int, int, int, tuple[int, ...]]],
     tuple[tuple[int, ...], ...],
+    tuple[int, ...],
+    int,
 ]
 
 _catalogs: dict[tuple[int, int, int | None], Catalog] = {}
@@ -278,7 +302,9 @@ def _move_catalog(n: int, first_outsider: int, m: int, outsider_rule: bool) -> C
     position: the move's index in the flat catalog of the supports'
     orderings in turn.  The last value holds arrow y → z's bit at
     [y][z], and 0 for y = z, so a residual's arrow mask is one sum over
-    it.  Raises ValueError, before building any move, for more than
+    it.  Then come holders, where holders[p] is the bitset of the ids of
+    the supports that seat p, and fewest, the least popcount among them.
+    Raises ValueError, before building any move, for more than
     CATALOG_CAP moves.
 
     The result is cached and shared by every search on the same key, so
@@ -302,15 +328,18 @@ def _move_catalog(n: int, first_outsider: int, m: int, outsider_rule: bool) -> C
     size = len(combos) * math.factorial(m - 1) if combos else 0
     if size > CATALOG_CAP:
         raise ValueError(f"catalog of {size} moves is too large to search")
-    if sum(len(moves) for _, moves, _ in _catalogs.values()) + size > CATALOG_CAP:
+    if sum(len(moves) for _, moves, *_ in _catalogs.values()) + size > CATALOG_CAP:
         _catalogs.clear()
     arrow_rows = tuple(
         tuple(0 if y == z else 1 << (y * n + z) for z in range(n)) for y in range(n)
     )
     supports = []
     last_move = {}
+    holders = [0] * n
     for sid, combo in enumerate(combos):
         mask = sum(1 << i for i in combo)
+        for i in combo:
+            holders[i] |= 1 << sid
         lead, rest = combo[0], combo[1:]
         orderings = []
         for ordering in itertools.permutations(rest):
@@ -322,7 +351,8 @@ def _move_catalog(n: int, first_outsider: int, m: int, outsider_rule: bool) -> C
             arrows = sum(arrow_rows[a][image[a]] for a in seats)
             orderings.append((itemgetter(*preimage), arrows, seats))
         supports.append((sid, mask, tuple(orderings)))
-    catalog = tuple(supports), last_move, arrow_rows
+    fewest = min(map(int.bit_count, holders), default=0)
+    catalog = tuple(supports), last_move, arrow_rows, tuple(holders), fewest
     if size:
         _catalogs[key] = catalog
     return catalog
@@ -383,7 +413,7 @@ def search_min_plan(
     m, parity = rules.m, target.parity()
     if m % 2 and parity:
         return None  # odd-length cycles multiply to even permutations only
-    supports, last_move, arrow_rows = _move_catalog(
+    supports, last_move, arrow_rows, holders, fewest = _move_catalog(
         n, len(insiders), m, rules.require_outsider_per_move
     )
     size = len(last_move)  # each m-cycle once
@@ -423,6 +453,11 @@ def search_min_plan(
         reach, span = m * d, (m - 1) * d
         moved = sum(itertools.compress(bits, map(ne, r, identity)))  # R's moved points
         arrows_r = sum(map(tuple.__getitem__, arrow_rows, r))  # R's arrows y → R(y)
+        loose = 0  # points one unspent support alone seats; none while too few are spent
+        if distinct and d > 1 and spent.bit_count() >= fewest - 1:
+            for p, held in enumerate(holders):
+                if (held & ~spent).bit_count() == 1:
+                    loose |= bits[p]
         for sid, mask, orderings in supports:
             if (distinct and spent >> sid & 1) or (not mask & prev_mask and sid < prev_sid):
                 nodes += len(orderings)  # each ordering counts, as when tried in turn
@@ -431,6 +466,7 @@ def search_min_plan(
                 continue
             # a child passes displacement exactly when it shares `need` of R's arrows
             need = (moved & ~mask).bit_count() + m - reach
+            stranded = mask & loose  # seats that spending this support strands
             for act, arrows, seats in orderings:
                 nodes += 1
                 if nodes > node_budget:
@@ -438,8 +474,11 @@ def search_min_plan(
                 if (arrows & arrows_r).bit_count() < need:
                     continue  # displacement bound, read off the shared arrows
                 child = act(r)
-                if d > 1 and _component_count(child, first, stars) > span:
-                    continue  # components bound; at d = 1 the lookup decides
+                if d > 1 and (
+                    stranded and stranded & sum(itertools.compress(bits, map(ne, child, identity)))
+                    or _component_count(child, first, stars) > span
+                ):
+                    continue  # coverage, then components; at d = 1 the lookup decides
                 path.append(seats)
                 if dfs(child, d, spent | 1 << sid, sid, mask, path):
                     return True

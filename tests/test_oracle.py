@@ -4,7 +4,7 @@ import time
 from operator import itemgetter, ne
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mindswap import oracle
 from mindswap.keeler import solve_two_machine
@@ -28,6 +28,22 @@ def pool(d):
 
 def move(*elements):
     return MachineMove(elements)
+
+
+def cycle_types(n, largest):
+    """Every cycle type of n insiders, parts of at most largest, longest first."""
+    if not n:
+        yield ()
+    for k in range(min(n, largest), 1, -1):
+        if n - k != 1:
+            yield from ((k, *rest) for rest in cycle_types(n - k, k))
+
+
+def consecutive_target(lengths):
+    """The target whose cycles have these lengths, over a1, a2, ... in order."""
+    starts = itertools.accumulate(lengths, initial=1)
+    cycles = (" ".join(map(str, range(a, a + k))) for a, k in zip(starts, lengths))
+    return parse_cycles("".join(f"({cycle})" for cycle in cycles))
 
 
 class TestRuleSet:
@@ -181,8 +197,8 @@ class TestSearchMinPlan:
     def test_bounds_prune_within_node_budget(self):
         # with the displacement bound alone the search tries 37,922 nodes
         # here; the Cayley and parity bounds bring that to 5,792, the seat
-        # count to 2,867, and the component count, which covers both, to
-        # 1,364
+        # count to 2,867, the component count, which covers both, to 1,364,
+        # and the coverage bound to 50
         plan = search_min_plan(
             parse_cycles("(1 2)(3 4)"), RuleSet(m=2, outsiders=pool(2)), 8, node_budget=10_000
         )
@@ -197,18 +213,9 @@ class TestSearchMinPlan:
         # every m >= 3 document claims lower_bound(sigma, m); with the
         # solver's own pool the search finds a plan of that length and
         # refutes one move fewer, on every cycle type of 2-7 insiders
-        def cycle_types(n, largest):
-            if not n:
-                yield ()
-            for k in range(min(n, largest), 1, -1):
-                if n - k != 1:
-                    yield from ((k, *rest) for rest in cycle_types(n - k, k))
-
         rows = 0
         for lengths in (t for n in range(2, 8) for t in cycle_types(n, n)):
-            starts = itertools.accumulate(lengths, initial=1)
-            cycles = (" ".join(map(str, range(a, a + k))) for a, k in zip(starts, lengths))
-            target = parse_cycles("".join(f"({cycle})" for cycle in cycles))
+            target = consecutive_target(lengths)
             for m in range(3, 7):
                 if m % 2 and target.parity():
                     continue
@@ -220,6 +227,23 @@ class TestSearchMinPlan:
                 assert search_min_plan(target, rules, bound - 1) is None
                 rows += 1
         assert rows == 42
+
+    def test_meets_n_plus_r_plus_two_at_m_two(self):
+        # at m = 2 with two outsiders the search finds a clean plan of
+        # lower_bound(sigma, 2) = n + r + 2 swaps and refutes one fewer, on
+        # every cycle type of 2-14 insiders: the ground set's cap
+        rules = RuleSet(m=2, outsiders=pool(2))
+        rows = 0
+        for lengths in (t for n in range(2, oracle.GROUND_CAP - 1) for t in cycle_types(n, n)):
+            target = consecutive_target(lengths)
+            bound = lower_bound(target, 2)
+            assert bound == sum(lengths) + len(lengths) + 2
+            found = search_min_plan(target, rules, bound)
+            assert found is not None and len(found) == bound
+            assert verify_plan(target, found, rules).clean
+            assert search_min_plan(target, rules, bound - 1) is None
+            rows += 1
+        assert rows == 134
 
     def test_empty_catalog_stops_after_limit_zero(self):
         # four ground elements seat no 5-machine move, so no limit above 0
@@ -250,7 +274,7 @@ class TestSearchMinPlan:
         [(5, 4, 2, True), (6, 3, 3, True), (8, 5, 5, True), (6, 6, 4, False), (7, 5, 7, True)],
     )
     def test_catalog_cap_counts_every_move(self, monkeypatch, n, first_outsider, m, outsider_rule):
-        supports, last_move, _ = oracle._move_catalog(n, first_outsider, m, outsider_rule)
+        supports, last_move, *_ = oracle._move_catalog(n, first_outsider, m, outsider_rule)
         size = sum(len(orderings) for *_, orderings in supports)
         assert len(last_move) == size
         monkeypatch.setattr(oracle, "CATALOG_CAP", size - 1)
@@ -271,7 +295,7 @@ class TestSearchMinPlan:
         r = tuple(data.draw(st.permutations(range(n))))
         first_outsider = data.draw(st.integers(0, n))
         moved = sum(1 << i for i, j in enumerate(r) if i != j)
-        supports, _, _ = oracle._move_catalog(n, first_outsider, m, outsider_rule)
+        supports, *_ = oracle._move_catalog(n, first_outsider, m, outsider_rule)
         for _, mask, orderings in supports:
             for act, _, _ in orderings:
                 displacement = sum(map(ne, act(r), range(n)))
@@ -289,7 +313,7 @@ class TestSearchMinPlan:
         r = tuple(data.draw(st.permutations(range(n))))
         first_outsider = data.draw(st.integers(0, n))
         moved = sum(1 << i for i, j in enumerate(r) if i != j)
-        supports, _, arrow_rows = oracle._move_catalog(n, first_outsider, m, outsider_rule)
+        supports, _, arrow_rows, *_ = oracle._move_catalog(n, first_outsider, m, outsider_rule)
         arrows_r = sum(map(tuple.__getitem__, arrow_rows, r))
         assert arrows_r == sum(1 << (y * n + z) for y, z in enumerate(r) if y != z)
         for _, mask, orderings in supports:
@@ -354,6 +378,65 @@ class TestSearchMinPlan:
         assert list(oracle._catalogs.values()) == [catalog]
         assert oracle._move_catalog(8, 7, 3, True) is catalog
         assert catalog[1] == last_move
+
+    @pytest.mark.parametrize(
+        "n, first_outsider, m, outsider_rule",
+        [(6, 4, 2, True), (8, 7, 3, True), (7, 4, 4, True), (6, 6, 3, False), (5, 3, 2, False)],
+    )
+    def test_holders_recount_the_supports(self, n, first_outsider, m, outsider_rule):
+        # holders[p] is the bitset of the support ids that seat p, and fewest
+        # the least number of supports that seat one point
+        supports, _, _, holders, fewest = oracle._move_catalog(
+            n, first_outsider, m, outsider_rule
+        )
+        seats = {sid: orderings[0][2] for sid, _, orderings in supports}
+        recount = tuple(sum(1 << sid for sid in seats if p in seats[sid]) for p in range(n))
+        assert holders == recount
+        assert fewest == min(len([sid for sid in seats if p in seats[sid]]) for p in range(n))
+
+    def test_search_leaves_the_holders_as_they_were(self):
+        oracle._catalogs.clear()
+        target, rules = parse_cycles("(1 2)(3 4)"), RuleSet(m=2, outsiders=pool(2))
+        catalog = oracle._move_catalog(6, 4, 2, True)
+        supports, _, _, holders, fewest = catalog
+        recount = tuple(
+            sum(1 << sid for sid, mask, _ in supports if mask >> p & 1) for p in range(6)
+        )
+        assert (holders, fewest) == (recount, 2)  # an insider sits with x1 or with x2
+        for max_steps in (7, 8, 8):  # the coverage bound cuts children at 8
+            search_min_plan(target, rules, max_steps)
+        assert oracle._move_catalog(6, 4, 2, True) is catalog
+        assert catalog[3] is holders and holders == recount and catalog[4] == fewest
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        m=st.integers(2, 5),
+        outsiders=st.integers(0, 3),
+        outsider_rule=st.booleans(),
+    )
+    def test_a_product_of_distinct_moves_moves_only_their_seats(
+        self, data, m, outsiders, outsider_rule
+    ):
+        # a move fixes every point off its seats, so a product of distinct
+        # legal moves fixes every point that none of them seats: the premise
+        # of the coverage bound, under which a point no unspent support
+        # seats stays where it is
+        if outsider_rule:
+            outsiders = max(outsiders, 1)
+        insiders = data.draw(st.integers(max(0, m - outsiders), 7))
+        n = insiders + outsiders
+        supports = [
+            c for c in itertools.combinations(range(n), m) if not outsider_rule or c[-1] >= insiders
+        ]
+        drawn = data.draw(st.lists(st.sampled_from(supports), max_size=6, unique=True))
+        r = list(range(n))
+        for support in drawn:
+            seats = data.draw(st.permutations(support))
+            step = dict(zip(seats, seats[1:] + seats[:1]))
+            r = [step.get(i, i) for i in r]
+        seated = {p for support in drawn for p in support}
+        assert {p for p in range(n) if r[p] != p} <= seated
 
 
 class TestCatalogCache:
@@ -438,13 +521,16 @@ class TestBudgetEdges:
     plan would take 878 nodes.  m2-refuted is a refutation the component
     count makes at the root: at m = 2 it is n + r + 2 = 8 for (1 2)(3 4),
     where the seat count allowed 6 swaps and the search took 1,017 nodes.
+    keeler-pair and m2-cycle pin the coverage bound: without it they take
+    1,364 and 328 nodes, since at m = 2 an insider's two supports, with
+    x1 and with x2, are soon both spent.
     """
 
     @pytest.mark.parametrize(
         "text, rules, max_steps, nodes, plan",
         [
             (
-                "(1 2)(3 4)", RuleSet(m=2, outsiders=pool(2)), 8, 1_364,
+                "(1 2)(3 4)", RuleSet(m=2, outsiders=pool(2)), 8, 50,
                 ["(a1 x1)", "(a2 x1)", "(a3 x1)", "(a4 x2)", "(a3 x2)", "(a1 x2)", "(a4 x1)",
                  "(x1 x2)"],
             ),
@@ -475,10 +561,14 @@ class TestBudgetEdges:
                 ["(a1 a2 x1)", "(a1 a3 x1)", "(a3 x1 a4)", "(a5 x1 a6)", "(a6 x1 a7)"],
             ),
             ("(1 2)(3 4)", RuleSet(m=2, outsiders=pool(2)), 7, 0, None),
+            (
+                "(1 2 3 4)", RuleSet(m=2, outsiders=pool(2)), 7, 58,
+                ["(a1 x1)", "(a2 x2)", "(a1 x2)", "(a4 x1)", "(a3 x1)", "(a2 x1)", "(x1 x2)"],
+            ),
         ],
         ids=[
             "keeler-pair", "refutation", "limit-1", "m4-pair", "m5-pair", "m4-repeats",
-            "m4-two-outsiders", "m3-mixed-refuted", "m3-mixed", "m2-refuted",
+            "m4-two-outsiders", "m3-mixed-refuted", "m3-mixed", "m2-refuted", "m2-cycle",
         ],
     )
     def test_exact_budget(self, text, rules, max_steps, nodes, plan):
@@ -546,6 +636,17 @@ def reference_component_count(r: tuple[int, ...], first_outsider: int, rules: Ru
     return count
 
 
+def reference_strands_a_point(
+    r: tuple[int, ...], catalog: list[tuple[int, int, itemgetter, tuple[int, ...]]], spent: int
+) -> bool:
+    """Whether r moves a point that no unspent support seats."""
+    seated = set()
+    for sid, _, _, seats in catalog:
+        if not spent >> sid & 1:
+            seated.update(seats)
+    return any(r[p] != p and p not in seated for p in range(len(r)))
+
+
 def reference_search_min_plan(
     target: Permutation,
     rules: RuleSet,
@@ -594,6 +695,8 @@ def reference_search_min_plan(
             and reference_component_count(r, len(insiders), rules) > (m - 1) * depth_left
         ):
             return False  # component count
+        if depth_left >= 2 and distinct and reference_strands_a_point(r, catalog, spent):
+            return False  # coverage: no remaining move can move the stranded point
         for k, (sid, mask, act, seats) in enumerate(catalog):
             nodes += 1
             if nodes > node_budget:
@@ -646,10 +749,15 @@ class TestSearchDifferential:
     the node count as well as the plans.  A random budget seldom falls
     between two differing counts, so the search is also run at exactly
     the reference's count, where it must finish, and at one below it,
-    where it must run out.
+    where it must run out.  The pinned examples are m = 2 searches long
+    enough for the coverage bound to cut, so every run reaches it.
     """
 
     @settings(max_examples=300, deadline=None)
+    @example([[1, 2], [3, 4]], 2, 2, True, True, 8, 49)
+    @example([[1, 2], [3, 4]], 2, 2, True, True, 8, 3000)
+    @example([[1, 2], [2, 3], [3, 4]], 2, 2, True, True, 7, 57)
+    @example([[1, 2], [2, 3], [3, 4]], 2, 2, True, True, 7, 3000)
     @given(
         swaps=st.lists(st.lists(st.integers(1, 5), min_size=2, max_size=2, unique=True), max_size=6),
         m=st.integers(2, 5),
@@ -671,6 +779,9 @@ class TestSearchDifferential:
         ) == search_outcome(reference_search_min_plan, target, rules, max_steps, node_budget)
 
     @settings(max_examples=300, deadline=None)
+    @example([[1, 2], [3, 4]], 2, 2, True, True, 8)
+    @example([[1, 2], [2, 3], [3, 4]], 2, 2, True, True, 7)
+    @example([[1, 2]], 2, 3, True, True, 6)
     @given(
         swaps=st.lists(st.lists(st.integers(1, 5), min_size=2, max_size=2, unique=True), max_size=6),
         m=st.integers(2, 5),
