@@ -28,12 +28,16 @@ tests/test_infinite.py and tests/test_acceptance.py check that.  A swap is
 *forgetful* when every participant's mind moves but some body is left
 mindless (img is a proper subset of the participants), *retentive* when
 every participating body receives a mind (img equals the participants).
+In terms of the table's open chains, each from a key that is no image to
+an image that is no key: with a +1 tail a swap is forgetful when every
+open chain ends at the threshold; with a -1 tail it is retentive when every
+one starts just below it; with no shift it is retentive when none is open.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Container, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .perm import INSIDER, Element, Permutation, _element, insider, insiders_only
 
@@ -48,6 +52,7 @@ class IncompatibleTailsError(ValueError):
 
 
 CarrierPoint = Element | str
+Chain = list[tuple[CarrierPoint, CarrierPoint]]  # flow-ordered table entries
 HELPER = "z"
 
 INDEX_CAP = 10**5
@@ -230,31 +235,21 @@ def _canonical(exc: dict, tail: TailRule | None, f: TailMap | None = None) -> Ta
 def classify(f: TailMap) -> str:
     """Forgetful, retentive, or neither; see the module docstring.
 
-    img == dom | img iff dom <= img, and dom == dom | img iff img <= dom.
-    dom is the exception keys plus, with a tail (t, d), the stream from t;
-    img is the values plus the stream from t + d.  So each inclusion reads
-    off the table and the at most one index between t and t + d: the cost
-    is the table's size, not the threshold's.
+    Let K be the table's keys and V its images.  With a tail (t, d), dom is
+    K plus the stream from t and img is V plus the stream from t + d, with
+    every key below t and every image below t + d (canonical form).  Open
+    chains run from K - V to V - K; retentive is dom <= img and forgetful
+    img <= dom.  With no tail, or d = 0, each holds exactly when no chain is
+    open.  With d = +1 no key reaches t + 1, so the swap is never retentive,
+    and forgetful exactly when every open chain ends at a<t>.  With d = -1
+    no image reaches t - 1, so it is never forgetful, and retentive exactly
+    when every open chain starts at a<t - 1>.  These are the chains that
+    _walk indexes and cycle_string joins to the tail.
     """
-    rule, keys = f._tail, f._exceptions
-    values = set(keys.values())
-    dom_from, img_from = (rule.threshold, rule.threshold + rule.delta) if rule else (None, None)
-    if _inside(keys, dom_from, values, img_from):
-        return RETENTIVE
-    if _inside(values, img_from, keys, dom_from):
-        return FORGETFUL
-    return NEITHER
-
-
-def _inside(points: Iterable, start: int | None, other: Container, other_start: int | None) -> bool:
-    """Whether points plus the stream from start lie in other plus the stream
-    from other_start; both starts are None for a map with no tail."""
-    if start is not None and any((STREAM, i) not in other for i in range(start, other_start)):
-        return False
-    return all(
-        p in other or (other_start is not None and _on_stream(p) and p.index >= other_start)
-        for p in points
-    )
+    chains, joined = _chains(f)
+    if any(chain[-1][1] != chain[0][0] for i, chain in enumerate(chains) if i != joined):
+        return NEITHER
+    return FORGETFUL if f._tail is not None and f._tail.delta == 1 else RETENTIVE
 
 
 def _max_key_index(f: TailMap) -> int:
@@ -379,17 +374,23 @@ def finitary_extension(p: Permutation) -> TailMap:
 # -- rendering ---------------------------------------------------------------
 
 
-def _chains(f: TailMap) -> list[list[tuple[CarrierPoint, CarrierPoint]]]:
-    if f._walked is None:  # walked once per map; callers only read the list
+def _chains(f: TailMap) -> tuple[list[Chain], int | None]:
+    if f._walked is None:  # walked once per map; callers only read it
         f._walked = _walk(f)
     return f._walked
 
 
-def _walk(f: TailMap) -> list[list[tuple[CarrierPoint, CarrierPoint]]]:
-    """Exception entries grouped into flow-ordered chains and closed cycles."""
-    exc = f._exceptions
+def _walk(f: TailMap) -> tuple[list[Chain], int | None]:
+    """Exception entries grouped into flow-ordered chains and closed cycles,
+    and the index of the open chain the tail continues, or None: with
+    threshold t, the chain ending at a<t> for a +1 tail, past which no image
+    lies, and the chain starting at a<t - 1>, never an image, for a -1 tail."""
+    exc, rule = f._exceptions, f._tail
     values = set(exc.values())
-    chains: list[list[tuple[CarrierPoint, CarrierPoint]]] = []
+    chains: list[Chain] = []
+    delta = rule.delta if rule else 0
+    joint = (STREAM, rule.threshold - (delta == -1)) if delta else None  # a<t> or a<t - 1>
+    joined = None
     seen: set[CarrierPoint] = set()
     # open starts first; every key not yet seen then lies on a closed cycle
     for start in sorted(exc, key=lambda k: (k in values, _point_key(k))):
@@ -400,8 +401,10 @@ def _walk(f: TailMap) -> list[list[tuple[CarrierPoint, CarrierPoint]]]:
             seen.add(cur)
             cur = exc[cur]
         if chain:
+            if (cur if delta == 1 else start) == joint:  # cur is the chain's end
+                joined = len(chains)
             chains.append(chain)
-    return chains
+    return chains, joined
 
 
 def _tail_hops(rule: TailRule | None, horizon: int) -> list[tuple[int, int]]:
@@ -416,7 +419,7 @@ def step_table(f: TailMap, horizon: int = 4) -> list[str]:
     rows: list[str] = []
     rule = f._tail
     reverse = rule is not None and rule.delta == -1
-    for chain in _chains(f):
+    for chain in _chains(f)[0]:
         rows += [f"{k} -> {v}" for k, v in (reversed(chain) if reverse else chain)]
     if rule is not None and rule.delta == 0:
         rows.append(f"{STREAM}n -> {STREAM}n for n >= {rule.threshold}")
@@ -428,31 +431,27 @@ def step_table(f: TailMap, horizon: int = 4) -> list[str]:
 def cycle_string(f: TailMap, horizon: int = 4) -> str:
     """Extended cycle notation with an explicit "..." ellipsis marker.
 
-    With threshold t, a +1 tail's hops follow the chain ending at a<t> and a
-    -1 tail's precede the chain starting at a<t - 1>; else they stand alone.
+    A +1 tail's hops follow the open chain the tail continues and a -1
+    tail's precede it (see _walk); with no such chain they stand alone.
     """
     groups: list[list[str]] = []
     rule = f._tail
     delta, t = (rule.delta, rule.threshold) if rule else (None, 0)
     hops = _tail_hops(rule, horizon)
     lead = ["..."] + [f"{STREAM}{n}" for n, _ in reversed(hops)]
-    joined = False
-    for chain in _chains(f):
-        start, end = chain[0][0], chain[-1][1]
-        tokens = [str(start)] + [str(v) for _, v in chain]
-        if end == start:
-            tokens.pop()
-        # TailMap rejects images at or past a<t + delta>, so no chain ends beyond a<t>
-        elif delta == 1 and isinstance(end, Element) and end.index == t:
+    chains, joined = _chains(f)
+    for i, chain in enumerate(chains):
+        tokens = [str(chain[0][0])] + [str(v) for _, v in chain]
+        if i == joined and delta == 1:
             tokens += [f"{STREAM}{m}" for _, m in hops] + ["..."]
-            joined = True
-        elif delta == -1 and isinstance(start, Element) and start.index == t - 1:
+        elif i == joined:
             tokens = lead + tokens
-            joined = True
+        elif chain[-1][1] == chain[0][0]:  # a closed cycle
+            tokens.pop()
         groups.append(tokens)
-    if delta == 1 and not joined:
+    if delta == 1 and joined is None:
         groups.append([f"{STREAM}{n}" for n, _ in hops] + ["..."])
-    elif delta == -1 and not joined:
+    elif delta == -1 and joined is None:
         groups.append(lead + [f"{STREAM}{t - 1}"])
     elif delta == 0:
         groups.append([f"{STREAM}n for n >= {t}"])

@@ -187,7 +187,8 @@ def test_finitary_targets_reproduce():
 
 
 def test_each_described_map_walks_its_chains_once(monkeypatch):
-    # describe() reads classify, step_table and cycle_string at three horizons
+    # describe() reads classify, step_table and cycle_string at three horizons,
+    # and all three read the one cached walk of each map
     walked = []
     walk = infinite._walk
     monkeypatch.setattr(infinite, "_walk", lambda f: walked.append(f) or walk(f))

@@ -750,10 +750,13 @@ class TestSearchDifferential:
     between two differing counts, so the search is also run at exactly
     the reference's count, where it must finish, and at one below it,
     where it must run out.  The pinned examples are m = 2 searches long
-    enough for the coverage bound to cut, so every run reaches it.
+    enough for the coverage bound to cut, so every run reaches it.  With
+    4 nodes, (1 2)(3 4) runs out while a position counts the orderings of
+    a support it skips whole, so both searches must raise there.
     """
 
     @settings(max_examples=300, deadline=None)
+    @example([[1, 2], [3, 4]], 2, 2, True, True, 8, 4)
     @example([[1, 2], [3, 4]], 2, 2, True, True, 8, 49)
     @example([[1, 2], [3, 4]], 2, 2, True, True, 8, 3000)
     @example([[1, 2], [2, 3], [3, 4]], 2, 2, True, True, 7, 57)
