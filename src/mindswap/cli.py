@@ -222,7 +222,9 @@ def main(argv: list[str] | None = None) -> int:
     p_oracle.add_argument("--m", type=int, required=True)
     p_oracle.add_argument("--d", type=int, default=1, help="number of outsiders")
     p_oracle.add_argument("--max-steps", type=int, default=8)
-    p_oracle.add_argument("--node-budget", type=int, default=10**8)
+    p_oracle.add_argument(
+        "--node-budget", type=int, default=10**8, help="nodes allowed: catalog moves per position"
+    )
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_inf = sub.add_parser("infinite", help="infinite-machine demonstrations")

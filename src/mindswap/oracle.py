@@ -18,14 +18,13 @@ over g's preimage tuple, next to its arrow mask and its seats.  An arrow
 y → z is bit y·N + z of an int over N² bits, and an ordering's mask holds
 its m arrows y → g(y).  A table of the single-arrow bits, 0 where y = z,
 turns R into its own arrow mask with one sum per position.  A dict maps
-each move's own image tuple to its index k in the flat catalog (the
-supports' orderings in turn), its support id, its bitmask and its seats.
-Support ids rank the legal supports in itertools.combinations order,
-which is sorted-tuple order.  Spent supports are an int bitset over those
-ids, and R's moved points an int bitmask over the ground indices.  A
-table holds, per point p, holders[p]: the bitset of the ids of the
-supports that seat p, beside fewest, the least number of supports that
-seat any one point.  The catalog depends on nothing but N, m, the
+each move's own image tuple to its support id, its bitmask and its
+seats.  Support ids rank the legal supports in itertools.combinations
+order, which is sorted-tuple order.  Spent supports are an int bitset
+over those ids, and R's moved points an int bitmask over the ground
+indices.  A table holds, per point p, holders[p]: the bitset of the ids
+of the supports that seat p, beside fewest, the least number of supports
+that seat any one point.  The catalog depends on nothing but N, m, the
 outsider rule and, under that rule, the first outsider's index, so it is
 built once per such key and cached; searches share it and never change
 it.  The cache holds at most CATALOG_CAP moves in all, and is emptied
@@ -34,16 +33,16 @@ looked up only for the plan that is returned: each move's seats map
 through the ground set to a plain tuple, least seat first, since an
 ordering leads with its least index.
 
-Nodes.  The search counts one node per catalog move it tries, at every
-position that passed the bounds below; a pruned position and a skipped
-limit cost none.  The node budget caps that count, so the tighter the
-bounds, the further a search gets on the same budget.  A support that a
-position skips whole (see Search order) counts its own orderings at
-once, and the budget is checked after adding them.  That
-count is exact: trying the orderings in turn adds the same nodes, rejects
-each one by the same test and descends into none, so nothing but the
-count happens between them, and the search raises OracleBudgetError
-under exactly the budgets it would while trying each ordering.
+Nodes.  A node is one catalog move, and each position the search enters
+counts the whole catalog on entry, where the budget is checked; nothing
+inside a position counts.  A position is entered only when it passed
+the bounds below, so a pruned position and a skipped limit cost none,
+and the tighter the bounds, the further a search gets on the same
+budget.  A loop that counted each catalog move as it tried or skipped
+it counts the same at every position that fails, and only the positions
+on a found plan's path count more here.  The positions entered do not
+depend on the budget until it raises, so a search finishes exactly when
+its budget is at least the catalog size times the positions it enters.
 
 Pruning.  Each rule cuts only subtrees that hold no plan, so the DFS meets
 the same first plan, in the same catalog order, as a search without it.
@@ -139,11 +138,7 @@ only those that pass every bound; the root is bounded once per limit.  With
 one move left, R∘g⁻¹ is the identity exactly when g = R, and each
 m-cycle appears once in the catalog, so the last move is found by one
 dict lookup on R's image tuple, then checked for a spent support and the
-normal form.  That position still counts k + 1 nodes when catalog move
-k completes the plan, and the whole catalog when none does, which is
-what trying each move in turn counted; the budget is checked after
-adding them, so a search raises OracleBudgetError under exactly the
-budgets it would while trying each move.
+normal form.
 
 Inputs.  The rule pool must hold outsiders only (RuleSet raises
 ValueError otherwise, and PlanDocument checks its pool through RuleSet),
@@ -277,7 +272,7 @@ def verify_plan(
 
 Catalog = tuple[
     tuple[tuple[int, int, tuple[tuple[itemgetter, int, tuple[int, ...]], ...]], ...],
-    dict[tuple[int, ...], tuple[int, int, int, tuple[int, ...]]],
+    dict[tuple[int, ...], tuple[int, int, tuple[int, ...]]],
     tuple[tuple[int, ...], ...],
     tuple[int, ...],
     int,
@@ -297,13 +292,11 @@ def _move_catalog(n: int, first_outsider: int, m: int, outsider_rule: bool) -> C
     the outsider rule a support holds an outsider when its greatest index
     is first_outsider or above.  Each support lists its (m - 1)! orderings
     with the least seat leading, so every legal m-cycle appears once; the
-    returned dict maps each move's own image tuple to
-    (k, support id, seat bitmask, seats), where k is its insertion
-    position: the move's index in the flat catalog of the supports'
-    orderings in turn.  The last value holds arrow y → z's bit at
-    [y][z], and 0 for y = z, so a residual's arrow mask is one sum over
-    it.  Then come holders, where holders[p] is the bitset of the ids of
-    the supports that seat p, and fewest, the least popcount among them.
+    returned dict maps each move's own image tuple to (support id, seat
+    bitmask, seats).  The last value holds arrow y → z's bit at [y][z],
+    and 0 for y = z, so a residual's arrow mask is one sum over it.  Then
+    come holders, where holders[p] is the bitset of the ids of the
+    supports that seat p, and fewest, the least popcount among them.
     Raises ValueError, before building any move, for more than
     CATALOG_CAP moves.
 
@@ -347,7 +340,7 @@ def _move_catalog(n: int, first_outsider: int, m: int, outsider_rule: bool) -> C
             image, preimage = list(range(n)), list(range(n))
             for a, b in zip(seats, seats[1:] + seats[:1]):
                 image[a], preimage[b] = b, a
-            last_move[tuple(image)] = (len(last_move), sid, mask, seats)
+            last_move[tuple(image)] = sid, mask, seats
             arrows = sum(arrow_rows[a][image[a]] for a in seats)
             orderings.append((itemgetter(*preimage), arrows, seats))
         supports.append((sid, mask, tuple(orderings)))
@@ -399,7 +392,8 @@ def search_min_plan(
     lengths were fully refuted.  Deterministic for fixed inputs.  Each move
     is a plain seat tuple, least seat first.  An odd target on an odd
     machine is unreachable at any length and returns None without
-    searching.
+    searching.  node_budget caps the nodes: the catalog's move count for
+    each position entered.  OracleBudgetError is raised past it.
     """
     insiders_only(target)
     if max_steps < 0:
@@ -436,16 +430,15 @@ def search_min_plan(
     ) -> bool:
         """Complete r, which passed the bounds for depth_left >= 1, onto path."""
         nonlocal nodes
+        nodes += size  # the whole catalog, once per position entered
+        if nodes > node_budget:
+            raise OracleBudgetError(f"node budget of {node_budget} exceeded")
         if depth_left == 1:  # R∘g⁻¹ is the identity exactly when g = R
             hit = last_move.get(r)
-            if hit is not None:
-                k, sid, mask, seats = hit
-                if (distinct and spent >> sid & 1) or (not mask & prev_mask and sid < prev_sid):
-                    hit = None
-            nodes += size if hit is None else k + 1
-            if nodes > node_budget:
-                raise OracleBudgetError(f"node budget of {node_budget} exceeded")
             if hit is None:
+                return False
+            sid, mask, seats = hit
+            if (distinct and spent >> sid & 1) or (not mask & prev_mask and sid < prev_sid):
                 return False
             path.append(seats)
             return True
@@ -460,17 +453,11 @@ def search_min_plan(
                     loose |= bits[p]
         for sid, mask, orderings in supports:
             if (distinct and spent >> sid & 1) or (not mask & prev_mask and sid < prev_sid):
-                nodes += len(orderings)  # each ordering counts, as when tried in turn
-                if nodes > node_budget:
-                    raise OracleBudgetError(f"node budget of {node_budget} exceeded")
                 continue
             # a child passes displacement exactly when it shares `need` of R's arrows
             need = (moved & ~mask).bit_count() + m - reach
             stranded = mask & loose  # seats that spending this support strands
             for act, arrows, seats in orderings:
-                nodes += 1
-                if nodes > node_budget:
-                    raise OracleBudgetError(f"node budget of {node_budget} exceeded")
                 if (arrows & arrows_r).bit_count() < need:
                     continue  # displacement bound, read off the shared arrows
                 child = act(r)

@@ -195,10 +195,11 @@ class TestSearchMinPlan:
             )
 
     def test_bounds_prune_within_node_budget(self):
-        # with the displacement bound alone the search tries 37,922 nodes
-        # here; the Cayley and parity bounds bring that to 5,792, the seat
-        # count to 2,867, the component count, which covers both, to 1,364,
-        # and the coverage bound to 50
+        # counted per move tried, as the search once counted, it took 37,922
+        # nodes here with the displacement bound alone, 5,792 with the
+        # Cayley and parity bounds and 2,867 with the seat count; counted
+        # per position entered, it takes 1,395 with the component count,
+        # which covers both, and 81 with the coverage bound
         plan = search_min_plan(
             parse_cycles("(1 2)(3 4)"), RuleSet(m=2, outsiders=pool(2)), 8, node_budget=10_000
         )
@@ -514,23 +515,26 @@ class TestCatalogCache:
 
 class TestBudgetEdges:
     """Each search succeeds with exactly N nodes and, when N > 0, raises
-    with N - 1.  N = 0 means the root's bounds refuted every limit.
+    with N - 1.  N = 0 means the root's bounds refuted every limit.  A
+    found plan's N is the catalog size times the positions entered.
 
     m4-pair pins that the component count leaves the last move to its
     lookup: bounding the children with one move left as well, the same
-    plan would take 878 nodes.  m2-refuted is a refutation the component
+    plan would take 1,680 nodes.  m2-refuted is a refutation the component
     count makes at the root: at m = 2 it is n + r + 2 = 8 for (1 2)(3 4),
     where the seat count allowed 6 swaps and the search took 1,017 nodes.
     keeler-pair and m2-cycle pin the coverage bound: without it they take
-    1,364 and 328 nodes, since at m = 2 an insider's two supports, with
-    x1 and with x2, are soon both spent.
+    1,395 and 360 nodes, since at m = 2 an insider's two supports, with
+    x1 and with x2, are soon both spent.  m4-one-position pins that a
+    refutation counts what a loop over the catalog counted: its one
+    position counts 34 supports of 6 orderings each.
     """
 
     @pytest.mark.parametrize(
         "text, rules, max_steps, nodes, plan",
         [
             (
-                "(1 2)(3 4)", RuleSet(m=2, outsiders=pool(2)), 8, 50,
+                "(1 2)(3 4)", RuleSet(m=2, outsiders=pool(2)), 8, 81,
                 ["(a1 x1)", "(a2 x1)", "(a3 x1)", "(a4 x2)", "(a3 x2)", "(a1 x2)", "(a4 x1)",
                  "(x1 x2)"],
             ),
@@ -540,11 +544,11 @@ class TestBudgetEdges:
                 ["(a1 a3 a2)"],
             ),
             (
-                "(1 2 3 4 5 6)(7 8)", RuleSet(m=4, outsiders=pool(1)), 4, 2_894,
+                "(1 2 3 4 5 6)(7 8)", RuleSet(m=4, outsiders=pool(1)), 4, 3_696,
                 ["(a1 a2 a3 x1)", "(a2 a6 a5 x1)", "(a3 a7 x1 a4)", "(a1 x1 a8 a7)"],
             ),
             (
-                "(1 2 3)(4 5 6)", RuleSet(m=5, outsiders=pool(1)), 3, 247,
+                "(1 2 3)(4 5 6)", RuleSet(m=5, outsiders=pool(1)), 3, 720,
                 ["(a1 a3 a2 a4 x1)", "(a1 x1 a6 a5 a4)"],
             ),
             (
@@ -552,23 +556,25 @@ class TestBudgetEdges:
                 RuleSet(m=4, outsiders=pool(2), require_distinct_supports=False), 3, 0, None,
             ),
             (
-                "(1 2 3)", RuleSet(m=4, outsiders=pool(2)), 2, 406,
+                "(1 2 3)", RuleSet(m=4, outsiders=pool(2)), 2, 420,
                 ["(a1 x1 x2 a2)", "(a2 x2 x1 a3)"],
             ),
             ("(1 2)(3 4)(5 6 7)", RuleSet(m=3, outsiders=pool(1)), 4, 0, None),
             (
-                "(1 2)(3 4)(5 6 7)", RuleSet(m=3, outsiders=pool(1)), 5, 108,
+                "(1 2)(3 4)(5 6 7)", RuleSet(m=3, outsiders=pool(1)), 5, 210,
                 ["(a1 a2 x1)", "(a1 a3 x1)", "(a3 x1 a4)", "(a5 x1 a6)", "(a6 x1 a7)"],
             ),
             ("(1 2)(3 4)", RuleSet(m=2, outsiders=pool(2)), 7, 0, None),
             (
-                "(1 2 3 4)", RuleSet(m=2, outsiders=pool(2)), 7, 58,
+                "(1 2 3 4)", RuleSet(m=2, outsiders=pool(2)), 7, 90,
                 ["(a1 x1)", "(a2 x2)", "(a1 x2)", "(a4 x1)", "(a3 x1)", "(a2 x1)", "(x1 x2)"],
             ),
+            ("(1 2 3 4)", RuleSet(m=4, outsiders=pool(3)), 2, 204, None),
         ],
         ids=[
             "keeler-pair", "refutation", "limit-1", "m4-pair", "m5-pair", "m4-repeats",
             "m4-two-outsiders", "m3-mixed-refuted", "m3-mixed", "m2-refuted", "m2-cycle",
+            "m4-one-position",
         ],
     )
     def test_exact_budget(self, text, rules, max_steps, nodes, plan):
@@ -697,10 +703,10 @@ def reference_search_min_plan(
             return False  # component count
         if depth_left >= 2 and distinct and reference_strands_a_point(r, catalog, spent):
             return False  # coverage: no remaining move can move the stranded point
-        for k, (sid, mask, act, seats) in enumerate(catalog):
-            nodes += 1
-            if nodes > node_budget:
-                raise OracleBudgetError(f"node budget of {node_budget} exceeded")
+        nodes += len(catalog)  # a position that passed its bounds counts the whole catalog
+        if nodes > node_budget:
+            raise OracleBudgetError(f"node budget of {node_budget} exceeded")
+        for sid, mask, act, seats in catalog:
             if distinct and spent >> sid & 1:
                 continue
             if not mask & prev_mask and sid < prev_sid:
@@ -750,16 +756,17 @@ class TestSearchDifferential:
     between two differing counts, so the search is also run at exactly
     the reference's count, where it must finish, and at one below it,
     where it must run out.  The pinned examples are m = 2 searches long
-    enough for the coverage bound to cut, so every run reaches it.  With
-    4 nodes, (1 2)(3 4) runs out while a position counts the orderings of
-    a support it skips whole, so both searches must raise there.
+    enough for the coverage bound to cut, so every run reaches it.  Each
+    position entered counts the catalog's 9 moves at once, so with 4
+    nodes (1 2)(3 4) runs out on entering the root, and both searches
+    must raise there.
     """
 
     @settings(max_examples=300, deadline=None)
     @example([[1, 2], [3, 4]], 2, 2, True, True, 8, 4)
-    @example([[1, 2], [3, 4]], 2, 2, True, True, 8, 49)
+    @example([[1, 2], [3, 4]], 2, 2, True, True, 8, 80)
     @example([[1, 2], [3, 4]], 2, 2, True, True, 8, 3000)
-    @example([[1, 2], [2, 3], [3, 4]], 2, 2, True, True, 7, 57)
+    @example([[1, 2], [2, 3], [3, 4]], 2, 2, True, True, 7, 89)
     @example([[1, 2], [2, 3], [3, 4]], 2, 2, True, True, 7, 3000)
     @given(
         swaps=st.lists(st.lists(st.integers(1, 5), min_size=2, max_size=2, unique=True), max_size=6),
@@ -803,6 +810,9 @@ class TestSearchDifferential:
         counted = [0]
         want = reference_search_min_plan(target, rules, max_steps, counted=counted)
         need = counted[0]
+        insiders = len(target.support())
+        size = len(reference_move_catalog(insiders + len(rules.outsiders), insiders, rules))
+        assert need == 0 or need % size == 0  # a whole catalog per position entered
         assert search_min_plan(target, rules, max_steps, need) == want
         if need:
             with pytest.raises(OracleBudgetError):
