@@ -14,8 +14,8 @@ from .perm import (
     insider,
     outsider,
     parse_cycles,
+    plan_product,
 )
-from .moves import MachineMove, plan_product
 from .keeler import solve_two_machine
 from .machine import lower_bound, solve_m_machine
 from .oracle import (
@@ -28,7 +28,6 @@ from .oracle import (
 
 __all__ = [
     "Element",
-    "MachineMove",
     "OracleBudgetError",
     "ParseError",
     "Permutation",

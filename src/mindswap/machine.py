@@ -58,13 +58,18 @@ odd m and 3(m/2 - 1) for even m, the latter for (1 2) in case C.
 
 from __future__ import annotations
 
-from .moves import least_first
-from .perm import Permutation, format_cycles, insiders_only, outsider
+from .perm import Element, Permutation, format_cycles, insiders_only, outsider
 from .plandoc import PlanDocument
 
 
 MACHINE_CAP = 10**5
 """Largest machine size solve_m_machine takes: (1 2) seats 3(m/2 - 1) outsiders."""
+
+
+def least_first(seats: tuple[Element, ...]) -> tuple[Element, ...]:
+    """seats rotated so the least leads: the same cycle, in the one written form."""
+    lead = seats.index(min(seats))
+    return seats[lead:] + seats[:lead] if lead else seats
 
 
 def lower_bound(sigma: Permutation, m: int = 3) -> int:

@@ -201,7 +201,7 @@ class RuleSet:
         if len(set(self.outsiders)) != len(self.outsiders):
             raise ValueError("repeated outsider in pool")
         for e in self.outsiders:
-            if not e.is_outsider:
+            if not isinstance(e, Element) or not e.is_outsider:
                 raise ValueError(f"pool entry {e} is not an outsider")
 
 

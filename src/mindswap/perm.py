@@ -12,7 +12,10 @@ Cycle text is read in bulk, each distinct token built once by one call.
 
 Composition is right-to-left everywhere in this package: ``(p * q)(e) ==
 p(q(e))``, so in a written product of cycles the rightmost factor acts
-first.
+first.  A machine move is the tuple of the people it seats, and its cycle
+sends each seat to the next; a plan is a chronological list of moves, and
+:func:`plan_product` composes one, the last move leftmost, refusing a move
+that seats one person twice.
 """
 
 from __future__ import annotations
@@ -134,13 +137,6 @@ class Permutation:
     def identity(cls) -> "Permutation":
         return cls()
 
-    @classmethod
-    def from_cycle(cls, elements: Sequence[Element]) -> "Permutation":
-        """The single cycle sending elements[0] -> elements[1] -> ... -> elements[0]."""
-        if len(set(elements)) != len(elements):
-            raise ValueError("repeated element in cycle")
-        return _compose_cycles([elements])
-
     @property
     def cycles(self) -> tuple[Cycle, ...]:
         """Canonical disjoint cycles; their right-to-left product equals self.
@@ -193,9 +189,6 @@ class Permutation:
     def parity(self) -> int:
         """0 for even, 1 for odd; a k-cycle contributes k - 1 transpositions."""
         return sum(len(c) - 1 for c in self.cycles) % 2
-
-    def is_identity(self) -> bool:
-        return not self._map
 
     def __bool__(self) -> bool:
         return bool(self._map)
@@ -310,8 +303,8 @@ def _compose_cycles(cycles: Iterable[Sequence[Element]]) -> Permutation:
     (each factor of a scramble history) sets its two preimages directly.  Each
     repeat-free cycle is a bijection, so preimage stays the inverse of a bijection on
     the points it holds, and the product is built unchecked.  Every caller passes
-    repeat-free cycles: parse_cycles and from_cycle check theirs, __mul__ passes
-    canonical cycles, and plan_product and oracle.verify_plan check their moves.
+    repeat-free cycles: parse_cycles checks its own, __mul__ passes canonical cycles,
+    and plan_product and oracle.verify_plan check their moves.
     """
     preimage: dict[Element, Element] = {}
     for cycle in cycles:
@@ -321,6 +314,18 @@ def _compose_cycles(cycles: Iterable[Sequence[Element]]) -> Permutation:
         else:
             preimage.update(zip(cycle[1:] + cycle[:1], list(map(preimage.get, cycle, cycle))))
     return _trusted({x: y for y, x in preimage.items() if x != y})
+
+
+def plan_product(moves: Iterable[Cycle]) -> Permutation:
+    """Product of a chronological plan of machine moves: later moves compose on the left.
+
+    Raises ValueError for a move that seats one element twice, which has no product.
+    """
+    moves = list(moves)
+    for move in moves:
+        if len(set(move)) != len(move):
+            raise ValueError(f"repeated seat in move ({_labels(move)})")
+    return _compose_cycles(moves)
 
 
 def _labels(elements: Iterable[Element]) -> str:

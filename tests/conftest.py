@@ -2,9 +2,9 @@ import random
 from typing import Iterable, Sequence
 
 from mindswap.infinite import TailMap, TailRule
-from mindswap.moves import MachineMove
+from mindswap.machine import least_first
 from mindswap.oracle import RuleSet, VerificationReport, verify_plan
-from mindswap.perm import Element, Permutation, insider, outsider
+from mindswap.perm import Element, Permutation, insider, outsider, plan_product
 
 
 def permutation_from_images(images: list[int]) -> Permutation:
@@ -30,8 +30,13 @@ def random_cycle(rng: random.Random, k: int, universe: int) -> tuple:
     return tuple(insider(i) for i in picks)
 
 
+def move(*seats: Element) -> tuple[Element, ...]:
+    """The move seating these people, least seat first, as the solvers write it."""
+    return least_first(seats)
+
+
 def move_text(move: Sequence[Element]) -> str:
-    """A move's seats as written, "(a1 x1)": the text MachineMove's str gives."""
+    """A move's seats as written, "(a1 x1)": the cycle notation of its one cycle."""
     return "(" + " ".join(map(str, move)) + ")"
 
 
@@ -60,12 +65,12 @@ def generator_identity_check(m: int) -> bool:
     a = tuple(insider(i) for i in range(1, m - 1))
     evens = a[1::2]
     odds = a[0::2]
-    g1 = Permutation.from_cycle((y, a[0], x) + a[1:])
-    g2 = Permutation.from_cycle((y, x) + a)
-    collapsed = Permutation.from_cycle((y,) + evens + odds)
+    g1 = plan_product([(y, a[0], x) + a[1:]])
+    g2 = plan_product([(y, x) + a])
+    collapsed = plan_product([(y,) + evens + odds])
     first = g1 * g2 == collapsed
-    g3 = Permutation.from_cycle((x, y) + tuple(reversed(odds)) + tuple(reversed(evens)))
-    second = g3 * collapsed == Permutation.from_cycle((x, y))
+    g3 = plan_product([(x, y) + tuple(reversed(odds)) + tuple(reversed(evens))])
+    second = g3 * collapsed == plan_product([(x, y)])
     return first and second
 
 
@@ -104,7 +109,10 @@ def checked_compose_cycles(cycles: Iterable[Sequence[Element]]) -> Permutation:
 
 
 def reference_verify_plan(
-    target: Permutation, plan: list[MachineMove], rules: RuleSet, product=checked_compose_cycles
+    target: Permutation,
+    plan: list[tuple[Element, ...]],
+    rules: RuleSet,
+    product=checked_compose_cycles,
 ) -> VerificationReport:
     """The verifier that re-read each move per rule and built both sides of
     the product check as permutations.  product is its plan product; it

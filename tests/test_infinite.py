@@ -25,7 +25,7 @@ from mindswap.infinite import (
     inverse_shift_map,
     step_table,
 )
-from mindswap.perm import Element, Permutation, insider, outsider, parse_cycles
+from mindswap.perm import Element, Permutation, insider, outsider, parse_cycles, plan_product
 
 from conftest import (
     cycle_as_two_swaps,
@@ -40,7 +40,7 @@ a = insider
 
 
 def star(*indices):
-    return Permutation.from_cycle([insider(i) for i in indices])
+    return plan_product([[insider(i) for i in indices]])
 
 
 def point_set(cofinite, indices=(), named=()):
@@ -439,7 +439,7 @@ class TestInvertFinitaryTwoStep:
         rng = random.Random(23)
         for _ in range(60):
             sigma = random_permutation(rng, rng.randint(2, 12))
-            if sigma.is_identity():
+            if not sigma:
                 continue
             swaps = invert_finitary_two_step(sigma)
             assert len(swaps) == 2

@@ -3,16 +3,12 @@ import random
 import pytest
 
 from mindswap.keeler import cycle_gadget, solve_two_machine
-from mindswap.moves import MachineMove, plan_product
-from mindswap.perm import Permutation, insider, outsider, parse_cycles
+from mindswap.perm import Permutation, insider, outsider, parse_cycles, plan_product
 
-from conftest import duplicate_supports, random_cycle, random_permutation
+from conftest import duplicate_supports, move, random_cycle, random_permutation
 
 X, Y = outsider(1), outsider(2)
 
-
-def move(*elements):
-    return MachineMove(elements)
 
 
 class TestSweepMoves:
@@ -56,8 +52,8 @@ class TestCycleGadget:
     def test_written_product_with_cycle_is_the_swap(self):
         tau = (insider(1), insider(2), insider(3))
         gadget = cycle_gadget(tau, X, Y)
-        product = plan_product(reversed(gadget)) * Permutation.from_cycle(tau)
-        assert product == Permutation.from_cycle((X, Y))
+        product = plan_product(reversed(gadget)) * plan_product([tau])
+        assert product == plan_product([(X, Y)])
 
     def test_rejects_equal_outsiders_and_short_cycles(self):
         with pytest.raises(ValueError):
@@ -71,12 +67,12 @@ class TestCycleGadget:
 
     def test_swap_identity_on_random_cycles(self):
         rng = random.Random(7)
-        swap = Permutation.from_cycle((X, Y))
+        swap = plan_product([(X, Y)])
         for _ in range(100):
             k = rng.randint(2, 10)
             tau = random_cycle(rng, k, 12)
             gadget = cycle_gadget(tau, X, Y)
-            assert plan_product(reversed(gadget)) * Permutation.from_cycle(tau) == swap
+            assert plan_product(reversed(gadget)) * plan_product([tau]) == swap
 
 
 class TestSolveTwoMachine:
@@ -103,14 +99,14 @@ class TestSolveTwoMachine:
 
     def test_single_cycle_counts(self):
         for k in range(2, 13):
-            sigma = Permutation.from_cycle([insider(i) for i in range(1, k + 1)])
+            sigma = plan_product([[insider(i) for i in range(1, k + 1)]])
             plan = solve_two_machine(sigma)
             assert len(plan.moves) == k + 3
             assert plan_product(plan.moves) == sigma.inverse()
 
     def test_rejects_outsider_support(self):
         with pytest.raises(ValueError):
-            solve_two_machine(Permutation.from_cycle((insider(1), outsider(3))))
+            solve_two_machine(plan_product([(insider(1), outsider(3))]))
 
     def test_random_targets(self):
         rng = random.Random(11)

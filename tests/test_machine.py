@@ -5,21 +5,18 @@ import pytest
 
 from mindswap import machine
 from mindswap.machine import lower_bound, solve_m_machine
-from mindswap.moves import MachineMove, plan_product
 from mindswap.oracle import RuleSet, search_min_plan, verify_plan
-from mindswap.perm import Permutation, insider, outsider, parse_cycles
+from mindswap.perm import Permutation, insider, outsider, parse_cycles, plan_product
 
 from conftest import (
     duplicate_supports,
     generator_identity_check,
+    move,
     permutation_from_images,
     random_cycle,
     random_permutation,
 )
 
-
-def move(*elements):
-    return MachineMove(elements)
 
 
 def reachable(sigma, m):
@@ -131,7 +128,7 @@ class TestInvertThreeCycle:
 
     def test_pool_overlap(self):
         with pytest.raises(ValueError, match="^target must move insiders only$"):
-            solve_m_machine(Permutation.from_cycle((insider(1), insider(2), outsider(1))), 3)
+            solve_m_machine(plan_product([(insider(1), insider(2), outsider(1))]), 3)
 
 
 class TestInvertOddCycle:
@@ -146,9 +143,9 @@ class TestInvertOddCycle:
 
     def test_seven_cycle_m5(self):
         tau = tuple(insider(i) for i in range(1, 8))
-        plan = check(Permutation.from_cycle(tau), 5)
+        plan = check(plan_product([tau]), 5)
         assert plan.steps == 2
-        assert plan_product(plan.moves) == Permutation.from_cycle(tau).inverse()
+        assert plan_product(plan.moves) == plan_product([tau]).inverse()
 
     def test_even_length_rejected(self):
         # a single even-length cycle is odd: no odd machine reaches it
@@ -236,7 +233,7 @@ class TestSolveMMachine:
 
     def test_rejects_outsider_support(self):
         with pytest.raises(ValueError):
-            solve_m_machine(Permutation.from_cycle((insider(1), outsider(1))), 4)
+            solve_m_machine(plan_product([(insider(1), outsider(1))]), 4)
 
     def test_oversized_machine_refused_before_its_pool(self, monkeypatch):
         def refuse(i):
@@ -322,7 +319,7 @@ class TestOnePath:
 
     @pytest.mark.parametrize("m", [4, 5])
     def test_long_cycle_meets_the_bound(self, m):
-        sigma = Permutation.from_cycle([insider(i) for i in range(1, 10002)])
+        sigma = plan_product([[insider(i) for i in range(1, 10002)]])
         plan = check(sigma, m)
         assert plan.steps == {4: 3334, 5: 2501}[m]
 
@@ -332,7 +329,7 @@ class TestConjugationClosure:
         rng = random.Random(5)
         for _ in range(100):
             m = rng.randint(2, 6)
-            tau = Permutation.from_cycle(random_cycle(rng, m, 8))
+            tau = plan_product([random_cycle(rng, m, 8)])
             sigma = random_permutation(rng, 8)
             conjugate = sigma * tau * sigma.inverse()
             assert len(conjugate.cycles) == 1

@@ -4,12 +4,11 @@ from dataclasses import replace
 import pytest
 
 from mindswap import machine
-from mindswap.moves import MachineMove, plan_product
 from mindswap.machine import solve_m_machine
 from mindswap.optimal3 import lower_bound, solve_three_machine_optimal
-from mindswap.perm import Permutation, insider, outsider, parse_cycles
+from mindswap.perm import Permutation, insider, outsider, parse_cycles, plan_product
 
-from conftest import duplicate_supports, permutation_from_images
+from conftest import duplicate_supports, move, permutation_from_images
 
 X = outsider(1)
 
@@ -18,13 +17,10 @@ def ins(*indices):
     return tuple(insider(i) for i in indices)
 
 
-def move(*elements):
-    return MachineMove(elements)
-
 
 def moves_for(tau):
     """The optimal plan's moves for the single cycle tau."""
-    return solve_three_machine_optimal(Permutation.from_cycle(tau)).moves
+    return solve_three_machine_optimal(plan_product([tau])).moves
 
 
 class TestInsiderOccurrences:
@@ -43,12 +39,12 @@ class TestOddCycleMoves:
         tau = ins(1, 2, 3, 4, 5)
         moves = moves_for(tau)
         assert len(moves) == 3
-        assert plan_product(moves) == Permutation.from_cycle(tau).inverse()
+        assert plan_product(moves) == plan_product([tau]).inverse()
 
     def test_product_cancels_cycle(self):
         tau = ins(1, 2, 3, 4, 5, 6, 7)
         moves = moves_for(tau)
-        assert plan_product(moves) * Permutation.from_cycle(tau) == Permutation.identity()
+        assert plan_product(moves) * plan_product([tau]) == Permutation.identity()
 
     def test_even_length_rejected(self):
         with pytest.raises(ValueError, match="^odd permutation is not a product of 3-cycles$"):

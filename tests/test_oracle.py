@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from mindswap import oracle
 from mindswap.keeler import solve_two_machine
 from mindswap.machine import lower_bound, solve_m_machine
-from mindswap.moves import MachineMove, plan_product
 from mindswap.optimal3 import solve_three_machine_optimal
 from mindswap.oracle import (
     OracleBudgetError,
@@ -17,17 +16,22 @@ from mindswap.oracle import (
     search_min_plan,
     verify_plan,
 )
-from mindswap.perm import Permutation, insider, insiders_only, outsider, parse_cycles
+from mindswap.perm import (
+    Element,
+    Permutation,
+    insider,
+    insiders_only,
+    outsider,
+    parse_cycles,
+    plan_product,
+)
 
-from conftest import expected_report, move_text, permutation_from_images
+from conftest import expected_report, move, move_text, permutation_from_images
 
 
 def pool(d):
     return tuple(outsider(i) for i in range(1, d + 1))
 
-
-def move(*elements):
-    return MachineMove(elements)
 
 
 def cycle_types(n, largest):
@@ -63,6 +67,13 @@ class TestRuleSet:
             RuleSet(m=3, outsiders=(insider(index),))
         with pytest.raises(ValueError, match=f"pool entry a{index} is not an outsider"):
             RuleSet(m=3, outsiders=(outsider(1), insider(index)), require_outsider_per_move=False)
+
+    @pytest.mark.parametrize("entry", ["x1", ("x", 1)], ids=["label", "plain-tuple"])
+    def test_pool_entry_that_is_not_an_element_rejected(self, entry):
+        # a label or a plain tuple has no is_outsider; it is refused as any non-outsider is
+        with pytest.raises(ValueError) as err:
+            RuleSet(m=2, outsiders=(entry,))
+        assert str(err.value) == f"pool entry {entry} is not an outsider"
 
 
 class TestVerifyPlan:
@@ -206,7 +217,7 @@ class TestSearchMinPlan:
         assert plan is not None and len(plan) == 8
 
     def test_oversized_ground_set_rejected(self):
-        big = Permutation.from_cycle([insider(i) for i in range(1, 16)])
+        big = plan_product([[insider(i) for i in range(1, 16)]])
         with pytest.raises(ValueError):
             search_min_plan(big, RuleSet(m=3, outsiders=pool(2)), 2)
 
@@ -266,7 +277,7 @@ class TestSearchMinPlan:
 
     def test_oversized_catalog_rejected_before_building(self):
         # 9 supports times 8! orderings: 362,880 moves, far above the cap
-        nine = Permutation.from_cycle([insider(i) for i in range(1, 10)])
+        nine = plan_product([[insider(i) for i in range(1, 10)]])
         with pytest.raises(ValueError, match="catalog of 362880 moves is too large"):
             search_min_plan(nine, RuleSet(m=9, outsiders=pool(1)), 1, node_budget=5)
 
@@ -659,7 +670,7 @@ def reference_search_min_plan(
     max_steps: int,
     node_budget: int = 10**8,
     counted: list[int] | None = None,
-) -> list[MachineMove] | None:
+) -> list[tuple[Element, ...]] | None:
     """The reference search.  When given, counted[0] gets its node count,
     also when the budget runs out; a target ruled out by parity counts no
     node and leaves it as it was."""
@@ -728,7 +739,7 @@ def reference_search_min_plan(
                 continue  # the parity bound fails at the root, so at every node
             path: list[tuple[int, ...]] = []
             if dfs(start, limit, 0, -1, 0, path):
-                return [MachineMove(tuple(ground[i] for i in seats)) for seats in path]
+                return [move(*(ground[i] for i in seats)) for seats in path]
         return None
     finally:
         if counted is not None:
@@ -737,7 +748,7 @@ def reference_search_min_plan(
 
 def transposition_product(swaps: list[list[int]]) -> Permutation:
     """The product of transpositions of insiders; it moves at most 5 of them."""
-    return plan_product(MachineMove((insider(a), insider(b))) for a, b in swaps)
+    return plan_product((insider(a), insider(b)) for a, b in swaps)
 
 
 def search_outcome(search, target, rules, max_steps, node_budget):
@@ -837,7 +848,7 @@ def mutated_plans(draw):
     n = draw(st.integers(0, 7))
     target = permutation_from_images(list(draw(st.permutations(range(1, n + 1)))))
     if m % 2 and target.parity():
-        target = target * Permutation.from_cycle((insider(1), insider(2)))
+        target = target * plan_product([(insider(1), insider(2))])
     doc = solve(target)
     plan = list(doc.moves)
     strangers = [outsider(len(doc.outsiders) + 1), outsider(len(doc.outsiders) + 2)]
