@@ -1,9 +1,9 @@
 """Mind-swap machine inversion toolkit.
 
-Solvers for the 2-machine and for every m-machine (m >= 3, optimal) under
-the distinct-seat-set rule, a brute-force optimality oracle, and symbolic
-algebra for the countably infinite machine.  Every solver returns a
-``plandoc.PlanDocument``.
+``solve_m_machine(sigma, m)`` solves every m-machine under the distinct-seat-set
+rule: Keeler's sweep at m = 2, optimal at m >= 3.  Beside it, a brute-force
+optimality oracle and symbolic algebra for the countably infinite machine.
+Every plan is a ``plandoc.PlanDocument``.
 """
 
 from .perm import (
@@ -16,7 +16,6 @@ from .perm import (
     parse_cycles,
     plan_product,
 )
-from .keeler import solve_two_machine
 from .machine import lower_bound, solve_m_machine
 from .oracle import (
     OracleBudgetError,
@@ -41,6 +40,5 @@ __all__ = [
     "plan_product",
     "search_min_plan",
     "solve_m_machine",
-    "solve_two_machine",
     "verify_plan",
 ]

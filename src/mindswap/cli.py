@@ -5,7 +5,7 @@
     mindswap oracle   --target "(a1 a2)(a3 a4)" --m 3 --d 1
     mindswap infinite shift3 | finitary2 --sigma "(a1 a2)(a3 a4 a5)"
 
-The machine size picks the solver: keeler2 at m = 2, general_m at m >= 3.
+``solve`` calls ``solve_m_machine`` at every m: keeler2 at 2, general_m above.
 ``solve --target -`` reads the target's cycle text from stdin, as
 ``verify --plan -`` reads the plan, for targets too long for one argument.
 Plan documents go to stdout; summaries and diagnostics go to stderr.  Exit
@@ -20,7 +20,6 @@ import sys
 from typing import TextIO
 
 from . import infinite, plandoc
-from .keeler import solve_two_machine
 from .machine import lower_bound, solve_m_machine
 from .oracle import OracleBudgetError, RuleSet, _refuse_ground, search_min_plan, verify_plan
 from .perm import (
@@ -91,7 +90,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         target = _parse_target(text)
         if args.m < 2:
             return _fail(EXIT_PARSE, f"error: machine size must be at least 2, got {args.m}")
-        doc = solve_two_machine(target) if args.m == 2 else solve_m_machine(target, args.m)
+        doc = solve_m_machine(target, args.m)
     except ParseError as err:
         return _fail(EXIT_PARSE, f"parse error: {err}")
     except ValueError as err:

@@ -1,10 +1,21 @@
-"""The m-machine solver (m >= 3): every plan has, and records, lower_bound(sigma, m) moves.
+"""The m-machine solver, for every m >= 2: Keeler's sweep at m = 2, and at
+m >= 3 a plan of lower_bound(sigma, m) moves that records that bound.
 
-Every move seats the hub outsider x1.  A *word* is a list of people other
-than x1, read as the transpositions (x1 l) in acting order.  A run W of w =
-m - 1 distinct letters is the m-cycle (W x1), since (l1 ... lw x1) =
-(x1 lw) ... (x1 l1), so a word of T * w letters whose chunks
-word[i*w : (i+1)*w] are repeat-free is a T-move plan.  The cycle
+At m = 2 (Keeler's theorem) each cycle (a1 a2 ... ak) of sigma takes, in
+acting order, the swaps (a1 x1)(a2 x2)(a1 x2)(ak x1) ... (a2 x1), and
+(x1 x2) ends the plan when sigma has an odd number r of cycles.  Written
+with the first swap rightmost, a cycle's swaps are the paper's gadget
+(x1 a2) ... (x1 ak)(x2 a1)(x2 a2)(x1 a1), whose product composed with the
+cycle is (x1 x2), and which commutes with the other cycles; so the plan
+composed with sigma is (x1 x2)^(r + [r odd]), the identity.  Its
+n + 2r + [r odd] swaps are distinct, but exceed n + r + 2 once r >= 3, so
+the m = 2 plan records no bound.
+
+At m >= 3 every move seats the hub outsider x1.  A *word* is a list of
+people other than x1, read as the transpositions (x1 l) in acting order.
+A run W of w = m - 1 distinct letters is the m-cycle (W x1), since
+(l1 ... lw x1) = (x1 lw) ... (x1 l1), so a word of T * w letters whose
+chunks word[i*w : (i+1)*w] are repeat-free is a T-move plan.  The cycle
 (d1 ... dk) has the word d1 d2 ... dk d1, so rho = sigma^-1, with n moved
 insiders in r cycles, needs n + r letters, a classical count (I. Pak,
 Discrete Math. 204, 1999).  Two facts move letters around:
@@ -115,53 +126,66 @@ def _bound(n: int, r: int, m: int) -> int:
 
 
 def solve_m_machine(sigma: Permutation, m: int) -> PlanDocument:
-    """Invert sigma in lower_bound(sigma, m) moves through the hub x1, and record that bound."""
+    """Invert sigma on an m-machine through the hub x1: Keeler's sweep, solver
+    "keeler2", at m = 2, and lower_bound(sigma, m) moves, recorded, solver
+    "general_m", at m >= 3."""
     insiders_only(sigma)
-    if m < 3:
-        raise ValueError("machine size must be at least 3")
+    if m < 2:
+        raise ValueError(f"machine size must be at least 2, got {m}")
     if m > MACHINE_CAP:
         raise ValueError(f"machine size {m} is above the cap of {MACHINE_CAP}")
     target = format_cycles(sigma)  # reads sigma.cycles, which the inverse takes over reversed
-    cycles = sigma.inverse().cycles
-    n, r, w = sum(map(len, cycles)), len(cycles), m - 1
-    steps = _bound(n, r, m)
-    q = (steps * w - n - r) // 2
-
-    def cut(c: int) -> tuple[list, list]:
-        """H and R when the heads hold c letters."""
-        heads, tails, extra = [], [], c - r
-        for d in cycles:
-            j = 1 + min(extra, len(d) - 1)
-            extra -= j - 1
-            heads.append(d[:j])
-            tails.append(d[j:] + d[:1])
-        return [e for h in heads for e in h], [e for t in tails[::-1] for e in t]
-
-    ys = [outsider(i) for i in range(2, q + 2)]
-    c = r + (-r - q) % w
-    if c <= n:
-        head, tail = cut(c)
-        word, used = head + ys + ys[::-1] + tail, q
-    elif n + r >= w:
-        c = min(n, w)
-        head, tail = cut(c)
-        leaders = {d[0] for d in cycles}
-        inner = [e for e in head if e not in leaders]
-        y, t, u = ys[: w - c], (n + r - w) // 2, (inner + ys[w - c :])[: q - w + c]
-        word = head + y + y[::-1] + tail[:t] + u + u[::-1] + tail[t:]
-        used = q - min(len(inner), q - w + c)
-    else:
-        head, tail = cut(r)
-        used, j = q - 1, w - r
-        tau = ys[:used]
-        inverse = tau[j - 1 :: -1] + tau[: j - 1 : -1] + tau[j - 1 : j]
-        word = head + tau + tau[:1] + inverse + tail
     x1 = outsider(1)
+    if m == 2:
+        x2 = outsider(2)
+        moves = []
+        for a in sigma.cycles:
+            moves += (a[0], x1), (a[1], x2), (a[0], x2), *[(e, x1) for e in a[:0:-1]]
+        if len(sigma.cycles) % 2:
+            moves.append((x1, x2))
+        pool, steps = (x1, x2), None
+    else:
+        cycles = sigma.inverse().cycles
+        n, r, w = sum(map(len, cycles)), len(cycles), m - 1
+        steps = _bound(n, r, m)
+        q = (steps * w - n - r) // 2
+
+        def cut(c: int) -> tuple[list, list]:
+            """H and R when the heads hold c letters."""
+            heads, tails, extra = [], [], c - r
+            for d in cycles:
+                j = 1 + min(extra, len(d) - 1)
+                extra -= j - 1
+                heads.append(d[:j])
+                tails.append(d[j:] + d[:1])
+            return [e for h in heads for e in h], [e for t in tails[::-1] for e in t]
+
+        ys = [outsider(i) for i in range(2, q + 2)]
+        c = r + (-r - q) % w
+        if c <= n:
+            head, tail = cut(c)
+            word, used = head + ys + ys[::-1] + tail, q
+        elif n + r >= w:
+            c = min(n, w)
+            head, tail = cut(c)
+            leaders = {d[0] for d in cycles}
+            inner = [e for e in head if e not in leaders]
+            y, t, u = ys[: w - c], (n + r - w) // 2, (inner + ys[w - c :])[: q - w + c]
+            word = head + y + y[::-1] + tail[:t] + u + u[::-1] + tail[t:]
+            used = q - min(len(inner), q - w + c)
+        else:
+            head, tail = cut(r)
+            used, j = q - 1, w - r
+            tau = ys[:used]
+            inverse = tau[j - 1 :: -1] + tau[: j - 1 : -1] + tau[j - 1 : j]
+            word = head + tau + tau[:1] + inverse + tail
+        pool = (x1, *ys[:used])
+        moves = [least_first((*word[i * w : (i + 1) * w], x1)) for i in range(steps)]
     return PlanDocument(
         m=m,
         target=target,
-        outsiders=tuple(outsider(i) for i in range(1, used + 2)),
-        moves=tuple(least_first((*word[i * w : (i + 1) * w], x1)) for i in range(steps)),
-        solver="general_m",
+        outsiders=pool,
+        moves=tuple(moves),
+        solver="keeler2" if m == 2 else "general_m",
         lower_bound=steps,
     )

@@ -186,7 +186,9 @@ class OracleBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Machine rules a plan must follow."""
+    """Machine rules a plan must follow.  ValueError refuses a machine size that
+    is not an int of at least 2, and a pool that is empty under the outsider
+    rule, repeats a person or holds anything but outsiders."""
 
     m: int
     outsiders: tuple[Element, ...]
@@ -194,11 +196,14 @@ class RuleSet:
     require_distinct_supports: bool = True
 
     def __post_init__(self) -> None:
+        if not isinstance(self.m, int) or isinstance(self.m, bool):
+            raise ValueError(f"machine size must be an integer, got {self.m!r}")
         if self.m < 2:
             raise ValueError(f"machine size must be at least 2, got {self.m}")
         if self.require_outsider_per_move and not self.outsiders:
             raise ValueError("outsider rule requires a nonempty outsider pool")
-        if len(set(self.outsiders)) != len(self.outsiders):
+        elements = [e for e in self.outsiders if isinstance(e, Element)]  # others may not hash
+        if len(set(elements)) != len(elements):
             raise ValueError("repeated outsider in pool")
         for e in self.outsiders:
             if not isinstance(e, Element) or not e.is_outsider:

@@ -42,11 +42,11 @@ class PlanDocument:
     only re-parsed by ``loads``, where text enters from outside.  Solvers
     fill every field, with each move a plain seat tuple, least seat first;
     ``loads`` gives each move as its seat tuple as written.  ``lower_bound``
-    is set by the m >= 3 solvers, which meet it, and left ``None`` by
-    keeler2.  The record refuses only what could not be checked or read
-    back: a machine size and pool that ``RuleSet`` refuses, a ``target`` or
-    ``solver`` not one line without outer whitespace, a negative bound and
-    an empty move.
+    is set by ``solve_m_machine`` at m >= 3, which meets it, and left
+    ``None`` at m = 2 (keeler2).  The record refuses only what could not be
+    checked or read back: a machine size and pool that ``RuleSet`` refuses,
+    a ``target`` or ``solver`` not one line without outer whitespace, a
+    bound that is not an integer or is negative, and an empty move.
     Seat counts, repeats and false bounds are the verifier's to report.
     """
 
@@ -65,8 +65,11 @@ class PlanDocument:
         for key, text in (("target", self.target), ("solver", self.solver or "")):
             if text != text.strip() or len(text.splitlines()) > 1:
                 raise PlanFormatError(f"{key} {text!r} is not one line without outer whitespace")
-        if self.lower_bound is not None and self.lower_bound < 0:
-            raise PlanFormatError(f"lower bound {self.lower_bound} is negative")
+        bound = self.lower_bound
+        if bound is not None and (not isinstance(bound, int) or isinstance(bound, bool)):
+            raise PlanFormatError(f"lower bound must be an integer, got {bound!r}")
+        if bound is not None and bound < 0:
+            raise PlanFormatError(f"lower bound {bound} is negative")
         if () in self.moves:
             raise PlanFormatError(f"move {self.moves.index(())} has no seats")
 

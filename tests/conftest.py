@@ -35,6 +35,17 @@ def move(*seats: Element) -> tuple[Element, ...]:
     return least_first(seats)
 
 
+def cycle_gadget(cycle: Sequence[Element], x: Element, y: Element) -> list[tuple[Element, ...]]:
+    """The paper's Keeler gadget of an insider cycle (a1 ... ak), in written order:
+
+        (x a2)(x a3) ... (x ak)(y a1)(y a2)(x a1)
+
+    Its written product, composed with the cycle, is the swap (x y).  The
+    2-machine plan lists each cycle's gadget reversed, in acting order."""
+    a1, a2 = cycle[0], cycle[1]
+    return [move(a, x) for a in cycle[1:]] + [move(a1, y), move(a2, y), move(a1, x)]
+
+
 def move_text(move: Sequence[Element]) -> str:
     """A move's seats as written, "(a1 x1)": the cycle notation of its one cycle."""
     return "(" + " ".join(map(str, move)) + ")"

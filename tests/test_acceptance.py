@@ -22,13 +22,14 @@ from mindswap.infinite import (
     TailMap,
     TailRule,
 )
-from mindswap.keeler import cycle_gadget, solve_two_machine
+from mindswap.keeler import solve_two_machine
 from mindswap.machine import lower_bound, solve_m_machine
 from mindswap.optimal3 import solve_three_machine_optimal
 from mindswap.oracle import RuleSet, search_min_plan, verify_plan
 from mindswap.perm import Permutation, insider, outsider, parse_cycles, plan_product
 
 from conftest import (
+    cycle_gadget,
     duplicate_supports,
     generator_identity_check,
     permutation_from_images,

@@ -633,6 +633,24 @@ class TestPlanDocFormat:
         with pytest.raises(plandoc.PlanFormatError, match="^pool entry x1 is not an outsider$"):
             plandoc.PlanDocument(m=2, target="(a1 a2)", outsiders=("x1",), moves=())
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("m", "2", "machine size must be an integer, got '2'"),
+            ("m", 2.0, "machine size must be an integer, got 2.0"),
+            ("m", True, "machine size must be an integer, got True"),
+            ("outsiders", (["x", 1],), "pool entry ['x', 1] is not an outsider"),
+            ("lower_bound", 2.5, "lower bound must be an integer, got 2.5"),
+            ("lower_bound", True, "lower bound must be an integer, got True"),
+        ],
+        ids=["m-text", "m-float", "m-bool", "unhashable-pool-entry", "bound-float", "bound-bool"],
+    )
+    def test_value_that_would_not_read_back_is_a_format_error(self, field, value, message):
+        # dumps would write "machine-size: 2.0" or "lower-bound: 2.5", which loads refuses
+        with pytest.raises(plandoc.PlanFormatError) as err:
+            dataclasses.replace(KEELER_DOC, **{field: value})
+        assert str(err.value) == message
+
     @given(
         st.none() | st.text(),
         st.permutations(range(1, 7)).map(

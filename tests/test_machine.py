@@ -1,9 +1,10 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
-from mindswap import machine
+from mindswap import keeler, machine, optimal3
 from mindswap.machine import lower_bound, solve_m_machine
 from mindswap.oracle import RuleSet, search_min_plan, verify_plan
 from mindswap.perm import Permutation, insider, outsider, parse_cycles, plan_product
@@ -227,9 +228,28 @@ class TestSolveMMachine:
         with pytest.raises(ValueError):
             solve_m_machine(parse_cycles("(1 2)"), 3)
 
-    def test_machine_below_three_refused(self):
-        with pytest.raises(ValueError, match="^machine size must be at least 3$"):
-            solve_m_machine(parse_cycles("(1 2 3)"), 2)
+    def test_machine_two_is_keelers_sweep(self):
+        rng = random.Random(2)
+        for _ in range(100):
+            sigma = random_permutation(rng, rng.randint(0, 10))
+            plan = solve_m_machine(sigma, 2)
+            assert plan == keeler.solve_two_machine(sigma)
+            assert (plan.solver, plan.lower_bound) == ("keeler2", None)
+            assert verify_plan(sigma, list(plan.moves), RuleSet(2, plan.outsiders)).clean
+
+    @pytest.mark.parametrize("m", [1, 0, -1])
+    def test_machine_below_two_refused(self, m):
+        with pytest.raises(ValueError, match=f"^machine size must be at least 2, got {m}$"):
+            solve_m_machine(parse_cycles("(1 2 3)"), m)
+
+    def test_optimal3_differs_only_in_its_label(self):
+        rng = random.Random(3)
+        for _ in range(100):
+            sigma = random_permutation(rng, rng.randint(0, 10))
+            if reachable(sigma, 3):
+                plan = optimal3.solve_three_machine_optimal(sigma)
+                assert plan.solver == "optimal3"
+                assert plan == dataclasses.replace(solve_m_machine(sigma, 3), solver="optimal3")
 
     def test_rejects_outsider_support(self):
         with pytest.raises(ValueError):

@@ -59,6 +59,12 @@ class TestRuleSet:
         with pytest.raises(ValueError):
             RuleSet(m=1, outsiders=pool(1))
 
+    @pytest.mark.parametrize("m", ["2", 2.0, True], ids=["text", "float", "bool"])
+    def test_machine_size_that_is_not_an_int_rejected(self, m):
+        with pytest.raises(ValueError) as err:
+            RuleSet(m=m, outsiders=pool(1))
+        assert str(err.value) == f"machine size must be an integer, got {m!r}"
+
     @pytest.mark.parametrize("index", [1, 5])
     def test_insider_in_pool_rejected(self, index):
         # an insider of the target made the search loop forever; any other
@@ -68,9 +74,12 @@ class TestRuleSet:
         with pytest.raises(ValueError, match=f"pool entry a{index} is not an outsider"):
             RuleSet(m=3, outsiders=(outsider(1), insider(index)), require_outsider_per_move=False)
 
-    @pytest.mark.parametrize("entry", ["x1", ("x", 1)], ids=["label", "plain-tuple"])
+    @pytest.mark.parametrize(
+        "entry", ["x1", ("x", 1), ["x", 1]], ids=["label", "plain-tuple", "unhashable"]
+    )
     def test_pool_entry_that_is_not_an_element_rejected(self, entry):
-        # a label or a plain tuple has no is_outsider; it is refused as any non-outsider is
+        # a label, a plain tuple or a list has no is_outsider; it is refused as any
+        # non-outsider is, before the repeat check hashes it
         with pytest.raises(ValueError) as err:
             RuleSet(m=2, outsiders=(entry,))
         assert str(err.value) == f"pool entry {entry} is not an outsider"

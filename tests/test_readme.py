@@ -44,7 +44,7 @@ def test_module_references_resolve():
         parts = span.removeprefix("mindswap.").split(".")
         if len(parts) > 1 and parts[0] in MODULES and all(p.isidentifier() for p in parts):
             refs.add(tuple(parts))
-    assert {("keeler", "cycle_gadget"), ("machine", "lower_bound")} <= refs
+    assert {("machine", "solve_m_machine"), ("machine", "lower_bound")} <= refs
     for module, *names in refs:
         obj = importlib.import_module(f"mindswap.{module}")
         for name in names:
