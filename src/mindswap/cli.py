@@ -21,7 +21,15 @@ from typing import TextIO
 
 from . import infinite, plandoc
 from .machine import lower_bound, solve_m_machine
-from .oracle import OracleBudgetError, RuleSet, _refuse_ground, search_min_plan, verify_plan
+from .oracle import (
+    MachineSizeError,
+    OracleBudgetError,
+    RuleSet,
+    _refuse_ground,
+    _refuse_machine_size,
+    search_min_plan,
+    verify_plan,
+)
 from .perm import (
     ParseError,
     Permutation,
@@ -88,11 +96,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         return _fail(EXIT_PARSE, f"parse error: {err}")
     try:
         target = _parse_target(text)
-        if args.m < 2:
-            return _fail(EXIT_PARSE, f"error: machine size must be at least 2, got {args.m}")
         doc = solve_m_machine(target, args.m)
     except ParseError as err:
         return _fail(EXIT_PARSE, f"parse error: {err}")
+    except MachineSizeError as err:
+        return _fail(EXIT_PARSE, f"error: {err}")
     except ValueError as err:
         return _fail(EXIT_UNSOLVABLE, f"unsolvable: {err}")
     sys.stdout.write(plandoc.dumps(doc))
@@ -128,11 +136,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     except ParseError as err:
         return _fail(EXIT_PARSE, f"parse error: {err}")
     try:
-        # refuse before building a pool that no search takes; RuleSet's and
-        # search_min_plan's own refusals keep their precedence over this one,
-        # and one outsider gives them the same message as the whole pool
+        # refuse before building a pool that no search takes: the machine size
+        # first, as RuleSet would; search_min_plan's own refusals keep their
+        # precedence over the ground cap, and one outsider gives them the
+        # same message as the whole pool
+        _refuse_machine_size(args.m)
         d = args.d
-        if args.m < 2 or args.max_steps < 0 or args.node_budget < 0:
+        if args.max_steps < 0 or args.node_budget < 0:
             d = min(d, 1)
         elif d > 0:
             _refuse_ground(len(target.support()) + d)

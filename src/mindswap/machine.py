@@ -69,6 +69,7 @@ odd m and 3(m/2 - 1) for even m, the latter for (1 2) in case C.
 
 from __future__ import annotations
 
+from .oracle import _refuse_machine_size
 from .perm import Element, Permutation, format_cycles, insiders_only, outsider
 from .plandoc import PlanDocument
 
@@ -91,8 +92,9 @@ def lower_bound(sigma: Permutation, m: int = 3) -> int:
     raised by one on an even machine when its parity differs from sigma's,
     and 0 for the identity.  At m = 2 it is n + r + 2, which the distinct
     swaps need by the Components bound in the oracle module's docstring.
-    Raises ValueError for m < 2, and for an odd sigma on an odd machine,
-    which no plan reaches.  Proof for m >= 3:
+    Raises MachineSizeError, a ValueError, for m that is not an int of at
+    least 2, and ValueError for an odd sigma on an odd machine, which no
+    plan reaches.  Proof for m >= 3:
 
     - Each move seats at most m - 1 insiders, beside its outsider.
     - Every moved insider sits at least once, and each cycle C of sigma has
@@ -106,8 +108,7 @@ def lower_bound(sigma: Permutation, m: int = 3) -> int:
       parity; when m is odd each move is even, so sigma must be.
     - No single move fixes its outsider, so a nonempty plan has two moves.
     """
-    if m < 2:
-        raise ValueError(f"machine size must be at least 2, got {m}")
+    _refuse_machine_size(m)
     cycles = sigma.cycles
     return _bound(sum(map(len, cycles)), len(cycles), m)
 
@@ -130,8 +131,7 @@ def solve_m_machine(sigma: Permutation, m: int) -> PlanDocument:
     "keeler2", at m = 2, and lower_bound(sigma, m) moves, recorded, solver
     "general_m", at m >= 3."""
     insiders_only(sigma)
-    if m < 2:
-        raise ValueError(f"machine size must be at least 2, got {m}")
+    _refuse_machine_size(m)
     if m > MACHINE_CAP:
         raise ValueError(f"machine size {m} is above the cap of {MACHINE_CAP}")
     target = format_cycles(sigma)  # reads sigma.cycles, which the inverse takes over reversed

@@ -9,40 +9,48 @@ in the package.
 Data layout.  The ground set, the target's support in sorted order and
 then the sorted outsiders, is numbered 0..N-1, so index order is element
 order.  The search state is the residual R = goal∘state⁻¹, held as the
-tuple of its image indices: the state is the product of the moves so far,
-the goal is the target's inverse, and a plan is complete when R is the
-identity tuple.  A move g turns R into R∘g⁻¹.  The catalog is the tuple
-of legal supports, each held as its support id, its seat bitmask and its
-(m - 1)! orderings; each ordering g is precomputed once as an itemgetter
-over g's preimage tuple, next to its arrow mask and its seats.  An arrow
-y → z is bit y·N + z of an int over N² bits, and an ordering's mask holds
-its m arrows y → g(y).  A table of the single-arrow bits, 0 where y = z,
-turns R into its own arrow mask with one sum per position.  A dict maps
-each move's own image tuple to its support id, its bitmask and its
-seats.  Support ids rank the legal supports in itertools.combinations
-order, which is sorted-tuple order.  Spent supports are an int bitset
-over those ids, and R's moved points an int bitmask over the ground
-indices.  A table holds, per point p, holders[p]: the bitset of the ids
-of the supports that seat p, beside fewest, the least number of supports
-that seat any one point.  The catalog depends on nothing but N, m, the
-outsider rule and, under that rule, the first outsider's index, so it is
-built once per such key and cached; searches share it and never change
-it.  The cache holds at most CATALOG_CAP moves in all, and is emptied
-before a catalog that would not fit beside it is built.  Elements are
-looked up only for the plan that is returned: each move's seats map
-through the ground set to a plain tuple, least seat first, since an
-ordering leads with its least index.
+tuple of its image indices: the state is the product of the moves so
+far, the goal is the target's inverse, and a plan is complete when R is
+the identity tuple.  A move g turns R into R∘g⁻¹.  The root's R, the
+goal itself, is read off the target's image map in one pass, through a
+dict from element to ground index.  The catalog is the tuple of legal
+supports, each held as its support id, its seat bitmask and its (m - 1)!
+orderings; each ordering g is precomputed once as an itemgetter over g's
+preimage tuple, next to its arrow mask and its seats.  An arrow y → z is
+bit y·N + z of an int over N² bits, and an ordering's mask holds its m
+arrows y → g(y).  A table of the single-arrow bits, 0 where y = z, turns
+R into its own arrow mask with one sum per position.  A dict maps each
+move's own image tuple to its support id, its bitmask and its seats.
+Support ids rank the legal supports in itertools.combinations order,
+which is sorted-tuple order.  Spent supports are an int bitset over
+those ids, and R's moved points an int bitmask over the ground indices,
+summed from a table of the single-point bits.  A table holds, per point
+p, holders[p]: the bitset of the ids of the supports that seat p, beside
+fewest, the least number of supports that seat any one point.  The
+catalog depends on nothing but N, m, the outsider rule and, under that
+rule, the first outsider's index, so it is built once per such key and
+cached; searches share it and never change it.  The cache holds at most
+CATALOG_CAP moves in all, and is emptied before a catalog that would not
+fit beside it is built.  Elements are looked up only for the plan that
+is returned: each move's seats map through the ground set to a plain
+tuple, least seat first, since an ordering leads with its least index.
 
-Nodes.  A node is one catalog move, and each position the search enters
-counts the whole catalog on entry, where the budget is checked; nothing
-inside a position counts.  A position is entered only when it passed
-the bounds below, so a pruned position and a skipped limit cost none,
-and the tighter the bounds, the further a search gets on the same
-budget.  A loop that counted each catalog move as it tried or skipped
-it counts the same at every position that fails, and only the positions
-on a found plan's path count more here.  The positions entered do not
-depend on the budget until it raises, so a search finishes exactly when
-its budget is at least the catalog size times the positions it enters.
+Nodes.  A node is one catalog move, and each position the search
+reaches counts the whole catalog once, where the budget is checked;
+nothing else counts.  A position with two or more moves left is entered
+and counts on entry.  A leaf, a position with one move left, is not
+entered: the position above it closes it in place (see Last two moves)
+and counts it, before its lookup, where entering it would have counted;
+a support whose leaves all fail counts them in one sum, and the root of
+limit 1, a leaf too, counts in the limit loop.  A position is reached
+only when it passed the bounds below, so a pruned position and a
+skipped limit cost none, and the tighter the bounds, the further a
+search gets on the same budget.  A loop that counted each catalog move
+as it tried or skipped it counts the same at every position that fails,
+and only the positions on a found plan's path count more here.  The
+positions reached do not depend on the budget until it raises, so a
+search finishes exactly when its budget is at least the catalog size
+times the positions it reaches.
 
 Pruning.  Each rule cuts only subtrees that hold no plan, so the DFS meets
 the same first plan, in the same catalog order, as a search without it.
@@ -114,10 +122,26 @@ With d moves left:
   a move also lowers d by one, the condition holds at every node of a
   limit exactly when it holds at the root, so limits of the wrong parity
   are skipped whole.  For odd m every move is even: an odd target is
-  refuted before any search.
+  refuted before any search.  The root's parity is H mod 2, with no
+  second walk: a k-cycle has parity k - 1, H adds k ± 1 ≡ k - 1 for it,
+  and the stars' 2 is even.
 - Commuting normal form: two consecutive moves with disjoint seat sets are
   explored only with the lower support id first, since swapping them
   changes neither the product nor the spent supports.
+- Last two moves: a position with two moves left closes each child
+  R∘g⁻¹ that passes displacement itself.  That child, the leaf, is
+  complete after one more move h exactly when h = R∘g⁻¹, so it is looked
+  up in the catalog by its image tuple, and the move found must be
+  unspent and in normal form after g.  Two cases need no lookup.  With
+  one move left after g, need = off, so g passes when it shares at least
+  off of R's arrows; when it shares more, the leaf moves off + m - shared
+  < m points (see Displacement from arrows), and every move moves
+  exactly m, so the leaf is no move.  Under the distinct rule, when
+  off = 0, R moves only seats of S, and so does every leaf R∘g⁻¹, which
+  agrees with R off S; a leaf that is a move moves m points, all seats of
+  S, so it seats S, which g has just spent.  So every leaf below S fails;
+  with need = 0 all (m - 1)! orderings of S pass displacement, and their
+  leaves are counted in one sum and none is looked up.
 - Longest plan: under the distinct-seat-set rule a plan seats each legal
   support at most once, so no plan has more moves than there are legal
   supports, and no limit above that count is tried.  With no legal move
@@ -127,18 +151,20 @@ With d moves left:
 Search order.  A position computes R's moved-point bitmask and arrow
 mask once, then skips whole each support that is spent or breaks the
 normal form against the previous move.  For a support it keeps, it
-computes need once, and each ordering is tested for displacement on its
-arrow mask; only an ordering that passes builds its child R∘g⁻¹.  With
-two or more moves left after g, the child is cut when its moved points
-meet the support's stranded seats, those that no other unspent support
-seats (the Coverage bound); otherwise one walk over the child's cycles
-gives its one count H, and the child is entered only when it passes, so
-the position builds only children that pass displacement and enters
-only those that pass every bound; the root is bounded once per limit.  With
-one move left, R∘g⁻¹ is the identity exactly when g = R, and each
-m-cycle appears once in the catalog, so the last move is found by one
-dict lookup on R's image tuple, then checked for a spent support and the
-normal form.
+computes off, R's moved points off its seats, once, and each ordering is
+tested for displacement on its arrow mask.  With two moves left the
+position closes the leaves itself (see Last two moves).  With more,
+only an ordering that passes builds its child R∘g⁻¹, which is cut when
+its moved points meet the support's stranded seats, those that no other
+unspent support seats (the Coverage bound); otherwise one walk over the
+child's cycles gives its one count H, and the child is entered only when
+it passes.  So the search enters only positions with two or more moves
+left that pass every bound, and builds only children that pass
+displacement; the root is bounded once per limit, and its displacement
+is the number of insiders.  A last move is one dict lookup on the
+leaf's image tuple, each m-cycle appearing once in the catalog: in the
+position above the leaf, or, at limit 1, on the root's R, with nothing
+spent and no previous move, in the limit loop.
 
 Inputs.  The rule pool must hold outsiders only (RuleSet raises
 ValueError otherwise, and PlanDocument checks its pool through RuleSet),
@@ -184,11 +210,26 @@ class OracleBudgetError(RuntimeError):
     """Raised when the search exceeds its node budget; never a wrong answer."""
 
 
+class MachineSizeError(ValueError):
+    """Raised for a machine size that is not an int of at least 2: a bad
+    input, where other ValueErrors of a solver mean an unsolvable target."""
+
+
+def _refuse_machine_size(m: int) -> None:
+    """MachineSizeError unless m is an int, not a bool, of at least 2: the one
+    machine-size rule of RuleSet, lower_bound, solve_m_machine and the CLI."""
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise MachineSizeError(f"machine size must be an integer, got {m!r}")
+    if m < 2:
+        raise MachineSizeError(f"machine size must be at least 2, got {m}")
+
+
 @dataclass(frozen=True)
 class RuleSet:
-    """Machine rules a plan must follow.  ValueError refuses a machine size that
-    is not an int of at least 2, and a pool that is empty under the outsider
-    rule, repeats a person or holds anything but outsiders."""
+    """Machine rules a plan must follow.  MachineSizeError, a ValueError,
+    refuses a machine size that is not an int of at least 2, and ValueError a
+    pool that is empty under the outsider rule, repeats a person or holds
+    anything but outsiders."""
 
     m: int
     outsiders: tuple[Element, ...]
@@ -196,10 +237,7 @@ class RuleSet:
     require_distinct_supports: bool = True
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or isinstance(self.m, bool):
-            raise ValueError(f"machine size must be an integer, got {self.m!r}")
-        if self.m < 2:
-            raise ValueError(f"machine size must be at least 2, got {self.m}")
+        _refuse_machine_size(self.m)
         if self.require_outsider_per_move and not self.outsiders:
             raise ValueError("outsider rule requires a nonempty outsider pool")
         elements = [e for e in self.outsiders if isinstance(e, Element)]  # others may not hash
@@ -281,6 +319,7 @@ Catalog = tuple[
     tuple[tuple[int, ...], ...],
     tuple[int, ...],
     int,
+    tuple[int, ...],
 ]
 
 _catalogs: dict[tuple[int, int, int | None], Catalog] = {}
@@ -301,7 +340,8 @@ def _move_catalog(n: int, first_outsider: int, m: int, outsider_rule: bool) -> C
     bitmask, seats).  The last value holds arrow y → z's bit at [y][z],
     and 0 for y = z, so a residual's arrow mask is one sum over it.  Then
     come holders, where holders[p] is the bitset of the ids of the
-    supports that seat p, and fewest, the least popcount among them.
+    supports that seat p, fewest, the least popcount among them, and bits,
+    where bits[p] is 1 << p.
     Raises ValueError, before building any move, for more than
     CATALOG_CAP moves.
 
@@ -350,7 +390,8 @@ def _move_catalog(n: int, first_outsider: int, m: int, outsider_rule: bool) -> C
             orderings.append((itemgetter(*preimage), arrows, seats))
         supports.append((sid, mask, tuple(orderings)))
     fewest = min(map(int.bit_count, holders), default=0)
-    catalog = tuple(supports), last_move, arrow_rows, tuple(holders), fewest
+    bits = tuple(1 << i for i in range(n))
+    catalog = tuple(supports), last_move, arrow_rows, tuple(holders), fewest, bits
     if size:
         _catalogs[key] = catalog
     return catalog
@@ -398,32 +439,45 @@ def search_min_plan(
     is a plain seat tuple, least seat first.  An odd target on an odd
     machine is unreachable at any length and returns None without
     searching.  node_budget caps the nodes: the catalog's move count for
-    each position entered.  OracleBudgetError is raised past it.
+    each position reached, leaves included (see Nodes).  OracleBudgetError
+    is raised past it.
     """
     insiders_only(target)
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
     if node_budget < 0:
         raise ValueError("node_budget must be nonnegative")
-    insiders = sorted(target.support())
+    insiders = sorted(target._map)
     ground = insiders + sorted(rules.outsiders)
     n = len(ground)
     _refuse_ground(n)
-    m, parity = rules.m, target.parity()
-    if m % 2 and parity:
-        return None  # odd-length cycles multiply to even permutations only
-    supports, last_move, arrow_rows, holders, fewest = _move_catalog(
-        n, len(insiders), m, rules.require_outsider_per_move
-    )
-    size = len(last_move)  # each m-cycle once
-    distinct = rules.require_distinct_supports
-    identity = tuple(range(n))
-    bits = [1 << i for i in range(n)]
+    index = dict(zip(ground, range(n)))
+    goal = list(range(n))  # the goal σ⁻¹ sends σ(e) back to e
+    for e, image in target._map.items():
+        goal[index[image]] = index[e]
+    start = tuple(goal)  # R before any move
     # with the outsider rule off every index counts as an outsider, so H is
     # the Cayley distance
     first = len(insiders) if rules.require_outsider_per_move else 0
+    m, distinct = rules.m, rules.require_distinct_supports
     stars = m == 2 and distinct and rules.require_outsider_per_move
+    components = _component_count(start, first, stars)
+    parity = components % 2  # a k-cycle adds k ± 1 ≡ k - 1, and stars add 2
+    if m % 2 and parity:
+        return None  # odd-length cycles multiply to even permutations only
+    supports, last_move, arrow_rows, holders, fewest, bits = _move_catalog(
+        n, len(insiders), m, rules.require_outsider_per_move
+    )
+    size = len(last_move)  # each m-cycle once
+    identity = tuple(range(n))
     nodes = 0
+
+    def spend(count: int) -> None:
+        """Count nodes, and raise OracleBudgetError past the budget."""
+        nonlocal nodes
+        nodes += count
+        if nodes > node_budget:
+            raise OracleBudgetError(f"node budget of {node_budget} exceeded")
 
     def dfs(
         r: tuple[int, ...],
@@ -433,20 +487,8 @@ def search_min_plan(
         prev_mask: int,
         path: list[tuple[int, ...]],
     ) -> bool:
-        """Complete r, which passed the bounds for depth_left >= 1, onto path."""
-        nonlocal nodes
-        nodes += size  # the whole catalog, once per position entered
-        if nodes > node_budget:
-            raise OracleBudgetError(f"node budget of {node_budget} exceeded")
-        if depth_left == 1:  # R∘g⁻¹ is the identity exactly when g = R
-            hit = last_move.get(r)
-            if hit is None:
-                return False
-            sid, mask, seats = hit
-            if (distinct and spent >> sid & 1) or (not mask & prev_mask and sid < prev_sid):
-                return False
-            path.append(seats)
-            return True
+        """Complete r, which passed the bounds for depth_left >= 2, onto path."""
+        spend(size)  # the whole catalog, once per position entered
         d = depth_left - 1
         reach, span = m * d, (m - 1) * d
         moved = sum(itertools.compress(bits, map(ne, r, identity)))  # R's moved points
@@ -459,37 +501,59 @@ def search_min_plan(
         for sid, mask, orderings in supports:
             if (distinct and spent >> sid & 1) or (not mask & prev_mask and sid < prev_sid):
                 continue
+            off = (moved & ~mask).bit_count()  # R's moved points off this support's seats
+            if d == 1:  # each ordering that passes displacement is a leaf, closed here
+                if distinct and not off:
+                    spend(size * len(orderings))  # every leaf would seat this support again
+                    continue
+                for act, arrows, seats in orderings:
+                    shared = (arrows & arrows_r).bit_count()
+                    if shared < off:
+                        continue  # displacement bound, read off the shared arrows
+                    spend(size)  # the leaf, counted as if entered
+                    # a leaf that moves fewer than m points is no move
+                    hit = shared == off and last_move.get(act(r))
+                    if hit:  # R∘g⁻¹ is a move; it must be unspent and in normal form
+                        last, last_mask, last_seats = hit
+                        if not (distinct and (spent | 1 << sid) >> last & 1) and (
+                            last_mask & mask or last >= sid
+                        ):
+                            path += seats, last_seats
+                            return True
+                continue
             # a child passes displacement exactly when it shares `need` of R's arrows
-            need = (moved & ~mask).bit_count() + m - reach
+            need = off + m - reach
             stranded = mask & loose  # seats that spending this support strands
             for act, arrows, seats in orderings:
                 if (arrows & arrows_r).bit_count() < need:
                     continue  # displacement bound, read off the shared arrows
                 child = act(r)
-                if d > 1 and (
+                if (
                     stranded and stranded & sum(itertools.compress(bits, map(ne, child, identity)))
                     or _component_count(child, first, stars) > span
                 ):
-                    continue  # coverage, then components; at d = 1 the lookup decides
+                    continue  # coverage, then components
                 path.append(seats)
                 if dfs(child, d, spent | 1 << sid, sid, mask, path):
                     return True
                 path.pop()
         return False
 
-    goal = target.inverse()
-    start = tuple(ground.index(goal(e)) for e in ground)  # R before any move
-    displaced = sum(map(ne, start, identity))
-    components = _component_count(start, first, stars)
     # a plan seats each support at most once under the distinct rule, and
     # with no legal move only the empty plan exists
     longest = min(max_steps, len(supports)) if distinct or not supports else max_steps
     for limit in range(longest + 1):
         if m % 2 == 0 and limit % 2 != parity:
             continue  # the parity bound fails at the root, so at every node
-        if displaced > m * limit or (limit > 1 and components > (m - 1) * limit):
+        if len(insiders) > m * limit or (limit > 1 and components > (m - 1) * limit):
             continue  # displacement, and H with two or more moves left, at the root
         path: list[tuple[int, ...]] = []
-        if limit == 0 or dfs(start, limit, 0, -1, 0, path):
-            return [tuple(map(ground.__getitem__, seats)) for seats in path]
+        if limit == 1:  # the root is a leaf: R is the one move, or none is
+            spend(size)
+            if start not in last_move:
+                continue
+            path.append(last_move[start][2])
+        elif limit and not dfs(start, limit, 0, -1, 0, path):
+            continue
+        return [tuple(map(ground.__getitem__, seats)) for seats in path]
     return None

@@ -225,8 +225,9 @@ def _trusted(
 
 def insiders_only(p: Permutation) -> Permutation:
     """p itself, or ValueError when p moves an outsider: a scramble moves
-    insiders only, and outsiders are fresh."""
-    if any(e.is_outsider for e in p._map):
+    insiders only, and outsiders are fresh.  Outsiders sort last, so p moves
+    one exactly when its greatest moved element is one."""
+    if p._map and max(p._map)[0] == OUTSIDER:
         raise ValueError("target must move insiders only")
     return p
 

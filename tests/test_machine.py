@@ -6,7 +6,7 @@ import pytest
 
 from mindswap import keeler, machine, optimal3
 from mindswap.machine import lower_bound, solve_m_machine
-from mindswap.oracle import RuleSet, search_min_plan, verify_plan
+from mindswap.oracle import MachineSizeError, RuleSet, search_min_plan, verify_plan
 from mindswap.perm import Permutation, insider, outsider, parse_cycles, plan_product
 
 from conftest import (
@@ -103,6 +103,34 @@ class TestLowerBound:
     def test_machine_below_two_refused(self, m):
         with pytest.raises(ValueError, match=f"^machine size must be at least 2, got {m}$"):
             lower_bound(parse_cycles("(1 2 3)"), m)
+
+
+class TestOneMachineSizeRule:
+    """RuleSet, lower_bound and solve_m_machine refuse the same machine sizes
+    with the same MachineSizeError, which the CLI tells from an unsolvable
+    target."""
+
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            (1, "machine size must be at least 2, got 1"),
+            (-3, "machine size must be at least 2, got -3"),
+            (3.0, "machine size must be an integer, got 3.0"),
+            ("3", "machine size must be an integer, got '3'"),
+            (True, "machine size must be an integer, got True"),
+        ],
+    )
+    def test_every_site_gives_the_same_refusal(self, m, message):
+        sigma = parse_cycles("(1 2 3)")
+        sites = [
+            lambda: RuleSet(m, (outsider(1),)),
+            lambda: lower_bound(sigma, m),
+            lambda: solve_m_machine(sigma, m),
+        ]
+        for site in sites:
+            with pytest.raises(MachineSizeError) as err:
+                site()
+            assert str(err.value) == message
 
 
 class TestInvertThreeCycle:

@@ -407,7 +407,7 @@ class TestSearchMinPlan:
     def test_holders_recount_the_supports(self, n, first_outsider, m, outsider_rule):
         # holders[p] is the bitset of the support ids that seat p, and fewest
         # the least number of supports that seat one point
-        supports, _, _, holders, fewest = oracle._move_catalog(
+        supports, _, _, holders, fewest, _ = oracle._move_catalog(
             n, first_outsider, m, outsider_rule
         )
         seats = {sid: orderings[0][2] for sid, _, orderings in supports}
@@ -419,7 +419,7 @@ class TestSearchMinPlan:
         oracle._catalogs.clear()
         target, rules = parse_cycles("(1 2)(3 4)"), RuleSet(m=2, outsiders=pool(2))
         catalog = oracle._move_catalog(6, 4, 2, True)
-        supports, _, _, holders, fewest = catalog
+        supports, _, _, holders, fewest, _ = catalog
         recount = tuple(
             sum(1 << sid for sid, mask, _ in supports if mask >> p & 1) for p in range(6)
         )
@@ -536,7 +536,8 @@ class TestCatalogCache:
 class TestBudgetEdges:
     """Each search succeeds with exactly N nodes and, when N > 0, raises
     with N - 1.  N = 0 means the root's bounds refuted every limit.  A
-    found plan's N is the catalog size times the positions entered.
+    found plan's N is the catalog size times the positions reached,
+    leaves included.
 
     m4-pair pins that the component count leaves the last move to its
     lookup: bounding the children with one move left as well, the same
@@ -548,6 +549,15 @@ class TestBudgetEdges:
     x1 and with x2, are soon both spent.  m4-one-position pins that a
     refutation counts what a loop over the catalog counted: its one
     position counts 34 supports of 6 orderings each.
+
+    The last four rows pin the last two moves, closed in place: their
+    counts are those of the search that entered each leaf as its own
+    position.  Each finds a 2-move plan at m >= 5 with one lookup: every
+    leaf the root reaches before its plan lies below a support that seats
+    every point the target moves, so would seat that support again, and
+    is counted in one sum per support.  m7-five-outsiders counts 3,603
+    positions of 5,760 moves: the root at limits 1 and 2, 3,600 leaves in
+    five sums, and the leaf looked up.
     """
 
     @pytest.mark.parametrize(
@@ -590,11 +600,28 @@ class TestBudgetEdges:
                 ["(a1 x1)", "(a2 x2)", "(a1 x2)", "(a4 x1)", "(a3 x1)", "(a2 x1)", "(x1 x2)"],
             ),
             ("(1 2 3 4)", RuleSet(m=4, outsiders=pool(3)), 2, 204, None),
+            (
+                "(1 2 3)", RuleSet(m=5, outsiders=pool(3)), 3, 10_800,
+                ["(a1 x1 x2 x3 a2)", "(a2 x3 x2 x1 a3)"],
+            ),
+            (
+                "(1 2 3 4 5)", RuleSet(m=6, outsiders=pool(2)), 3, 203_280,
+                ["(a1 a2 a4 a3 x1 x2)", "(a1 x2 x1 a2 a5 a4)"],
+            ),
+            (
+                "(1 2)(3 4)", RuleSet(m=6, outsiders=pool(3)), 3, 304_080,
+                ["(a1 a2 a3 x1 x2 x3)", "(a1 x3 x2 x1 a4 a3)"],
+            ),
+            (
+                "(1 2 3)", RuleSet(m=7, outsiders=pool(5)), 2, 20_753_280,
+                ["(a1 x1 x2 x3 x4 x5 a2)", "(a2 x5 x4 x3 x2 x1 a3)"],
+            ),
         ],
         ids=[
             "keeler-pair", "refutation", "limit-1", "m4-pair", "m5-pair", "m4-repeats",
             "m4-two-outsiders", "m3-mixed-refuted", "m3-mixed", "m2-refuted", "m2-cycle",
-            "m4-one-position",
+            "m4-one-position", "m5-three-outsiders", "m6-five-cycle", "m6-pair",
+            "m7-five-outsiders",
         ],
     )
     def test_exact_budget(self, text, rules, max_steps, nodes, plan):
@@ -779,7 +806,10 @@ class TestSearchDifferential:
     enough for the coverage bound to cut, so every run reaches it.  Each
     position entered counts the catalog's 9 moves at once, so with 4
     nodes (1 2)(3 4) runs out on entering the root, and both searches
-    must raise there.
+    must raise there.  (1 2 3) at m = 4 with three outsiders takes 1,800
+    nodes, 20 positions of 90 moves, to find a 2-move plan: its root's
+    first support, a1 a2 a3 x1, seats every point the target moves, so
+    its 6 leaves are counted in one sum, and 300 nodes run out inside it.
     """
 
     @settings(max_examples=300, deadline=None)
@@ -788,6 +818,8 @@ class TestSearchDifferential:
     @example([[1, 2], [3, 4]], 2, 2, True, True, 8, 3000)
     @example([[1, 2], [2, 3], [3, 4]], 2, 2, True, True, 7, 89)
     @example([[1, 2], [2, 3], [3, 4]], 2, 2, True, True, 7, 3000)
+    @example([[1, 2], [2, 3]], 4, 3, True, True, 2, 300)
+    @example([[1, 2], [2, 3]], 4, 3, True, True, 2, 1800)
     @given(
         swaps=st.lists(st.lists(st.integers(1, 5), min_size=2, max_size=2, unique=True), max_size=6),
         m=st.integers(2, 5),
@@ -812,6 +844,7 @@ class TestSearchDifferential:
     @example([[1, 2], [3, 4]], 2, 2, True, True, 8)
     @example([[1, 2], [2, 3], [3, 4]], 2, 2, True, True, 7)
     @example([[1, 2]], 2, 3, True, True, 6)
+    @example([[1, 2], [2, 3]], 4, 3, True, True, 2)
     @given(
         swaps=st.lists(st.lists(st.integers(1, 5), min_size=2, max_size=2, unique=True), max_size=6),
         m=st.integers(2, 5),

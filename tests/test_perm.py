@@ -312,6 +312,12 @@ class TestInsidersOnly:
         with pytest.raises(ValueError, match=r"^target must move insiders only$"):
             site(parse_cycles("(a1 x1)"))
 
+    @pytest.mark.parametrize("index", [1, 7, 30])
+    def test_one_moved_outsider_among_many_insiders(self, index):
+        insiders = " ".join(f"a{i}" for i in range(1, 31))
+        with pytest.raises(ValueError, match=r"^target must move insiders only$"):
+            perm.insiders_only(parse_cycles(f"({insiders})(a40 x{index})"))
+
 
 class TestCompose:
     def test_stepwise_matches_parsed_product(self):
